@@ -78,7 +78,7 @@ def cmd_encode(args):
     code = enc.encode_behavioral(args.v_in, sim.table)
     ideal = enc.code_to_write_voltages(code)
     structural = enc.encode_structural(args.v_in, sim.table, sim.enc_cfg)
-    quantized = enc.quantize_pattern(structural, sim.enc_cfg)
+    quantized = enc.quantize_pattern(structural)
     print(f"{code} -> " + " ".join(f"{v:g}V" for v in ideal.port_voltages))
     print("structural: "
           + " ".join(f"{v:.3f}V" for v in structural.port_voltages)
@@ -112,7 +112,7 @@ def cmd_sweep(args):
             volts = enc.code_to_write_voltages(m.code)
         row = [f"{m.v_in:.6g}", str(m.code)] + [_fmt(v) for v in volts.port_voltages]
         if structural:
-            row.append(str(enc.quantize_pattern(volts, sim.enc_cfg)))
+            row.append(str(enc.quantize_pattern(volts)))
         pattern_rows.append(row)
     if structural:
         header = header + ["code_quantized"]

@@ -6,7 +6,7 @@ table, and the standard cycle timing. Sections mirror the module types:
 
     {
       "device":   {"r_on": ..., "kind": "threshold_drift", ...},
-      "topology": {"n_subcells": 3, "r_series": 500, "wiring": {...}, ...},
+      "topology": {"n_subcells": 3, "r_series": 500, "read_series_ohms": 0, ...},
       "encoder":  {"bins": [[0.0, 0.3, "222"], ...], "v_th": 0.3, ...},
       "cycle":    {"v_reset": 4.0, "dt": 5e-7, ...},
       "noise":    {"source_noise_sigma": 0.0, "rng_seed": 0}
@@ -58,13 +58,11 @@ class SimConfig:
                 "r_series": list(self.topology.per_subcell("r_series")),
                 "r_write": list(self.topology.per_subcell("r_write")),
                 "r_ground": self.topology.r_ground,
-                "wiring": dataclasses.asdict(self.topology.wiring),
+                "read_series_ohms": self.topology.read_series_ohms,
             },
             "encoder": {
                 "bins": [[row.a1, row.a2, str(row.code)] for row in self.table.rows],
-                **{f.name: (list(getattr(self.enc_cfg, f.name))
-                            if f.name == "logic0_band"
-                            else getattr(self.enc_cfg, f.name))
+                **{f.name: getattr(self.enc_cfg, f.name)
                    for f in dataclasses.fields(self.enc_cfg)},
             },
             "cycle": {f.name: getattr(self.cycle, f.name)
@@ -115,19 +113,6 @@ def _parse_device(section):
     return params, kind
 
 
-def _parse_topology(section):
-    wiring = net.CellWiring()
-    if "wiring" in section:
-        wiring = _build(net.CellWiring, section["wiring"], "topology.wiring")
-    section = {k: v for k, v in section.items() if k != "wiring"}
-    known = ("n_subcells", "r_series", "r_write", "r_ground")
-    _take(section, "topology", known)
-    try:
-        return net.CellTopology(wiring=wiring, **section)
-    except (ValueError, net.InvalidTopology) as exc:
-        raise ConfigError(f"topology: {exc}") from None
-
-
 def _parse_encoder(section):
     table = enc.DEFAULT_BIN_TABLE
     if "bins" in section:
@@ -141,10 +126,13 @@ def _parse_encoder(section):
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"encoder.bins: {exc}") from None
     section = {k: v for k, v in section.items() if k != "bins"}
-    if "logic0_band" in section:
-        section["logic0_band"] = tuple(section["logic0_band"])
     cfg = _build(enc.EncoderConfig, section, "encoder")
     return table, cfg
+
+
+def _reject_constant(name):
+    """JSON parse hook for NaN / Infinity / -Infinity, which no field accepts."""
+    raise ConfigError(f"non-finite number {name} is not allowed in a config")
 
 
 def load_config(path=None) -> SimConfig:
@@ -159,7 +147,7 @@ def load_config(path=None) -> SimConfig:
     if not text.strip():
         return default_config()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):
@@ -167,7 +155,7 @@ def load_config(path=None) -> SimConfig:
     _take(data, "config", ("device", "topology", "encoder", "cycle", "noise"))
 
     params, kind = _parse_device(data.get("device", {}))
-    topology = _parse_topology(data.get("topology", {}))
+    topology = _build(net.CellTopology, data.get("topology", {}), "topology")
     table, enc_cfg = _parse_encoder(data.get("encoder", {}))
     cycle = _build(ctl.CycleConfig, data.get("cycle", {}), "cycle")
     noise = _build(ctl.NoiseConfig, data.get("noise", {}), "noise")

@@ -1,14 +1,17 @@
 """Cycle execution and experiment drivers for the multi-level cell.
 
-A cycle is three quasi-static phases. In each phase a fixed set of sources
-is engaged, and on every timestep the resistive network is solved exactly
-for the frozen device resistances, after which each device state advances
-one explicit Euler step under its own branch voltage. Devices therefore
-interact through the shared nodes during the write transient, which is the
-only mechanism that can make a device's final state depend on the whole
-pattern rather than its own port alone.
+A cycle is a list of quasi-static phases, each a `Phase`: the amplitudes of
+its engaged sources by element index, its step count, and whether it is the
+read. One loop, `_run_phases`, runs any such list. In each phase the
+engaged sources are fixed, and on every timestep the resistive network is
+solved exactly for the frozen device resistances, after which each device
+state advances one explicit Euler step under its own branch voltage.
+Devices therefore interact through the shared nodes during the write
+transient, which is the only mechanism that can make a device's final
+state depend on the whole pattern rather than its own port alone.
 
-Phases:
+The full cycle is the list below; a zero-length reset or write is left out,
+and the single-phase operations run a one-element list through the same loop.
   reset  - reset sources on at v_reset on the device negative terminals,
            write ports held at 0 V so the erase current can return to
            ground; drives every state toward w = 0.
@@ -16,6 +19,10 @@ Phases:
   read   - read sources on at v_read; the measurement is the mean probe
            voltage over the window, and any state motion beyond tolerance
            raises NonQuiescentRead.
+
+With source noise, each phase draws its perturbations as it is built, in
+this order: the reset amplitude, one per write port held at 0 V, one per
+write port, then the read amplitude.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside a few
@@ -26,7 +33,6 @@ import dataclasses
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import device as dev
 from . import encoder as enc
@@ -132,95 +138,101 @@ def make_cell(topology=None, params=None,
 
 
 # ---------------------------------------------------------------------------
-# Batched cycle core
+# Phase schedule and the loop that runs it
 # ---------------------------------------------------------------------------
 
-class _CycleRun:
-    """One batched reset/write/read execution over B cell instances."""
+@dataclass(frozen=True)
+class Phase:
+    """One quasi-static phase: engaged sources and how long they stay on.
 
-    def __init__(self, cell: Cell, cfg: CycleConfig, batch):
-        self.cell = cell
-        self.cfg = cfg
-        self.batch = batch
-        ports = cell.ports
-        netlist = cell.netlist
-        self.dev_a = np.array([netlist.elements[e].a for e in ports.devices])
-        self.dev_b = np.array([netlist.elements[e].b for e in ports.devices])
+    sources maps source element index -> amplitude (a float or one value
+    per batch row); every other source is open for the whole phase.
+    """
 
-        reset_on = {i: 0.0 for i in ports.reset}
-        if cell.topology.wiring.ground_write_ports_during_reset:
-            reset_on.update({i: 0.0 for i in ports.write})
-        self.reset_tmpl = net.MnaTemplate(netlist, reset_on)
-        self.write_tmpl = net.MnaTemplate(netlist, {i: 0.0 for i in ports.write})
-        self.read_tmpl = net.MnaTemplate(netlist, {i: 0.0 for i in ports.read})
+    sources: dict
+    n_steps: int
+    is_read: bool = False
 
-        self.peak_power = np.zeros(batch)
 
-    def _integrate(self, tmpl, values, w, n_steps, record_probe=False,
-                   track_drift=False, track_power=False):
-        cfg = self.cfg
-        cell = self.cell
-        z = tmpl.rhs(values)
-        probe_sum = np.zeros(self.batch)
-        w_start = w.copy() if track_drift else None
-        drift = np.zeros(self.batch)
+def _no_noise():
+    return 0.0
+
+
+def _noise_draw(rng, sigma, batch):
+    """Per-phase amplitude perturbation: one fresh draw per call."""
+    if rng is None or sigma == 0.0:
+        return _no_noise
+    return lambda: rng.normal(0.0, sigma, size=batch)
+
+
+def _reset_phase(cell, cfg, batch, draw):
+    sources = dict.fromkeys(cell.ports.reset, cfg.v_reset + draw())
+    for idx in cell.ports.write:
+        sources[idx] = np.zeros(batch) + draw()
+    return Phase(sources, cfg.steps(cfg.t_reset))
+
+
+def _write_phase(cell, cfg, patterns, draw):
+    sources = {idx: patterns[:, k] + draw() for k, idx in enumerate(cell.ports.write)}
+    return Phase(sources, cfg.steps(cfg.t_write))
+
+
+def _read_phase(cell, cfg, draw):
+    sources = dict.fromkeys(cell.ports.read, cfg.v_read + draw())
+    return Phase(sources, cfg.steps(cfg.t_read), is_read=True)
+
+
+def _cycle_phases(cell, cfg, patterns, draw):
+    """Reset, write, read; a zero-length reset or write is left out."""
+    phases = []
+    if cfg.t_reset > 0:
+        phases.append(_reset_phase(cell, cfg, len(patterns), draw))
+    if cfg.t_write > 0:
+        phases.append(_write_phase(cell, cfg, patterns, draw))
+    phases.append(_read_phase(cell, cfg, draw))
+    return phases
+
+
+def _run_phases(cell, cfg, phases, w, track_power=False):
+    """Run the phases in order on the (B, n) states w, which change in place.
+
+    Returns (v_out, read drift, peak source power), one value per batch row;
+    v_out and drift stay None when no phase is the read.
+    """
+    netlist, ports = cell.netlist, cell.ports
+    dev_a = np.array([netlist.elements[e].a for e in ports.devices])
+    dev_b = np.array([netlist.elements[e].b for e in ports.devices])
+    batch = w.shape[0]
+    v_out = drift = None
+    peak_power = np.zeros(batch)
+    for phase in phases:
+        tmpl = net.MnaTemplate(netlist, dict.fromkeys(phase.sources, 0.0))
+        z = tmpl.rhs(phase.sources)
         if track_power:
-            src_vals = np.stack(
-                [np.broadcast_to(values[idx], (self.batch,))
-                 for idx, _ in tmpl.active_sources], axis=-1)
-        for _ in range(n_steps):
+            src_vals = np.stack([np.broadcast_to(phase.sources[idx], (batch,))
+                                 for idx, _ in tmpl.active_sources], axis=-1)
+        if phase.is_read:
+            w_start = w.copy()
+            probe_sum = np.zeros(batch)
+            drift = np.zeros(batch)
+        for _ in range(phase.n_steps):
             r = dev.resistance_array(w, cell.params, cfg.temperature)
             volts, i_src = tmpl.solve(1.0 / r, z)
-            v_dev = volts[..., self.dev_a] - volts[..., self.dev_b]
+            v_dev = volts[..., dev_a] - volts[..., dev_b]
             dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
-            if record_probe:
-                probe_sum += volts[..., cell.ports.probe_node]
-            if track_drift:
+            if phase.is_read:
+                probe_sum += volts[..., ports.probe_node]
                 drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
             if track_power:
                 power = (-src_vals * i_src).sum(axis=-1)
-                self.peak_power = np.maximum(self.peak_power, power)
-        mean_probe = probe_sum / n_steps if (record_probe and n_steps) else probe_sum
-        return mean_probe, drift
-
-    def run(self, patterns, w, rng=None, sigma=0.0, track_power=False):
-        """Mutates w in place; returns (v_out, read_drift) per batch row."""
-        cfg = self.cfg
-        ports = self.cell.ports
-        batch = self.batch
-
-        def draw():
-            if rng is None or sigma == 0.0:
-                return 0.0
-            return rng.normal(0.0, sigma, size=batch)
-
-        if cfg.t_reset > 0:
-            values = {}
-            reset_amp = cfg.v_reset + draw()
-            for idx in ports.reset:
-                values[idx] = reset_amp
-            if self.cell.topology.wiring.ground_write_ports_during_reset:
-                for idx in ports.write:
-                    values[idx] = np.zeros(batch) + draw()
-            self._integrate(self.reset_tmpl, values, w, cfg.steps(cfg.t_reset),
-                            track_power=track_power)
-
-        if cfg.t_write > 0:
-            values = {idx: patterns[:, k] + draw()
-                      for k, idx in enumerate(ports.write)}
-            self._integrate(self.write_tmpl, values, w, cfg.steps(cfg.t_write),
-                            track_power=track_power)
-
-        read_amp = cfg.v_read + draw()
-        values = {idx: read_amp for idx in ports.read}
-        v_out, drift = self._integrate(
-            self.read_tmpl, values, w, cfg.steps(cfg.t_read),
-            record_probe=True, track_drift=True, track_power=track_power)
-        if (drift >= READ_DISTURB_TOLERANCE).any():
-            raise NonQuiescentRead(
-                f"read moved device state by {drift.max():.3e} of full scale "
-                f"(tolerance {READ_DISTURB_TOLERANCE:g})")
-        return v_out, drift
+                peak_power = np.maximum(peak_power, power)
+        if phase.is_read:
+            if (drift >= READ_DISTURB_TOLERANCE).any():
+                raise NonQuiescentRead(
+                    f"read moved device state by {drift.max():.3e} of full scale "
+                    f"(tolerance {READ_DISTURB_TOLERANCE:g})")
+            v_out = probe_sum / phase.n_steps
+    return v_out, drift, peak_power
 
 
 def _run_batch(cell, patterns, cfg, w0=None, rng=None, sigma=0.0, track_power=False):
@@ -234,9 +246,9 @@ def _run_batch(cell, patterns, cfg, w0=None, rng=None, sigma=0.0, track_power=Fa
         w = np.zeros((batch, n))
     else:
         w = np.array(w0, dtype=float).reshape(batch, n)
-    run = _CycleRun(cell, cfg, batch)
-    v_out, drift = run.run(patterns, w, rng=rng, sigma=sigma, track_power=track_power)
-    return v_out, w, drift, run.peak_power
+    phases = _cycle_phases(cell, cfg, patterns, _noise_draw(rng, sigma, batch))
+    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, track_power)
+    return v_out, w, drift, peak_power
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +272,15 @@ def run_cycle(cell: Cell, pattern, cfg: CycleConfig = CycleConfig(),
 
 def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the reset phase to the given states; returns new states."""
-    w = np.array(w0, dtype=float).reshape(1, -1).copy()
-    run = _CycleRun(cell, cfg, 1)
-    values = {idx: cfg.v_reset for idx in cell.ports.reset}
-    if cell.topology.wiring.ground_write_ports_during_reset:
-        values.update({idx: 0.0 for idx in cell.ports.write})
-    run._integrate(run.reset_tmpl, values, w, cfg.steps(cfg.t_reset))
+    w = np.array(w0, dtype=float).reshape(1, -1)
+    _run_phases(cell, cfg, [_reset_phase(cell, cfg, 1, _no_noise)], w)
     return w[0]
 
 
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the read phase; returns (v_out, new states, max state drift)."""
-    w = np.array(w0, dtype=float).reshape(1, -1).copy()
-    run = _CycleRun(cell, cfg, 1)
-    values = {idx: cfg.v_read for idx in cell.ports.read}
-    v_out, drift = run._integrate(run.read_tmpl, values, w, cfg.steps(cfg.t_read),
-                                  record_probe=True, track_drift=True)
-    if (drift >= READ_DISTURB_TOLERANCE).any():
-        raise NonQuiescentRead(
-            f"read moved device state by {drift.max():.3e} of full scale "
-            f"(tolerance {READ_DISTURB_TOLERANCE:g})")
+    w = np.array(w0, dtype=float).reshape(1, -1)
+    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _no_noise)], w)
     return float(v_out[0]), w[0], float(drift[0])
 
 
@@ -475,6 +476,8 @@ def calibrate(targets, base_params=None, base_topology=None,
     codes, minimized with Nelder-Mead restarted from seeded perturbations
     of the initial point (the first restart starts exactly there).
     """
+    from scipy import optimize  # slow to import; only calibration needs it
+
     base_params = base_params or dev.MemristorParams()
     base_topology = base_topology or net.CellTopology()
     goal = {}
@@ -503,7 +506,7 @@ def calibrate(targets, base_params=None, base_topology=None,
         evals[0] += 1
         try:
             levels = levels_for(vector)
-        except (net.SingularNetwork, ValueError, net.InvalidTopology):
+        except (net.SingularNetwork, ValueError, net.InvalidTopology, NonQuiescentRead):
             return 1e9
         if levels is None:
             return 1e9

@@ -28,14 +28,8 @@ import numpy as np
 # trajectories that stay inside [W_BOUNDARY_ESCAPE, 1 - W_BOUNDARY_ESCAPE].
 W_BOUNDARY_ESCAPE = 1e-3
 
-# Three-state snap targets for the fast behavioral model, selected by
-# quantizing the applied write level at the midpoints between 0/2.5/4 V.
-SNAP_MID_THRESHOLD = 1.25
-SNAP_HIGH_THRESHOLD = 3.25
-
 
 class DeviceModelKind(Enum):
-    IDEAL_THREE_STATE = "ideal_three_state"
     LINEAR_DRIFT = "linear_drift"
     THRESHOLD_DRIFT = "threshold_drift"
 
@@ -110,19 +104,7 @@ def step(state: MemristorState, v: float, dt: float, params: MemristorParams,
 
 
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
-    """In-place vectorized state update; this is the kernel `step` wraps.
-
-    IDEAL_THREE_STATE snaps instantly (dt-independent) to the state implied
-    by the applied level; the drift kinds integrate one forward-Euler step.
-    """
-    if kind is DeviceModelKind.IDEAL_THREE_STATE:
-        w[v <= params.v_th_neg] = 0.0
-        programmed = v >= params.v_th_pos
-        w[programmed & (v >= SNAP_HIGH_THRESHOLD)] = 1.0
-        w[programmed & (v >= SNAP_MID_THRESHOLD) & (v < SNAP_HIGH_THRESHOLD)] = 0.5
-        w[programmed & (v < SNAP_MID_THRESHOLD)] = 0.0
-        return w
-
+    """In-place one-step forward-Euler update; this is the kernel `step` wraps."""
     active = np.ones_like(w, dtype=bool)
     if kind is DeviceModelKind.THRESHOLD_DRIFT:
         active = (v >= params.v_th_pos) | (v <= params.v_th_neg)

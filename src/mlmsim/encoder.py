@@ -140,8 +140,7 @@ class EncoderConfig:
     the comparison and AND stages; v_th gates the thresholding comparators;
     sum_r1/sum_r2 set the summing gain (the default ratio passes the ideal
     levels through unchanged); comparator_offset is an input-referred offset
-    for nonideality studies; logic0_band is the accepted output range for a
-    logic-0 port.
+    for nonideality studies.
     """
 
     comparator_rail: float = 3.0
@@ -150,7 +149,6 @@ class EncoderConfig:
     sum_r1: float = 10_000.0
     sum_r2: float = 20_000.0
     comparator_offset: float = 0.0
-    logic0_band: tuple = (-0.2, 0.004)
 
     def __post_init__(self):
         if self.comparator_rail <= 0 or self.logic_rail <= 0:
@@ -226,7 +224,7 @@ def structural_activations(v_in, table: BinTable = DEFAULT_BIN_TABLE,
     return tuple(counts)
 
 
-def quantize_write_voltage(v, cfg: EncoderConfig = EncoderConfig()):
+def quantize_write_voltage(v):
     """Map an analog port voltage back to its logic value."""
     if v >= QUANTIZE_HIGH:
         return 2
@@ -235,8 +233,8 @@ def quantize_write_voltage(v, cfg: EncoderConfig = EncoderConfig()):
     return 0
 
 
-def quantize_pattern(pattern: WritePattern, cfg: EncoderConfig = EncoderConfig()) -> TernaryCode:
-    return TernaryCode(tuple(quantize_write_voltage(v, cfg) for v in pattern.port_voltages))
+def quantize_pattern(pattern: WritePattern) -> TernaryCode:
+    return TernaryCode(tuple(quantize_write_voltage(v) for v in pattern.port_voltages))
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ def check_equivalence(table: BinTable = DEFAULT_BIN_TABLE,
             continue
         report.n_checked += 1
         behavioral = encode_behavioral(v_in, table)
-        structural = quantize_pattern(encode_structural(v_in, table, cfg), cfg)
+        structural = quantize_pattern(encode_structural(v_in, table, cfg))
         if structural != behavioral:
             report.mismatches.append(EquivalenceMismatch(v_in, behavioral, structural))
     return report

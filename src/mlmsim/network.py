@@ -15,12 +15,12 @@ with a switchable reset source on every device negative terminal and a
 switchable read source on every programming terminal P_i. Putting the read
 rail on the P side forces the read current through the devices, so the
 probe voltage across r_ground is the divider of the parallel device
-branches that the cell is built around. Inactive sources are open circuits;
-the exception is that during a reset the write ports are driven at 0 V,
-because the erase current needs a return path to ground through them.
+branches that the cell is built around. Inactive sources are open circuits.
+The reset always drives the write ports at 0 V as well, because the erase
+current needs a return path to ground through them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class SingularNetwork(Exception):
 
 
 class InvalidTopology(Exception):
-    """Cell wiring description references an undefined option or is inconsistent."""
+    """Cell topology description is inconsistent (bad count or resistor value)."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,47 +305,29 @@ def kcl_residual(result: SolveResult):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CellWiring:
-    """Declarative choices for the parts of the cell wiring that are tunable.
-
-    read_attach: "write_side_rail" puts the switchable read sources on the
-    device programming terminals (the wiring the defaults are calibrated
-    for); "membrane" attaches a single read source to the membrane node
-    instead, which leaves the read path outside the devices and is kept
-    only so that variant can be inspected.
-    """
-
-    read_attach: str = "write_side_rail"
-    ground_write_ports_during_reset: bool = True
-    read_series_ohms: float = 0.0
-
-    def __post_init__(self):
-        if self.read_attach not in ("write_side_rail", "membrane"):
-            raise InvalidTopology(f"unknown read_attach {self.read_attach!r}")
-        if self.read_series_ohms < 0:
-            raise InvalidTopology("read_series_ohms must be nonnegative")
-
-
-@dataclass(frozen=True)
 class CellTopology:
     """Geometry of the cell: sub-cell count and port resistor values.
 
     r_series and r_write accept either a single value or one per sub-cell;
     unequal per-sub-cell values unlock the larger code space, equal values
-    collapse permuted codes onto the same read-out level.
+    collapse permuted codes onto the same read-out level. read_series_ohms,
+    when positive, puts that resistor between each read source and its
+    device programming terminal.
     """
 
     n_subcells: int = 3
     r_series: object = 500.0
     r_write: object = 1500.0
     r_ground: float = DEFAULT_R_GROUND
-    wiring: CellWiring = field(default_factory=CellWiring)
+    read_series_ohms: float = 0.0
 
     def __post_init__(self):
         if self.n_subcells < 1:
             raise InvalidTopology(f"n_subcells must be >= 1, got {self.n_subcells}")
         if self.r_ground <= 0:
             raise InvalidTopology("r_ground must be positive")
+        if self.read_series_ohms < 0:
+            raise InvalidTopology("read_series_ohms must be nonnegative")
         for name in ("r_series", "r_write"):
             for value in self.per_subcell(name):
                 if value <= 0:
@@ -371,7 +353,6 @@ class CellPorts:
     read: tuple             # read source element indices
     devices: tuple          # memristor element index per sub-cell
     probe_node: int         # V_out is the voltage of this node (across r_ground)
-    membrane_node: int
     n_devices: int
 
 
@@ -384,7 +365,6 @@ def build_mlm_cell(topology: CellTopology):
     n = topology.n_subcells
     r_series = topology.per_subcell("r_series")
     r_write = topology.per_subcell("r_write")
-    wiring = topology.wiring
 
     names = {0: "gnd", 1: "mem"}
     next_node = 2
@@ -426,18 +406,14 @@ def build_mlm_cell(topology: CellTopology):
         elements.append(VoltageSource(n_nodes[i], 0, 0.0, active=False))
 
     read_srcs = []
-    if wiring.read_attach == "write_side_rail":
-        for i in range(n):
-            attach = p_nodes[i]
-            if wiring.read_series_ohms > 0:
-                tap = new_node(f"r{i + 1}")
-                elements.append(Resistor(tap, p_nodes[i], wiring.read_series_ohms))
-                attach = tap
-            read_srcs.append(len(elements))
-            elements.append(VoltageSource(attach, 0, 0.0, active=False))
-    else:  # "membrane"
+    for i in range(n):
+        attach = p_nodes[i]
+        if topology.read_series_ohms > 0:
+            tap = new_node(f"r{i + 1}")
+            elements.append(Resistor(tap, p_nodes[i], topology.read_series_ohms))
+            attach = tap
         read_srcs.append(len(elements))
-        elements.append(VoltageSource(membrane, 0, 0.0, active=False))
+        elements.append(VoltageSource(attach, 0, 0.0, active=False))
 
     netlist = Netlist(next_node, elements, names)
     ports = CellPorts(
@@ -446,7 +422,6 @@ def build_mlm_cell(topology: CellTopology):
         read=tuple(read_srcs),
         devices=tuple(dev_elems),
         probe_node=membrane,
-        membrane_node=membrane,
         n_devices=n,
     )
     return netlist, ports

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,14 @@ class TestConfigLoading:
         path.write_text(json.dumps({"device": {"resistance": 5}}))
         with pytest.raises(cfgmod.ConfigError, match="device.resistance"):
             cfgmod.load_config(str(path))
+        # keys of options that no longer exist
+        for doc, key in [
+            ({"topology": {"wiring": {"read_series_ohms": 50.0}}}, "topology.wiring"),
+            ({"encoder": {"logic0_band": [-0.2, 0.004]}}, "encoder.logic0_band"),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(cfgmod.ConfigError, match=key):
+                cfgmod.load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -59,9 +70,10 @@ class TestConfigLoading:
 
     def test_bad_kind_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"device": {"kind": "quantum"}}))
-        with pytest.raises(cfgmod.ConfigError, match="device.kind"):
-            cfgmod.load_config(str(path))
+        for kind in ("quantum", "ideal_three_state"):
+            path.write_text(json.dumps({"device": {"kind": kind}}))
+            with pytest.raises(cfgmod.ConfigError, match="device.kind"):
+                cfgmod.load_config(str(path))
 
     def test_invalid_value_carries_section(self, tmp_path):
         path = tmp_path / "c.json"
@@ -72,19 +84,40 @@ class TestConfigLoading:
     def test_custom_bins_and_wiring(self, tmp_path):
         doc = {
             "encoder": {"bins": [[0.0, 1.4, "012"], [1.5, 3.0, "210"]]},
-            "topology": {"r_series": [400, 500, 600],
-                         "wiring": {"read_series_ohms": 50.0}},
+            "topology": {"r_series": [400, 500, 600], "read_series_ohms": 50.0},
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         sim = cfgmod.load_config(str(path))
         assert len(sim.table.rows) == 2
         assert sim.topology.per_subcell("r_series") == (400.0, 500.0, 600.0)
-        assert sim.topology.wiring.read_series_ohms == 50.0
+        assert sim.topology.read_series_ohms == 50.0
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, constant):
+        path = tmp_path / "c.json"
+        path.write_text('{"cycle": {"t_write": %s}}' % constant)
+        with pytest.raises(cfgmod.ConfigError, match=constant):
+            cfgmod.load_config(str(path))
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert constant in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.load_config("/nonexistent/config.json")
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        import mlmsim
+
+        code = "import sys, mlmsim.cli; print('scipy.optimize' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlmsim.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "False"
 
 
 class TestEncodeCommand:

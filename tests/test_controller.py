@@ -73,6 +73,15 @@ class TestResetAndRead:
         np.testing.assert_array_equal(after, written)
         assert v_out > 0
 
+    def test_single_phases_run_the_cycle_loop(self, cell):
+        written = np.array(ctl.run_cycle(cell, pattern("102"), FAST).final_device_states)
+        v_out, after, _ = ctl.run_read_phase(cell, ctl.run_reset_phase(cell, written, FAST),
+                                             FAST)
+        m = ctl.run_cycle(cell, pattern("222"), ctl.CycleConfig(dt=4e-6, t_write=0.0),
+                          w0=written)
+        assert v_out == m.v_out
+        assert tuple(after) == m.final_device_states
+
     def test_non_quiescent_read_raises(self):
         # no threshold gating plus an oversized read level disturbs the state
         loud = ctl.make_cell(kind=dev.DeviceModelKind.LINEAR_DRIFT)
@@ -186,6 +195,18 @@ class TestCalibration:
         assert result.residual_best <= result.residual_initial + 1e-18
         assert result.inversions == ctl._count_inversions(
             np.argsort(v_out, kind="stable"))
+
+    def test_read_disturbing_candidate_scored_not_raised(self):
+        # v_th_pos = 0.05 sits just above the read's branch voltage; simplex
+        # vertices below it make the read move the state, which must count as
+        # a bad candidate, not abort the fit
+        v_out, _ = ctl.simulate_levels(ctl.make_cell(), FAST)
+        targets = list(zip([str(r.code) for r in enc.DEFAULT_BIN_TABLE.rows],
+                           v_out * 1.01))
+        result = ctl.calibrate(targets, base_params=dev.MemristorParams(v_th_pos=0.05),
+                               free=("v_th_pos", "r_ground"), cfg=FAST,
+                               n_restarts=1, maxiter=20)
+        assert result.residual_best < result.residual_initial
 
     def test_unknown_target_code_rejected(self):
         with pytest.raises(ValueError):

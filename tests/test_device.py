@@ -8,7 +8,6 @@ from oracles import logistic_drift
 
 THRESHOLD = dev.DeviceModelKind.THRESHOLD_DRIFT
 LINEAR = dev.DeviceModelKind.LINEAR_DRIFT
-IDEAL = dev.DeviceModelKind.IDEAL_THREE_STATE
 
 
 class TestResistance:
@@ -135,19 +134,6 @@ class TestThresholdDrift:
         p = dev.MemristorParams(v_th_pos=0.3, v_th_neg=-2.0)
         assert dev.step(dev.MemristorState(0.5), 0.3, 1e-3, p, THRESHOLD).w > 0.5
         assert dev.step(dev.MemristorState(0.5), -2.0, 1e-3, p, THRESHOLD).w < 0.5
-
-
-class TestIdealThreeState:
-    def test_snap_levels(self):
-        p = dev.MemristorParams()
-        for dt in (1e-9, 1.0):  # dt-independent
-            assert dev.step(dev.MemristorState(0.1), 4.0, dt, p, IDEAL).w == 1.0
-            assert dev.step(dev.MemristorState(0.9), 2.5, dt, p, IDEAL).w == 0.5
-            assert dev.step(dev.MemristorState(0.7), -4.0, dt, p, IDEAL).w == 0.0
-
-    def test_sub_threshold_leaves_state(self):
-        p = dev.MemristorParams()
-        assert dev.step(dev.MemristorState(0.37), 0.05, 1e-6, p, IDEAL).w == 0.37
 
 
 class TestValidation:

@@ -219,9 +219,9 @@ class TestCellBuilder:
         with pytest.raises(net.InvalidTopology):
             net.CellTopology(r_series=(400.0, 500.0)).per_subcell("r_series")
 
-    def test_unknown_wiring_rejected(self):
+    def test_negative_read_series_rejected(self):
         with pytest.raises(net.InvalidTopology):
-            net.CellWiring(read_attach="bogus")
+            net.CellTopology(read_series_ohms=-1.0)
 
     def test_describe_lists_every_element(self):
         nl, _ = net.build_mlm_cell(net.CellTopology())
