@@ -20,9 +20,15 @@ and the single-phase operations run a one-element list through the same loop.
            voltage over the window, and any state motion beyond tolerance
            raises NonQuiescentRead.
 
+Every step also folds the total source power -V*I of the phase's engaged
+sources into a per-row running maximum, so each run reports its own peak
+source power.
+
 With source noise, each phase draws its perturbations as it is built, in
 this order: the reset amplitude, one per write port held at 0 V, one per
-write port, then the read amplitude.
+write port, then the read amplitude. Every noise stream comes from
+`_noise_rng`: the seed, plus a spawn key that names an independent
+substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside a few
@@ -30,6 +36,8 @@ stacked linear solves per timestep.
 """
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +48,9 @@ from . import network as net
 
 # Maximum tolerated state motion during a read, as a fraction of full scale.
 READ_DISTURB_TOLERANCE = 1e-3
+
+# Longest cycle a CycleConfig may describe, in timesteps (the default is 2800).
+MAX_CYCLE_STEPS = 10**6
 
 
 class NonQuiescentRead(Exception):
@@ -71,6 +82,12 @@ class CycleConfig:
     temperature: float = 293.15
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        if self.temperature <= 0:
+            raise ValueError(f"temperature must be above 0 K, got {self.temperature!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         for name in ("t_reset", "t_write", "t_read"):
@@ -81,6 +98,10 @@ class CycleConfig:
         shortest = min(t for t in (self.t_reset, self.t_write, self.t_read) if t > 0)
         if self.dt > shortest / 10:
             raise ValueError(f"dt {self.dt} too coarse for shortest phase {shortest}")
+        n_steps = (self.t_reset + self.t_write + self.t_read) / self.dt
+        if n_steps > MAX_CYCLE_STEPS:
+            raise ValueError(f"a cycle of {n_steps:.4g} steps exceeds the "
+                             f"{MAX_CYCLE_STEPS}-step limit")
 
     def steps(self, duration):
         return int(round(duration / self.dt))
@@ -94,19 +115,30 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.source_noise_sigma < 0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not math.isfinite(self.source_noise_sigma) or self.source_noise_sigma < 0:
+            raise ValueError("noise sigma must be finite and nonnegative")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed!r}")
 
 
 @dataclass
 class Measurement:
-    """One recorded cycle: input (if encoder-driven), code, read-out, states."""
+    """One recorded cycle.
+
+    v_in is the sweep input in V (None when no encoder drove the cycle),
+    code the recorded code, v_out the mean read-out in V, temperature in K,
+    final_device_states the device states w after the read, pattern the
+    WritePattern applied to the write ports (V), and peak_power the largest
+    total source power at any step of the cycle, in W.
+    """
 
     v_in: object
     code: enc.TernaryCode
     v_out: float
     temperature: float
     final_device_states: tuple
+    pattern: enc.WritePattern
+    peak_power: float
 
 
 @dataclass(frozen=True)
@@ -158,10 +190,17 @@ def _no_noise():
     return 0.0
 
 
-def _noise_draw(rng, sigma, batch):
+def _noise_rng(noise, spawn_key=()):
+    """The seeded noise stream; spawn_key names an independent substream."""
+    return np.random.default_rng(np.random.SeedSequence(noise.rng_seed,
+                                                        spawn_key=spawn_key))
+
+
+def _noise_draw(noise, spawn_key, batch):
     """Per-phase amplitude perturbation: one fresh draw per call."""
-    if rng is None or sigma == 0.0:
+    if noise is None or noise.source_noise_sigma == 0.0:
         return _no_noise
+    rng, sigma = _noise_rng(noise, spawn_key), noise.source_noise_sigma
     return lambda: rng.normal(0.0, sigma, size=batch)
 
 
@@ -193,7 +232,7 @@ def _cycle_phases(cell, cfg, patterns, draw):
     return phases
 
 
-def _run_phases(cell, cfg, phases, w, track_power=False):
+def _run_phases(cell, cfg, phases, w):
     """Run the phases in order on the (B, n) states w, which change in place.
 
     Returns (v_out, read drift, peak source power), one value per batch row;
@@ -208,9 +247,9 @@ def _run_phases(cell, cfg, phases, w, track_power=False):
     for phase in phases:
         tmpl = net.MnaTemplate(netlist, dict.fromkeys(phase.sources, 0.0))
         z = tmpl.rhs(phase.sources)
-        if track_power:
-            src_vals = np.stack([np.broadcast_to(phase.sources[idx], (batch,))
-                                 for idx, _ in tmpl.active_sources], axis=-1)
+        # -V per engaged source, in the order of the solve's source currents
+        neg_volts = -np.stack([np.broadcast_to(phase.sources[idx], (batch,))
+                               for idx, _ in tmpl.active_sources], axis=-1)
         if phase.is_read:
             w_start = w.copy()
             probe_sum = np.zeros(batch)
@@ -223,9 +262,7 @@ def _run_phases(cell, cfg, phases, w, track_power=False):
             if phase.is_read:
                 probe_sum += volts[..., ports.probe_node]
                 drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
-            if track_power:
-                power = (-src_vals * i_src).sum(axis=-1)
-                peak_power = np.maximum(peak_power, power)
+            np.maximum(peak_power, (neg_volts * i_src).sum(axis=-1), out=peak_power)
         if phase.is_read:
             if (drift >= READ_DISTURB_TOLERANCE).any():
                 raise NonQuiescentRead(
@@ -235,7 +272,7 @@ def _run_phases(cell, cfg, phases, w, track_power=False):
     return v_out, drift, peak_power
 
 
-def _run_batch(cell, patterns, cfg, w0=None, rng=None, sigma=0.0, track_power=False):
+def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_key=()):
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim == 1:
         patterns = patterns[None, :]
@@ -246,9 +283,22 @@ def _run_batch(cell, patterns, cfg, w0=None, rng=None, sigma=0.0, track_power=Fa
         w = np.zeros((batch, n))
     else:
         w = np.array(w0, dtype=float).reshape(batch, n)
-    phases = _cycle_phases(cell, cfg, patterns, _noise_draw(rng, sigma, batch))
-    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, track_power)
+    phases = _cycle_phases(cell, cfg, patterns, _noise_draw(noise, spawn_key, batch))
+    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w)
     return v_out, w, drift, peak_power
+
+
+def _measure(cell, cfg, patterns, codes, v_ins, noise=None, w0=None):
+    """One batched cycle over WritePatterns; a Measurement per row, in order."""
+    volts = np.array([p.port_voltages for p in patterns])
+    v_out, w, _, peak = _run_batch(cell, volts, cfg, w0=w0, noise=noise)
+    return [Measurement(v_in, code, float(vo), cfg.temperature, tuple(states), p,
+                        float(pk))
+            for v_in, code, p, vo, states, pk in zip(v_ins, codes, patterns, v_out, w, peak)]
+
+
+def _level_patterns(table):
+    return [enc.code_to_write_voltages(row.code) for row in table.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +308,10 @@ def _run_batch(cell, patterns, cfg, w0=None, rng=None, sigma=0.0, track_power=Fa
 def run_cycle(cell: Cell, pattern, cfg: CycleConfig = CycleConfig(),
               noise: NoiseConfig = None, w0=None) -> Measurement:
     """Execute one full reset/write/read cycle for a single pattern."""
-    if isinstance(pattern, enc.WritePattern):
-        volts = pattern.port_voltages
-    else:
-        volts = tuple(float(v) for v in pattern)
-    rng, sigma = _noise_rng(noise)
-    v_out, w, _, _ = _run_batch(cell, np.array([volts]), cfg,
-                                w0=None if w0 is None else np.asarray(w0)[None, :],
-                                rng=rng, sigma=sigma)
-    code = enc.quantize_pattern(enc.WritePattern(volts))
-    return Measurement(None, code, float(v_out[0]), cfg.temperature, tuple(w[0]))
+    if not isinstance(pattern, enc.WritePattern):
+        pattern = enc.WritePattern(tuple(float(v) for v in pattern))
+    return _measure(cell, cfg, [pattern], [enc.quantize_pattern(pattern)], [None],
+                    noise, w0)[0]
 
 
 def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
@@ -284,12 +328,6 @@ def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     return float(v_out[0]), w[0], float(drift[0])
 
 
-def _noise_rng(noise):
-    if noise is None or noise.source_noise_sigma == 0.0:
-        return None, 0.0
-    return np.random.default_rng(noise.rng_seed), noise.source_noise_sigma
-
-
 def run_input_sweep(cell, encoder_path="behavioral", cfg: CycleConfig = CycleConfig(),
                     sweep=None, table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
                     enc_cfg: enc.EncoderConfig = enc.EncoderConfig(),
@@ -300,44 +338,35 @@ def run_input_sweep(cell, encoder_path="behavioral", cfg: CycleConfig = CycleCon
     uses the exact table voltages, "structural" feeds the simulated ladder
     output (possibly nonideal) to the ports.
     """
-    if callable(cell):
-        cell = cell()
     if encoder_path not in ("behavioral", "structural"):
         raise ValueError(f"unknown encoder path {encoder_path!r}")
     if sweep is None:
         sweep = np.linspace(table.v_min, table.v_max, 61)
     codes = [enc.encode_behavioral(v, table) for v in sweep]
     if encoder_path == "behavioral":
-        patterns = [enc.code_to_write_voltages(c).port_voltages for c in codes]
+        patterns = [enc.code_to_write_voltages(c) for c in codes]
     else:
-        patterns = [enc.encode_structural(v, table, enc_cfg).port_voltages
-                    for v in sweep]
-    rng, sigma = _noise_rng(noise)
-    v_out, w, _, _ = _run_batch(cell, np.array(patterns), cfg, rng=rng, sigma=sigma)
-    return [Measurement(float(v_in), code, float(vo), cfg.temperature, tuple(states))
-            for v_in, code, vo, states in zip(sweep, codes, v_out, w)]
+        patterns = [enc.encode_structural(v, table, enc_cfg) for v in sweep]
+    return _measure(cell, cfg, patterns, codes, [float(v) for v in sweep], noise)
 
 
 def simulate_levels(cell: Cell, cfg: CycleConfig = CycleConfig(),
                     table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
-                    noise: NoiseConfig = None, rng=None):
-    """Read-out level per table code, one fresh cycle each, in table order."""
-    if rng is None:
-        rng, sigma = _noise_rng(noise)
-    else:
-        sigma = noise.source_noise_sigma if noise else 0.0
-    patterns = [enc.code_to_write_voltages(row.code).port_voltages
-                for row in table.rows]
-    v_out, w, _, _ = _run_batch(cell, np.array(patterns), cfg, rng=rng, sigma=sigma)
+                    noise: NoiseConfig = None, spawn_key=()):
+    """Read-out level per table code, one fresh cycle each, in table order.
+
+    spawn_key selects an independent substream of the seeded noise.
+    """
+    volts = np.array([p.port_voltages for p in _level_patterns(table)])
+    v_out, w, _, _ = _run_batch(cell, volts, cfg, noise=noise, spawn_key=spawn_key)
     return v_out, w
 
 
 def peak_source_power(cell: Cell, patterns, cfg: CycleConfig = CycleConfig()):
     """Largest instantaneous total source power over a cycle, per pattern row."""
     patterns = np.asarray(patterns, dtype=float)
-    single = patterns.ndim == 1
-    _, _, _, peak = _run_batch(cell, patterns, cfg, track_power=True)
-    return float(peak[0]) if single else peak
+    _, _, _, peak = _run_batch(cell, patterns, cfg)
+    return float(peak[0]) if patterns.ndim == 1 else peak
 
 
 @dataclass
@@ -361,15 +390,11 @@ def write_then_read_all_codes(cell, cfg: CycleConfig = CycleConfig(),
                               noise: NoiseConfig = None,
                               min_separation_frac=0.005) -> LevelScan:
     """Program every table code on a fresh cell and sort codes by read-out."""
-    if callable(cell):
-        cell = cell()
-    v_out, w = simulate_levels(cell, cfg, table, noise)
+    rows = _measure(cell, cfg, _level_patterns(table), [row.code for row in table.rows],
+                    [None] * len(table.rows), noise)
+    v_out = np.array([m.v_out for m in rows])
     order = np.argsort(v_out, kind="stable")
-    measurements = [
-        Measurement(None, table.rows[i].code, float(v_out[i]), cfg.temperature,
-                    tuple(w[i]))
-        for i in order
-    ]
+    measurements = [rows[i] for i in order]
     sorted_v = np.sort(v_out)
     span = float(sorted_v[-1] - sorted_v[0])
     gaps = np.diff(sorted_v)
@@ -391,24 +416,15 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
     Each (temperature, trial) pair gets an independent deterministic
     substream, so results do not depend on execution order.
     """
-    if callable(cell):
-        cell = cell()
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
-    sigma = noise.source_noise_sigma
+    # every temperature is validated before the first simulation
+    run_cfgs = [replace(cfg, temperature=celsius_to_kelvin(t)) for t in temps_c]
     outputs = {}
-    for t_idx, temp_c in enumerate(temps_c):
-        run_cfg = replace(cfg, temperature=celsius_to_kelvin(temp_c))
-        per_trial = []
-        for trial in range(trials):
-            rng = None
-            if sigma > 0.0:
-                seq = np.random.SeedSequence(entropy=noise.rng_seed,
-                                             spawn_key=(t_idx, trial))
-                rng = np.random.default_rng(seq)
-            v_out, _ = simulate_levels(cell, run_cfg, table, noise, rng=rng)
-            per_trial.append(v_out)
-        outputs[temp_c] = np.stack(per_trial)
+    for t_idx, (temp_c, run_cfg) in enumerate(zip(temps_c, run_cfgs)):
+        outputs[temp_c] = np.stack([
+            simulate_levels(cell, run_cfg, table, noise, spawn_key=(t_idx, trial))[0]
+            for trial in range(trials)])
 
     stats = []
     for c_idx, row in enumerate(table.rows):

@@ -7,6 +7,7 @@ import pytest
 
 from mlmsim import cli
 from mlmsim import config as cfgmod
+from mlmsim import device as dev
 
 # Coarse cycle timing so CLI runs stay fast; everything else defaulted.
 FAST_CYCLE = {"cycle": {"dt": 4e-6}}
@@ -80,6 +81,16 @@ class TestConfigLoading:
         path.write_text(json.dumps({"device": {"r_on": -5.0}}))
         with pytest.raises(cfgmod.ConfigError, match="device"):
             cfgmod.load_config(str(path))
+        for doc, section in [
+            ({"cycle": {"t_write": 1000}}, "cycle"),
+            ({"noise": {"rng_seed": 1.5}}, "noise"),
+            ({"noise": {"rng_seed": 1.5, "source_noise_sigma": 0.001}}, "noise"),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(cfgmod.ConfigError, match=section):
+                cfgmod.load_config(str(path))
+            assert cli.main(["sweep", "--config", str(path),
+                             "--out", str(tmp_path / "x.csv")]) == 1
 
     def test_custom_bins_and_wiring(self, tmp_path):
         doc = {
@@ -153,9 +164,25 @@ class TestSweepCommand:
         assert manifest["config_hash"] == cfgmod.config_hash(
             cfgmod.load_config(fast_config))
 
+        assert "peak network source power over the sweep" in capsys.readouterr().out
+
         assert cli.main(args) == 0
         assert out.read_bytes() == first
         assert (tmp_path / "sweep_patterns.csv").read_bytes() == patterns
+
+    def test_one_simulation_per_sweep(self, tmp_path, fast_config, monkeypatch):
+        calls = [0]
+        step_array = dev.step_array
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return step_array(*args, **kwargs)
+
+        monkeypatch.setattr(dev, "step_array", counting)
+        assert cli.main(["sweep", "--config", fast_config,
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        # one reset/write/read cycle at dt = 4 us: 150 + 150 + 50 steps
+        assert calls[0] <= 350
 
     def test_structural_adds_quantized_column(self, tmp_path, fast_config):
         out = tmp_path / "s.csv"
@@ -200,6 +227,14 @@ class TestTempStudyCommand:
                          "20,50", "--trials", "2",
                          "--out", str(tmp_path / "s.csv")]) == 0
         assert "1% bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20"])
+    def test_invalid_temperature_rejected(self, tmp_path, fast_config, capsys, temps):
+        out = tmp_path / "s.csv"
+        assert cli.main(["temp-study", "--config", fast_config, f"--temps={temps}",
+                         "--trials", "2", "--out", str(out)]) == 1
+        assert "temperature" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_trials_rejected(self, tmp_path, fast_config):
         assert cli.main(["temp-study", "--config", fast_config, "--trials", "1",

@@ -106,8 +106,8 @@ class TestInputSweep:
         for b, s in zip(behavioral, structural):
             assert b.v_out == s.v_out
 
-    def test_cell_factory_callable_accepted(self):
-        ms = ctl.run_input_sweep(ctl.make_cell, "behavioral", FAST,
+    def test_custom_sweep_array(self):
+        ms = ctl.run_input_sweep(ctl.make_cell(), "behavioral", FAST,
                                  sweep=np.array([0.0, 1.3, 3.0]))
         assert [str(m.code) for m in ms] == ["222", "012", "000"]
 
@@ -235,6 +235,36 @@ class TestConfigValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             ctl.NoiseConfig(source_noise_sigma=-1.0)
+        with pytest.raises(ValueError):
+            ctl.NoiseConfig(source_noise_sigma=float("nan"))
+
+    @pytest.mark.parametrize("field", ["v_reset", "t_reset", "v_read", "t_write",
+                                       "t_read", "dt", "temperature"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cycle_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ctl.CycleConfig(**{field: value})
+
+    @pytest.mark.parametrize("temperature", [0.0, -10.0])
+    def test_temperature_must_be_above_absolute_zero(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            ctl.CycleConfig(temperature=temperature)
+
+    def test_cycle_length_capped(self):
+        with pytest.raises(ValueError, match="limit"):
+            ctl.CycleConfig(t_write=1e3)
+        with pytest.raises(ValueError, match="limit"):
+            ctl.CycleConfig(dt=1e-300)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "7", None])
+    def test_rng_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            ctl.NoiseConfig(rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345678901234])
+    def test_noise_stream_without_spawn_key_is_the_plain_seeded_stream(self, seed):
+        ours = ctl._noise_rng(ctl.NoiseConfig(1e-3, seed)).normal(size=8)
+        assert ours.tolist() == np.random.default_rng(seed).normal(size=8).tolist()
 
     def test_pattern_length_checked(self, cell):
         with pytest.raises(ValueError):
@@ -250,3 +280,23 @@ class TestPower:
         assert (peaks > 0).all()
         single = ctl.peak_source_power(cell, pattern("222").port_voltages, FAST)
         assert single == pytest.approx(peaks[0])
+
+    def test_sweep_records_patterns_and_peak_power(self, cell):
+        ms = ctl.run_input_sweep(cell, "behavioral", FAST)
+        level_patterns = np.array([enc.code_to_write_voltages(row.code).port_voltages
+                                   for row in enc.DEFAULT_BIN_TABLE.rows])
+        assert max(m.peak_power for m in ms) == ctl.peak_source_power(
+            cell, level_patterns, FAST).max()
+        assert all(m.pattern == enc.code_to_write_voltages(m.code) for m in ms)
+
+    def test_structural_sweep_records_ladder_patterns(self, cell):
+        enc_cfg = enc.EncoderConfig(comparator_offset=0.004)
+        ms = ctl.run_input_sweep(cell, "structural", FAST, enc_cfg=enc_cfg)
+        assert all(m.pattern == enc.encode_structural(m.v_in, cfg=enc_cfg)
+                   for m in ms)
+
+    def test_cycle_records_its_peak_power(self, cell):
+        m = ctl.run_cycle(cell, pattern("012"), FAST)
+        assert m.pattern == pattern("012")
+        assert m.peak_power == ctl.peak_source_power(cell, pattern("012").port_voltages,
+                                                     FAST)
