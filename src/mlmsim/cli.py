@@ -30,15 +30,8 @@ EXIT_SIMULATION = 2
 
 
 def _resolve_seed(args, sim):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("MLMSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"MLMSIM_SEED must be an integer, got {env!r}") from None
-    return sim.noise.rng_seed
+    """The --seed flag, or else the config's noise.rng_seed."""
+    return sim.noise.rng_seed if args.seed is None else args.seed
 
 
 def _write_manifest(out_path, sim, seed):

@@ -21,6 +21,7 @@ produce the same hash.
 import dataclasses
 import hashlib
 import json
+import math
 
 from . import controller as ctl
 from . import device as dev
@@ -135,6 +136,15 @@ def _reject_constant(name):
     raise ConfigError(f"non-finite number {name} is not allowed in a config")
 
 
+def _finite(convert):
+    """JSON parse hook for number literals, rejecting one that overflows a float."""
+    def parse(text):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"number {text} overflows a float")
+        return convert(text)
+    return parse
+
+
 def load_config(path=None) -> SimConfig:
     """Load a config file; None or an empty document yields the defaults."""
     if path is None:
@@ -147,7 +157,8 @@ def load_config(path=None) -> SimConfig:
     if not text.strip():
         return default_config()
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(data, dict):

@@ -247,9 +247,8 @@ def _run_phases(cell, cfg, phases, w):
     for phase in phases:
         tmpl = net.MnaTemplate(netlist, dict.fromkeys(phase.sources, 0.0))
         z = tmpl.rhs(phase.sources)
-        # -V per engaged source, in the order of the solve's source currents
-        neg_volts = -np.stack([np.broadcast_to(phase.sources[idx], (batch,))
-                               for idx, _ in tmpl.active_sources], axis=-1)
+        # -V per engaged source: the source rows of z, ordered like the currents
+        neg_volts = -z[..., tmpl.nv:]
         if phase.is_read:
             w_start = w.copy()
             probe_sum = np.zeros(batch)
@@ -418,6 +417,8 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
+    if len(set(temps_c)) != len(temps_c):
+        raise ValueError(f"temperatures must be distinct, got {list(temps_c)}")
     # every temperature is validated before the first simulation
     run_cfgs = [replace(cfg, temperature=celsius_to_kelvin(t)) for t in temps_c]
     outputs = {}

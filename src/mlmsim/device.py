@@ -60,31 +60,12 @@ class MemristorParams:
             raise ValueError(f"r_off must exceed r_on, got {self.r_off} <= {self.r_on}")
         if self.v_th_pos < 0:
             raise ValueError(f"v_th_pos must be nonnegative, got {self.v_th_pos}")
+        if self.v_th_neg > 0:
+            raise ValueError(f"v_th_neg must be nonpositive, got {self.v_th_neg}")
         if self.drift_rate < 0:
             raise ValueError(f"drift_rate must be nonnegative, got {self.drift_rate}")
         if self.window_p < 1 or int(self.window_p) != self.window_p:
             raise ValueError(f"window_p must be a positive integer, got {self.window_p}")
-
-
-@dataclass(frozen=True)
-class MemristorState:
-    """Normalized internal state; 0 means r_on, 1 means r_off."""
-
-    w: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"state must lie in [0, 1], got {self.w}")
-
-
-def reset_state(params: MemristorParams) -> MemristorState:
-    """Post-erase state: fully low-resistance (w = 0)."""
-    return MemristorState(0.0)
-
-
-def resistance(state: MemristorState, params: MemristorParams, temperature: float) -> float:
-    """Device resistance at the given temperature in kelvin."""
-    return resistance_array(np.asarray(state.w), params, temperature).item()
 
 
 def resistance_array(w, params: MemristorParams, temperature: float):
@@ -93,18 +74,8 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * (1.0 + params.temp_coeff * (temperature - params.t_ref))
 
 
-def step(state: MemristorState, v: float, dt: float, params: MemristorParams,
-         kind: DeviceModelKind = DeviceModelKind.THRESHOLD_DRIFT) -> MemristorState:
-    """Advance the state by one timestep under voltage v (positive terminal)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    w = np.array([state.w])
-    step_array(w, np.array([v]), dt, params, kind)
-    return MemristorState(float(w[0]))
-
-
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
-    """In-place one-step forward-Euler update; this is the kernel `step` wraps."""
+    """In-place one-step forward-Euler update of the states w under branch voltages v."""
     active = np.ones_like(w, dtype=bool)
     if kind is DeviceModelKind.THRESHOLD_DRIFT:
         active = (v >= params.v_th_pos) | (v <= params.v_th_neg)
@@ -117,15 +88,3 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
     w += np.where(active, dw, 0.0)
     np.clip(w, 0.0, 1.0, out=w)
     return w
-
-
-def integrate_pulse(state: MemristorState, v: float, duration: float, dt: float,
-                    params: MemristorParams,
-                    kind: DeviceModelKind = DeviceModelKind.THRESHOLD_DRIFT) -> MemristorState:
-    """Apply a constant-voltage pulse by repeated stepping."""
-    n_steps = int(round(duration / dt))
-    w = np.array([state.w])
-    vv = np.array([v])
-    for _ in range(n_steps):
-        step_array(w, vv, dt, params, kind)
-    return MemristorState(float(w[0]))

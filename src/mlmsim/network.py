@@ -68,12 +68,6 @@ class VoltageSource:
     active: bool = True
 
 
-@dataclass(frozen=True)
-class Short:
-    a: int
-    b: int
-
-
 class Netlist:
     """Immutable element list over nodes 0..node_count-1, node 0 = ground."""
 
@@ -112,8 +106,6 @@ class Netlist:
             elif isinstance(el, VoltageSource):
                 state = "on" if el.active else "off"
                 lines.append(f"[{idx:2d}] V {a}-{b} {el.volts:g} V ({state})")
-            elif isinstance(el, Short):
-                lines.append(f"[{idx:2d}] short {a}-{b}")
         return "\n".join(lines)
 
 
@@ -127,8 +119,8 @@ class MnaTemplate:
     Fixed resistors and source rows are stamped once; per-solve only the
     memristor conductances are added, so repeated solves over a transient
     (or a batch of cell instances) reuse the assembly. `source_values`
-    overrides element defaults: a float forces that source on at the value,
-    None forces it off, absent means use the element's own (volts, active).
+    maps a source's element index to a value, which switches that source on
+    at that value; a source it leaves out keeps its own (volts, active).
     """
 
     def __init__(self, netlist, source_values=None):
@@ -140,13 +132,9 @@ class MnaTemplate:
         for idx, el in enumerate(netlist.elements):
             if isinstance(el, VoltageSource):
                 if idx in overrides:
-                    value = overrides.pop(idx)
-                    if value is not None:
-                        active.append((idx, float(value)))
+                    active.append((idx, float(overrides.pop(idx))))
                 elif el.active:
                     active.append((idx, el.volts))
-            elif isinstance(el, Short):
-                active.append((idx, 0.0))
         if overrides:
             raise ValueError(f"source override for non-source element(s): {sorted(overrides)}")
 
@@ -187,14 +175,12 @@ class MnaTemplate:
             a_mat[..., na - 1, nb - 1] -= g
             a_mat[..., nb - 1, na - 1] -= g
 
-    def rhs(self, source_volts=None):
-        """RHS vector with optional per-solve source voltages.
+    def rhs(self, source_volts):
+        """RHS vector with per-solve source voltages.
 
         source_volts maps element index -> value (may be batched arrays);
         only sources already active in this template can be re-valued.
         """
-        if not source_volts:
-            return self.z_base.copy()
         batch = ()
         for value in source_volts.values():
             batch = np.broadcast_shapes(batch, np.shape(value))
@@ -254,9 +240,9 @@ def solve_dc(netlist, device_resistances=(), source_values=None):
     """Solve the network DC operating point.
 
     device_resistances[i] is the present resistance of memristor i.
-    source_values optionally overrides sources: float = on at that value,
-    None = off. Raises SingularNetwork for topologies without a unique
-    solution.
+    source_values optionally maps source element indices to values, each
+    switching that source on at that value. Raises SingularNetwork for
+    topologies without a unique solution.
     """
     template = MnaTemplate(netlist, source_values)
     res = np.atleast_1d(np.asarray(device_resistances, dtype=float))

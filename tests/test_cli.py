@@ -83,6 +83,7 @@ class TestConfigLoading:
             cfgmod.load_config(str(path))
         for doc, section in [
             ({"cycle": {"t_write": 1000}}, "cycle"),
+            ({"device": {"v_th_neg": 1.0}}, "device"),
             ({"noise": {"rng_seed": 1.5}}, "noise"),
             ({"noise": {"rng_seed": 1.5, "source_noise_sigma": 0.001}}, "noise"),
         ]:
@@ -113,6 +114,24 @@ class TestConfigLoading:
         assert cli.main(["sweep", "--config", str(path),
                          "--out", str(tmp_path / "x.csv")]) == 1
         assert constant in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"device": {"drift_rate": 1e400}}',
+        '{"topology": {"r_ground": 1e400}}',
+        '{"topology": {"r_series": [500, -1e400, 500]}}',
+        '{"topology": {"r_ground": 1%s}}' % ("0" * 400),
+        '{"encoder": {"comparator_offset": 1e400}}',
+        '{"encoder": {"bins": [[0.0, 1e400, "222"]]}}',
+    ], ids=["device", "topology", "r_series-entry", "400-digit-integer", "encoder",
+            "bin-bound"])
+    def test_number_overflowing_a_float_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(cfgmod.ConfigError, match="overflows a float"):
+            cfgmod.load_config(str(path))
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert "overflows a float" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(cfgmod.ConfigError):
@@ -228,7 +247,7 @@ class TestTempStudyCommand:
                          "--out", str(tmp_path / "s.csv")]) == 0
         assert "1% bound" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20"])
+    @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20", "20,20"])
     def test_invalid_temperature_rejected(self, tmp_path, fast_config, capsys, temps):
         out = tmp_path / "s.csv"
         assert cli.main(["temp-study", "--config", fast_config, f"--temps={temps}",
@@ -240,13 +259,16 @@ class TestTempStudyCommand:
         assert cli.main(["temp-study", "--config", fast_config, "--trials", "1",
                          "--out", str(tmp_path / "s.csv")]) == 1
 
-    def test_env_seed_override(self, tmp_path, fast_config, monkeypatch):
-        out = tmp_path / "stats.csv"
+    def test_seed_flag_overrides_config(self, tmp_path, fast_config, monkeypatch):
+        args = ["temp-study", "--config", fast_config, "--temps", "20",
+                "--trials", "2", "--out", str(tmp_path / "stats.csv")]
+        manifest = tmp_path / "stats.csv.manifest.json"
+        assert cli.main(args + ["--seed", "77"]) == 0
+        assert json.loads(manifest.read_text())["seed"] == 77
+        # the environment is no seed source: without the flag the config's 0 stands
         monkeypatch.setenv("MLMSIM_SEED", "77")
-        assert cli.main(["temp-study", "--config", fast_config, "--temps", "20",
-                         "--trials", "2", "--out", str(out)]) == 0
-        manifest = json.loads((tmp_path / "stats.csv.manifest.json").read_text())
-        assert manifest["seed"] == 77
+        assert cli.main(args) == 0
+        assert json.loads(manifest.read_text())["seed"] == 0
 
 
 class TestCalibrateCommand:

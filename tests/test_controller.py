@@ -228,6 +228,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ctl.CycleConfig(dt=1e-4)
 
+    def test_dt_must_be_positive(self):
+        for dt in (0.0, -1e-6):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                ctl.CycleConfig(dt=dt)
+
     def test_read_window_needs_a_step(self):
         with pytest.raises(ValueError):
             ctl.CycleConfig(t_read=1e-8)
@@ -280,6 +285,20 @@ class TestPower:
         assert (peaks > 0).all()
         single = ctl.peak_source_power(cell, pattern("222").port_voltages, FAST)
         assert single == pytest.approx(peaks[0])
+
+    def test_peak_power_matches_dense_reference(self, cell):
+        # no write on a fresh cell: every step sees w = 0, so the peak is the
+        # larger of the reset and read operating points' source power
+        cfg = ctl.CycleConfig(dt=4e-6, t_write=0.0)
+        m = ctl.run_cycle(cell, pattern("222"), cfg)
+        r = dev.resistance_array(np.zeros(cell.ports.n_devices), cell.params,
+                                 cfg.temperature)
+        reset = dict.fromkeys(cell.ports.reset, cfg.v_reset)
+        reset.update(dict.fromkeys(cell.ports.write, 0.0))
+        read = dict.fromkeys(cell.ports.read, cfg.v_read)
+        expected = max(net.solve_dc(cell.netlist, r, sources).total_source_power
+                       for sources in (reset, read))
+        assert m.peak_power == pytest.approx(expected, rel=1e-12)
 
     def test_sweep_records_patterns_and_peak_power(self, cell):
         ms = ctl.run_input_sweep(cell, "behavioral", FAST)

@@ -10,21 +10,36 @@ THRESHOLD = dev.DeviceModelKind.THRESHOLD_DRIFT
 LINEAR = dev.DeviceModelKind.LINEAR_DRIFT
 
 
+def step(w0, v, dt, p, kind):
+    """One kernel step of a single device from state w0; returns the new state."""
+    w = np.array([w0], dtype=float)
+    dev.step_array(w, np.array([v], dtype=float), dt, p, kind)
+    return float(w[0])
+
+
+def pulse(w0, v, duration, dt, p, kind):
+    """A constant-voltage pulse on a single device, stepped at dt."""
+    w = w0
+    for _ in range(int(round(duration / dt))):
+        w = step(w, v, dt, p, kind)
+    return w
+
+
 class TestResistance:
     def test_endpoints_at_reference_temperature(self):
         p = dev.MemristorParams()
-        assert dev.resistance(dev.MemristorState(0.0), p, p.t_ref) == p.r_on
-        assert dev.resistance(dev.MemristorState(1.0), p, p.t_ref) == p.r_off
+        assert dev.resistance_array(0.0, p, p.t_ref) == p.r_on
+        assert dev.resistance_array(1.0, p, p.t_ref) == p.r_off
 
     def test_midpoint_of_linear_map(self):
         p = dev.MemristorParams(r_on=1_000.0, r_off=11_000.0, temp_coeff=0.0)
         for temperature in (250.0, 293.15, 400.0):
-            assert dev.resistance(dev.MemristorState(0.5), p, temperature) == pytest.approx(6_000.0)
+            assert dev.resistance_array(0.5, p, temperature) == pytest.approx(6_000.0)
 
     def test_temperature_factor(self):
         p = dev.MemristorParams(temp_coeff=1e-3, t_ref=300.0)
-        r_hot = dev.resistance(dev.MemristorState(0.25), p, 310.0)
-        r_ref = dev.resistance(dev.MemristorState(0.25), p, 300.0)
+        r_hot = dev.resistance_array(0.25, p, 310.0)
+        r_ref = dev.resistance_array(0.25, p, 300.0)
         assert r_hot == pytest.approx(r_ref * 1.01)
 
     @given(w_lo=st.floats(0, 1), w_hi=st.floats(0, 1),
@@ -34,23 +49,17 @@ class TestResistance:
         p = dev.MemristorParams()
         if w_lo > w_hi:
             w_lo, w_hi = w_hi, w_lo
-        r_lo = dev.resistance(dev.MemristorState(w_lo), p, temp)
-        r_hi = dev.resistance(dev.MemristorState(w_hi), p, temp)
+        r_lo = dev.resistance_array(w_lo, p, temp)
+        r_hi = dev.resistance_array(w_hi, p, temp)
         assert r_hi >= r_lo
         assert r_lo > 0
 
 
 class TestResetState:
-    def test_reset_is_low_state(self):
-        p = dev.MemristorParams()
-        assert dev.reset_state(p).w == 0.0
-        assert dev.resistance(dev.reset_state(p), p, p.t_ref) == p.r_on
-
     def test_full_write_pulse_saturates_from_reset(self):
         # a 0.6 ms logic-2 pulse straight across the device must program it
         p = dev.MemristorParams()
-        end = dev.integrate_pulse(dev.reset_state(p), 4.0, 0.6e-3, 1e-6, p)
-        assert end.w >= 0.99
+        assert pulse(0.0, 4.0, 0.6e-3, 1e-6, p, THRESHOLD) >= 0.99
 
 
 class TestDriftNumerics:
@@ -67,29 +76,20 @@ class TestDriftNumerics:
             expected = logistic_drift(w0, p.drift_rate, volt, total)
             assert abs(w[k] - expected) <= 1e-6
 
-    def test_scalar_step_equals_kernel(self):
-        p = dev.MemristorParams()
-        state = dev.MemristorState(0.3)
-        out = dev.step(state, 2.0, 1e-6, p, LINEAR)
-        w = np.array([0.3])
-        dev.step_array(w, np.array([2.0]), 1e-6, p, LINEAR)
-        assert out.w == w[0]
-
     def test_deterministic(self):
         p = dev.MemristorParams()
-        a = dev.step(dev.MemristorState(0.42), 1.7, 3e-6, p, THRESHOLD)
-        b = dev.step(dev.MemristorState(0.42), 1.7, 3e-6, p, THRESHOLD)
+        a = step(0.42, 1.7, 3e-6, p, THRESHOLD)
+        b = step(0.42, 1.7, 3e-6, p, THRESHOLD)
         assert a == b
 
     def test_window_blocks_outward_motion_at_bounds(self):
         p = dev.MemristorParams()
-        assert dev.step(dev.MemristorState(0.0), -4.0, 1e-3, p, LINEAR).w == 0.0
-        assert dev.step(dev.MemristorState(1.0), 4.0, 1e-3, p, LINEAR).w == 1.0
+        assert step(0.0, -4.0, 1e-3, p, LINEAR) == 0.0
+        assert step(1.0, 4.0, 1e-3, p, LINEAR) == 1.0
 
     def test_boundary_escape_allows_programming_from_reset(self):
         p = dev.MemristorParams()
-        moved = dev.step(dev.MemristorState(0.0), 4.0, 1e-6, p, LINEAR)
-        assert moved.w > 0.0
+        assert step(0.0, 4.0, 1e-6, p, LINEAR) > 0.0
 
     def test_first_order_dt_refinement(self):
         # halving dt moves the endpoint of a fixed pulse train by O(dt)
@@ -97,10 +97,10 @@ class TestDriftNumerics:
         pulses = [(2.5, 2e-4), (-4.0, 1e-4), (4.0, 3e-4)]
 
         def integrate(dt):
-            state = dev.MemristorState(0.5)
+            w = 0.5
             for volt, duration in pulses:
-                state = dev.integrate_pulse(state, volt, duration, dt, p, LINEAR)
-            return state.w
+                w = pulse(w, volt, duration, dt, p, LINEAR)
+            return w
 
         coarse, fine = integrate(2e-6), integrate(1e-6)
         assert abs(coarse - fine) <= 5e-4
@@ -120,20 +120,19 @@ class TestThresholdDrift:
     def test_read_level_never_disturbs(self):
         p = dev.MemristorParams()
         for w0 in (0.0, 0.2, 0.5, 0.9, 1.0):
-            out = dev.step(dev.MemristorState(w0), 0.05, 1.0, p, THRESHOLD)
-            assert out.w == w0
+            assert step(w0, 0.05, 1.0, p, THRESHOLD) == w0
 
     @given(w0=st.floats(0, 1), v=st.floats(-1.99, 0.29),
            dt=st.floats(1e-9, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_identity_inside_threshold_band(self, w0, v, dt):
         p = dev.MemristorParams(v_th_pos=0.3, v_th_neg=-2.0)
-        assert dev.step(dev.MemristorState(w0), v, dt, p, THRESHOLD).w == w0
+        assert step(w0, v, dt, p, THRESHOLD) == w0
 
     def test_active_at_threshold_boundary(self):
         p = dev.MemristorParams(v_th_pos=0.3, v_th_neg=-2.0)
-        assert dev.step(dev.MemristorState(0.5), 0.3, 1e-3, p, THRESHOLD).w > 0.5
-        assert dev.step(dev.MemristorState(0.5), -2.0, 1e-3, p, THRESHOLD).w < 0.5
+        assert step(0.5, 0.3, 1e-3, p, THRESHOLD) > 0.5
+        assert step(0.5, -2.0, 1e-3, p, THRESHOLD) < 0.5
 
 
 class TestValidation:
@@ -143,15 +142,8 @@ class TestValidation:
         {"v_th_pos": -0.1},
         {"drift_rate": -1.0},
         {"window_p": 0},
+        {"v_th_neg": 0.5},
     ])
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             dev.MemristorParams(**kwargs)
-
-    def test_state_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            dev.MemristorState(1.5)
-
-    def test_step_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            dev.step(dev.MemristorState(0.5), 1.0, 0.0, dev.MemristorParams())

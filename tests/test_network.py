@@ -56,16 +56,6 @@ class TestSolveBasics:
         assert result.element_currents[1] == pytest.approx(0.05)
         assert result.element_currents[0] == pytest.approx(-0.05)
 
-    def test_short_element_ties_nodes(self):
-        nl = net.Netlist(4, [net.VoltageSource(1, 0, 6.0),
-                             net.Resistor(1, 2, 1_000.0),
-                             net.Short(2, 3),
-                             net.Resistor(3, 0, 2_000.0)])
-        result = net.solve_dc(nl)
-        assert result.node_voltages[2] == pytest.approx(result.node_voltages[3])
-        assert result.node_voltages[3] == pytest.approx(4.0)
-        assert net.kcl_residual(result) <= 1e-9
-
 
 class TestSolveAgainstLadderOracle:
     def test_matches_reduction_oracle(self):
