@@ -175,7 +175,7 @@ def cmd_calibrate(args):
     targets = _read_targets(args.targets)
     result = ctl.calibrate(
         targets, base_params=sim.params, base_topology=sim.topology,
-        cfg=sim.cycle, kind=sim.kind, table=sim.table,
+        cfg=sim.cycle, table=sim.table,
         n_restarts=args.restarts, seed=seed, maxiter=args.maxiter)
     report = {
         "params": {

@@ -5,9 +5,9 @@ the three-sub-cell cell with calibrated device parameters, the standard bin
 table, and the standard cycle timing. Sections mirror the module types:
 
     {
-      "device":   {"r_on": ..., "kind": "threshold_drift", ...},
-      "topology": {"n_subcells": 3, "r_series": 500, "read_series_ohms": 0, ...},
-      "encoder":  {"bins": [[0.0, 0.3, "222"], ...], "v_th": 0.3, ...},
+      "device":   {"r_on": ..., "v_th_pos": 0.3, ...},
+      "topology": {"r_series": 500, "read_series_ohms": 0, ...},
+      "encoder":  {"bins": [[0.0, 0.3, "222"], ...], "sum_r2": 20000, ...},
       "cycle":    {"v_reset": 4.0, "dt": 5e-7, ...},
       "noise":    {"source_noise_sigma": 0.0, "rng_seed": 0}
     }
@@ -36,7 +36,6 @@ class ConfigError(Exception):
 @dataclasses.dataclass
 class SimConfig:
     params: dev.MemristorParams
-    kind: dev.DeviceModelKind
     topology: net.CellTopology
     table: enc.BinTable
     enc_cfg: enc.EncoderConfig
@@ -44,18 +43,14 @@ class SimConfig:
     noise: ctl.NoiseConfig
 
     def make_cell(self):
-        return ctl.make_cell(self.topology, self.params, self.kind)
+        return ctl.make_cell(self.topology, self.params)
 
     def resolved(self):
         """Fully-defaulted plain-dict form, suitable for hashing/manifests."""
         return {
-            "device": {
-                **{f.name: getattr(self.params, f.name)
-                   for f in dataclasses.fields(self.params)},
-                "kind": self.kind.value,
-            },
+            "device": {f.name: getattr(self.params, f.name)
+                       for f in dataclasses.fields(self.params)},
             "topology": {
-                "n_subcells": self.topology.n_subcells,
                 "r_series": list(self.topology.per_subcell("r_series")),
                 "r_write": list(self.topology.per_subcell("r_write")),
                 "r_ground": self.topology.r_ground,
@@ -76,7 +71,6 @@ class SimConfig:
 def default_config() -> SimConfig:
     return SimConfig(
         params=dev.MemristorParams(),
-        kind=dev.DeviceModelKind.THRESHOLD_DRIFT,
         topology=net.CellTopology(),
         table=enc.DEFAULT_BIN_TABLE,
         enc_cfg=enc.EncoderConfig(),
@@ -91,27 +85,12 @@ def _take(section, path, known):
         raise ConfigError(f"unknown key {path}.{sorted(unknown)[0]}")
 
 
-def _build(cls, section, path, extra_known=()):
-    known = [f.name for f in dataclasses.fields(cls)] + list(extra_known)
-    _take(section, path, known)
-    kwargs = {k: v for k, v in section.items() if k not in extra_known}
+def _build(cls, section, path):
+    _take(section, path, [f.name for f in dataclasses.fields(cls)])
     try:
-        return cls(**kwargs)
+        return cls(**section)
     except (ValueError, TypeError, net.InvalidTopology) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_device(section):
-    kind = dev.DeviceModelKind.THRESHOLD_DRIFT
-    if "kind" in section:
-        try:
-            kind = dev.DeviceModelKind(section["kind"])
-        except ValueError:
-            names = [k.value for k in dev.DeviceModelKind]
-            raise ConfigError(f"device.kind must be one of {names}, "
-                              f"got {section['kind']!r}") from None
-    params = _build(dev.MemristorParams, section, "device", extra_known=("kind",))
-    return params, kind
 
 
 def _parse_encoder(section):
@@ -165,12 +144,12 @@ def load_config(path=None) -> SimConfig:
         raise ConfigError(f"{path}: top level must be an object")
     _take(data, "config", ("device", "topology", "encoder", "cycle", "noise"))
 
-    params, kind = _parse_device(data.get("device", {}))
+    params = _build(dev.MemristorParams, data.get("device", {}), "device")
     topology = _build(net.CellTopology, data.get("topology", {}), "topology")
     table, enc_cfg = _parse_encoder(data.get("encoder", {}))
     cycle = _build(ctl.CycleConfig, data.get("cycle", {}), "cycle")
     noise = _build(ctl.NoiseConfig, data.get("noise", {}), "noise")
-    return SimConfig(params, kind, topology, table, enc_cfg, cycle, noise)
+    return SimConfig(params, topology, table, enc_cfg, cycle, noise)
 
 
 def config_hash(config: SimConfig) -> str:

@@ -482,7 +482,6 @@ def _apply_free_params(base_params, base_topology, free, vector):
 
 def calibrate(targets, base_params=None, base_topology=None,
               cfg: CycleConfig = CycleConfig(),
-              kind=dev.DeviceModelKind.THRESHOLD_DRIFT,
               free=CALIBRATION_FREE_PARAMS,
               table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
               n_restarts=5, seed=0, maxiter=150) -> CalibrationResult:
@@ -500,6 +499,12 @@ def calibrate(targets, base_params=None, base_topology=None,
     goal = {}
     for code, value in (targets.items() if isinstance(targets, dict) else targets):
         goal[str(code)] = float(value)
+    unusable = sorted(c for c, v in goal.items() if not math.isfinite(v) or v == 0)
+    if unusable:
+        raise ValueError("target levels must be finite and nonzero: "
+                         + ", ".join(f"{c}={goal[c]!r}" for c in unusable))
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     table_codes = [str(row.code) for row in table.rows]
     unknown = set(goal) - set(table_codes)
     if unknown:
@@ -515,7 +520,7 @@ def calibrate(targets, base_params=None, base_topology=None,
         params, topology = _apply_free_params(base_params, base_topology, free, vector)
         if params is None:
             return None
-        cell = make_cell(topology, params, kind)
+        cell = make_cell(topology, params)
         v_out, _ = simulate_levels(cell, cfg, table)
         return dict(zip(table_codes, v_out))
 

@@ -19,7 +19,8 @@ the drive points back into the interval; motion *outward* across a bound
 stays forbidden, which preserves the clamp behaviour.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -54,6 +55,10 @@ class MemristorParams:
     t_ref: float = 293.15
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.r_on <= 0:
             raise ValueError(f"r_on must be positive, got {self.r_on}")
         if self.r_off <= self.r_on:

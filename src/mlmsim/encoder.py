@@ -4,12 +4,12 @@ Two implementations of the same mapping live here. The behavioral path is
 the exact bin table: an input in [0, 3] V selects one of ten rows, each row
 carrying the 3-trit code whose per-port write voltages are 0 / 2.5 / 4 V.
 The structural path simulates the code-selector ladder that produces those
-voltages in hardware: per port and per owning range, two rail-saturated
-comparators detect the range, a behavioral AND gate combines them, a
-thresholding comparator emits the assigned write level, and a summing stage
-merges the (at most one) active block per port. With ideal settings the two
-paths agree everywhere except possibly within a guard band of the bin
-edges, and check_equivalence reports any point where they do not.
+voltages in hardware: per port and per owning range, a pair of comparators
+detects the range, an AND gate combines them into the block's enable, the
+enabled block emits its assigned write level, and a summing stage merges
+the (at most one) active block per port. With ideal settings the two paths
+agree everywhere except possibly within a guard band of the bin edges, and
+check_equivalence reports any point where they do not.
 
 Bins own half-open intervals [a1_row, a1_next); the printed upper bounds of
 the table are display values on a 0.01 V grid, and the final row closes at
@@ -17,7 +17,8 @@ the domain end.
 """
 
 import bisect
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 # Ideal write amplitudes per logic value.
 WRITE_LEVELS = (0.0, 2.5, 4.0)
@@ -136,25 +137,20 @@ DEFAULT_BIN_TABLE = BinTable(_default_rows())
 class EncoderConfig:
     """Electrical constants of the structural ladder.
 
-    comparator_rail and logic_rail are the symmetric supply magnitudes of
-    the comparison and AND stages; v_th gates the thresholding comparators;
     sum_r1/sum_r2 set the summing gain (the default ratio passes the ideal
     levels through unchanged); comparator_offset is an input-referred offset
     for nonideality studies.
     """
 
-    comparator_rail: float = 3.0
-    logic_rail: float = 1.5
-    v_th: float = 0.3
     sum_r1: float = 10_000.0
     sum_r2: float = 20_000.0
     comparator_offset: float = 0.0
 
     def __post_init__(self):
-        if self.comparator_rail <= 0 or self.logic_rail <= 0:
-            raise ValueError("rail magnitudes must be positive")
-        if not -self.logic_rail < self.v_th < self.logic_rail:
-            raise ValueError(f"v_th {self.v_th} outside the logic rail span")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.sum_r1 <= 0 or self.sum_r2 <= 0:
             raise ValueError("summing resistors must be positive")
 
@@ -187,16 +183,9 @@ def _selector_blocks(table, port):
 
 
 def _block_active(v_in, low, high, cfg):
-    """Comparison pair plus AND gate plus thresholding decision for one block."""
+    """Comparator pair plus AND gate for one block: low <= x < high."""
     x = v_in + cfg.comparator_offset
-    c_low = cfg.comparator_rail if x >= low else -cfg.comparator_rail
-    if high is None:
-        c_high = cfg.comparator_rail
-    else:
-        c_high = cfg.comparator_rail if x < high else -cfg.comparator_rail
-    and_out = min(c_low, c_high)
-    and_out = max(-cfg.logic_rail, min(cfg.logic_rail, and_out))
-    return and_out >= cfg.v_th
+    return x >= low and (high is None or x < high)
 
 
 def encode_structural(v_in, table: BinTable = DEFAULT_BIN_TABLE,

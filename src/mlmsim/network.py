@@ -20,9 +20,13 @@ The reset always drives the write ports at 0 V as well, because the erase
 current needs a return path to ground through them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Sub-cells per cell: one per trit of the 3-trit write code.
+N_SUBCELLS = 3
 
 # Calibrated default for the ground (probe) resistor; 100 ohm is the
 # uncalibrated starting value.
@@ -292,7 +296,7 @@ def kcl_residual(result: SolveResult):
 
 @dataclass(frozen=True)
 class CellTopology:
-    """Geometry of the cell: sub-cell count and port resistor values.
+    """Port resistor values of the N_SUBCELLS-sub-cell cell.
 
     r_series and r_write accept either a single value or one per sub-cell;
     unequal per-sub-cell values unlock the larger code space, equal values
@@ -301,31 +305,31 @@ class CellTopology:
     device programming terminal.
     """
 
-    n_subcells: int = 3
     r_series: object = 500.0
     r_write: object = 1500.0
     r_ground: float = DEFAULT_R_GROUND
     read_series_ohms: float = 0.0
 
     def __post_init__(self):
-        if self.n_subcells < 1:
-            raise InvalidTopology(f"n_subcells must be >= 1, got {self.n_subcells}")
-        if self.r_ground <= 0:
-            raise InvalidTopology("r_ground must be positive")
-        if self.read_series_ohms < 0:
-            raise InvalidTopology("read_series_ohms must be nonnegative")
+        if not 0 < self.r_ground < math.inf:
+            raise InvalidTopology(f"r_ground must be positive and finite, "
+                                  f"got {self.r_ground!r}")
+        if not 0 <= self.read_series_ohms < math.inf:
+            raise InvalidTopology(f"read_series_ohms must be nonnegative and finite, "
+                                  f"got {self.read_series_ohms!r}")
         for name in ("r_series", "r_write"):
             for value in self.per_subcell(name):
-                if value <= 0:
-                    raise InvalidTopology(f"{name} values must be positive")
+                if not 0 < value < math.inf:
+                    raise InvalidTopology(f"{name} values must be positive and finite, "
+                                          f"got {value!r}")
 
     def per_subcell(self, name):
         value = getattr(self, name)
         if np.isscalar(value):
-            return (float(value),) * self.n_subcells
+            return (float(value),) * N_SUBCELLS
         values = tuple(float(v) for v in value)
-        if len(values) != self.n_subcells:
-            raise InvalidTopology(f"{name} needs 1 or {self.n_subcells} values, "
+        if len(values) != N_SUBCELLS:
+            raise InvalidTopology(f"{name} needs 1 or {N_SUBCELLS} values, "
                                   f"got {len(values)}")
         return values
 
@@ -343,12 +347,12 @@ class CellPorts:
 
 
 def build_mlm_cell(topology: CellTopology):
-    """Build the cell netlist; returns (netlist, ports).
+    """Build the N_SUBCELLS-sub-cell cell netlist; returns (netlist, ports).
 
     All sources are created inactive; the cycle controller switches them
     per phase via solve-time overrides.
     """
-    n = topology.n_subcells
+    n = N_SUBCELLS
     r_series = topology.per_subcell("r_series")
     r_write = topology.per_subcell("r_write")
 

@@ -211,6 +211,16 @@ class TestCalibration:
     def test_unknown_target_code_rejected(self):
         with pytest.raises(ValueError):
             ctl.calibrate([("333", 1e-3)], cfg=FAST)
+        # unusable target levels and restart counts fail before any fit
+        for targets, kwargs, match in [
+            ([("222", float("nan"))], {}, "finite and nonzero"),
+            ([("222", float("inf"))], {}, "finite and nonzero"),
+            ([("000", 1e-2), ("222", 0.0)], {}, "finite and nonzero"),
+            ([("222", 3e-4)], {"n_restarts": 0}, "n_restarts"),
+            ([("222", 3e-4)], {"n_restarts": -2}, "n_restarts"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ctl.calibrate(targets, cfg=FAST, **kwargs)
 
     def test_improvement_from_detuned_start(self):
         cell = ctl.make_cell()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,3 +149,9 @@ class TestValidation:
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             dev.MemristorParams(**kwargs)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(dev.MemristorParams)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_param_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dev.MemristorParams(**{field: value})

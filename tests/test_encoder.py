@@ -190,6 +190,10 @@ class TestTypesAndConfig:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            enc.EncoderConfig(v_th=2.0)  # outside the logic rail span
-        with pytest.raises(ValueError):
             enc.EncoderConfig(sum_r1=0.0)
+
+    @pytest.mark.parametrize("field", ["sum_r1", "sum_r2", "comparator_offset"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_config_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            enc.EncoderConfig(**{field: value})

@@ -189,12 +189,14 @@ class TestCellBuilder:
         assert all(not nl.elements[i].active
                    for i in ports.write + ports.reset + ports.read)
 
-    def test_single_subcell_read_divider(self):
-        topo = net.CellTopology(n_subcells=1, r_series=500.0, r_ground=200.0)
+    def test_equal_subcells_read_divider(self):
+        topo = net.CellTopology(r_series=500.0, r_ground=200.0)
         nl, ports = net.build_mlm_cell(topo)
         for r_dev in (1_000.0, 40_000.0):
-            result = net.solve_dc(nl, [r_dev], source_values={ports.read[0]: 0.05})
-            expected = divider_vout(0.05, r_dev + 500.0, 200.0)
+            result = net.solve_dc(nl, [r_dev] * 3,
+                                  source_values=dict.fromkeys(ports.read, 0.05))
+            # three equal branches in parallel above r_ground
+            expected = divider_vout(0.05, (r_dev + 500.0) / 3, 200.0)
             assert result.node_voltages[ports.probe_node] == pytest.approx(
                 expected, rel=1e-12)
 
@@ -212,6 +214,20 @@ class TestCellBuilder:
     def test_negative_read_series_rejected(self):
         with pytest.raises(net.InvalidTopology):
             net.CellTopology(read_series_ohms=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r_ground": float("nan")},
+        {"r_ground": float("inf")},
+        {"r_series": float("nan")},
+        {"r_series": (500.0, float("nan"), 500.0)},
+        {"r_write": (1500.0, 1500.0, float("inf"))},
+        {"read_series_ohms": float("inf")},
+        {"read_series_ohms": float("nan")},
+    ], ids=["r_ground-nan", "r_ground-inf", "r_series-nan", "r_series-entry-nan",
+            "r_write-entry-inf", "read_series_ohms-inf", "read_series_ohms-nan"])
+    def test_non_finite_value_rejected(self, kwargs):
+        with pytest.raises(net.InvalidTopology, match="finite"):
+            net.CellTopology(**kwargs)
 
     def test_describe_lists_every_element(self):
         nl, _ = net.build_mlm_cell(net.CellTopology())
