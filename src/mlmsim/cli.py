@@ -154,14 +154,19 @@ def _read_targets(path):
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             targets = []
+            header_allowed = True
             for row in reader:
                 if not row or row[0].strip().startswith("#"):
                     continue
-                code, value = row[0].strip(), row[1]
+                where = f"{path}:{reader.line_num}"
+                if len(row) < 2:
+                    raise ConfigError(f"{where}: expected code,v_out, got {','.join(row)!r}")
                 try:
-                    targets.append((code, float(value)))
+                    targets.append((row[0].strip(), float(row[1])))
                 except ValueError:
-                    continue  # header line
+                    if not header_allowed:
+                        raise ConfigError(f"{where}: v_out {row[1]!r} is not a number") from None
+                header_allowed = False  # only the first row may be a header
     except OSError as exc:
         raise ConfigError(f"cannot read targets {path}: {exc}") from None
     if not targets:

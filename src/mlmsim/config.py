@@ -79,6 +79,13 @@ def default_config() -> SimConfig:
     )
 
 
+def _section(data, name):
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    return section
+
+
 def _take(section, path, known):
     unknown = set(section) - set(known)
     if unknown:
@@ -144,11 +151,11 @@ def load_config(path=None) -> SimConfig:
         raise ConfigError(f"{path}: top level must be an object")
     _take(data, "config", ("device", "topology", "encoder", "cycle", "noise"))
 
-    params = _build(dev.MemristorParams, data.get("device", {}), "device")
-    topology = _build(net.CellTopology, data.get("topology", {}), "topology")
-    table, enc_cfg = _parse_encoder(data.get("encoder", {}))
-    cycle = _build(ctl.CycleConfig, data.get("cycle", {}), "cycle")
-    noise = _build(ctl.NoiseConfig, data.get("noise", {}), "noise")
+    params = _build(dev.MemristorParams, _section(data, "device"), "device")
+    topology = _build(net.CellTopology, _section(data, "topology"), "topology")
+    table, enc_cfg = _parse_encoder(_section(data, "encoder"))
+    cycle = _build(ctl.CycleConfig, _section(data, "cycle"), "cycle")
+    noise = _build(ctl.NoiseConfig, _section(data, "noise"), "noise")
     return SimConfig(params, topology, table, enc_cfg, cycle, noise)
 
 

@@ -3,12 +3,20 @@
 A cycle is a list of quasi-static phases, each a `Phase`: the amplitudes of
 its engaged sources by element index, its step count, and whether it is the
 read. One loop, `_run_phases`, runs any such list. In each phase the
-engaged sources are fixed, and on every timestep the resistive network is
-solved exactly for the frozen device resistances, after which each device
-state advances one explicit Euler step under its own branch voltage.
-Devices therefore interact through the shared nodes during the write
-transient, which is the only mechanism that can make a device's final
-state depend on the whole pattern rather than its own port alone.
+engaged sources are fixed, so the network is reduced once onto the three
+device branches (`network.PortModel`, with every device at r_on as the
+reference). On every timestep a 3x3 solve then gives the exact branch
+voltages, probe voltage and source currents for the frozen device
+resistances, after which each device state advances one explicit Euler
+step under its own branch voltage. Devices therefore interact through the
+shared nodes during the write transient, which is the only mechanism that
+can make a device's final state depend on the whole pattern rather than
+its own port alone.
+
+A step that leaves every state of the batch bit-identical would repeat
+itself for the rest of the phase, so the phase ends there. A read that ends
+early adds its last probe voltage once per remaining step, so the mean
+rounds exactly as a full read's would; drift and peak power cannot change.
 
 The full cycle is the list below; a zero-length reset or write is left out,
 and the single-phase operations run a one-element list through the same loop.
@@ -31,8 +39,8 @@ write port, then the read amplitude. Every noise stream comes from
 substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
-pattern / trial), which keeps sweeps, studies and calibration inside a few
-stacked linear solves per timestep.
+pattern / trial), which keeps sweeps, studies and calibration inside one
+stacked 3x3 solve per timestep.
 """
 
 import dataclasses
@@ -238,30 +246,35 @@ def _run_phases(cell, cfg, phases, w):
     Returns (v_out, read drift, peak source power), one value per batch row;
     v_out and drift stay None when no phase is the read.
     """
-    netlist, ports = cell.netlist, cell.ports
-    dev_a = np.array([netlist.elements[e].a for e in ports.devices])
-    dev_b = np.array([netlist.elements[e].b for e in ports.devices])
     batch = w.shape[0]
+    g0 = 1.0 / cell.params.r_on
     v_out = drift = None
     peak_power = np.zeros(batch)
     for phase in phases:
-        tmpl = net.MnaTemplate(netlist, dict.fromkeys(phase.sources, 0.0))
-        z = tmpl.rhs(phase.sources)
+        tmpl = net.MnaTemplate(cell.netlist, dict.fromkeys(phase.sources, 0.0))
+        z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
+        model = net.PortModel(tmpl, z, g0, cell.ports.probe_node)
         # -V per engaged source: the source rows of z, ordered like the currents
         neg_volts = -z[..., tmpl.nv:]
         if phase.is_read:
             w_start = w.copy()
             probe_sum = np.zeros(batch)
             drift = np.zeros(batch)
-        for _ in range(phase.n_steps):
+        for step in range(phase.n_steps):
+            w_prev = w.copy()
             r = dev.resistance_array(w, cell.params, cfg.temperature)
-            volts, i_src = tmpl.solve(1.0 / r, z)
-            v_dev = volts[..., dev_a] - volts[..., dev_b]
+            v_dev, v_probe, i_src = model.solve(1.0 / r)
             dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
             if phase.is_read:
-                probe_sum += volts[..., ports.probe_node]
+                probe_sum += v_probe
                 drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
             np.maximum(peak_power, (neg_volts * i_src).sum(axis=-1), out=peak_power)
+            if np.array_equal(w, w_prev):
+                # every later step of the phase would repeat this one exactly
+                if phase.is_read:
+                    for _ in range(phase.n_steps - step - 1):
+                        probe_sum += v_probe
+                break
         if phase.is_read:
             if (drift >= READ_DISTURB_TOLERANCE).any():
                 raise NonQuiescentRead(

@@ -3,8 +3,11 @@
 Networks are small (tens of nodes), so the solver is plain dense nodal
 analysis with voltage sources handled as extra current unknowns and solved
 by direct factorization. Memristor elements are placeholders whose
-resistance is supplied per solve, which lets the transient controller
-restamp only the device conductances on every timestep.
+resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
+re-stamp and re-factor the whole system on each call and stay the
+reference. For a transient, `PortModel` factors the system once per source
+configuration and reduces it onto the device branches, so each timestep
+solves only a system as large as the device count.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -228,6 +231,76 @@ class MnaTemplate:
         volts = np.zeros(batch + (self.netlist.node_count,))
         volts[..., 1:] = x[..., :self.nv]
         return volts, x[..., self.nv:]
+
+
+class PortModel:
+    """A template's system for fixed sources, reduced onto its device branches.
+
+    Only the device conductances g change from solve to solve, so the nodal
+    system is A(g) = A0 + B diag(g - g0) B^T, where B is the node-by-device
+    incidence matrix and A0 has every device at the reference conductance
+    g0. One factorization of A0 against [B | z] gives Y = A0^-1 B and
+    x0 = A0^-1 z (Kron reduction onto the device ports, by the Woodbury
+    identity). Each solve is then one device-count-square system
+
+        (I + K diag(g - g0)) v = B^T x0,    K = B^T Y,
+
+    whose solution v is the branch voltages; the probe voltage and the
+    source currents follow as x0 - Y ((g - g0) v) on their rows alone.
+    z has trailing dimension template.m and may carry batch rows; each
+    device appears once in the netlist, and its column is its device index.
+    """
+
+    def __init__(self, template, z, g0, probe_node):
+        n = template.netlist.device_count
+        b_mat = np.zeros((template.m, n))
+        for dev, na, nb in template.device_stamps:
+            if b_mat[:, dev].any():
+                raise ValueError(f"device {dev} appears in more than one branch")
+            if na > 0:
+                b_mat[na - 1, dev] = 1.0
+            if nb > 0:
+                b_mat[nb - 1, dev] = -1.0
+        a0 = template.a_base + g0 * (b_mat @ b_mat.T)
+        z = np.asarray(z, dtype=float)
+        rhs = np.hstack([b_mat, z.reshape(-1, template.m).T])
+        try:
+            sol = np.linalg.solve(a0, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetwork(f"nodal system is singular: {exc}") from None
+        residual = np.abs(a0 @ sol - rhs).max()
+        if not residual <= 1e-6 * max(1.0, float(np.abs(rhs).max())):
+            raise SingularNetwork(f"nodal solve residual {residual:g} indicates "
+                                  "an ill-conditioned (floating?) network")
+        y, x0 = sol[:, :n], sol[:, n:].T.reshape(z.shape)
+        keep = [probe_node - 1, *range(template.nv, template.m)]
+        self.g0 = g0
+        self.eye = np.eye(n)
+        self.k = b_mat.T @ y
+        self.u = (x0 @ b_mat)[..., None]
+        self.tol = 1e-6 * max(1.0, float(np.abs(self.u).max()))
+        self.x0_keep = x0[..., keep]
+        self.y_keep_t = y[keep].T
+
+    def solve(self, device_conductances):
+        """Returns (branch voltages, probe voltage, source currents).
+
+        Branch voltages are V(a) - V(b) per device; source currents follow
+        the template's active list, oriented a->b through the source.
+        """
+        delta = device_conductances - self.g0
+        lhs = self.eye + self.k * delta[..., None, :]
+        try:
+            v = np.linalg.solve(lhs, self.u)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetwork(f"nodal system is singular: {exc}") from None
+        residual = np.abs(lhs @ v - self.u).max()
+        if not residual <= self.tol:  # also catches NaN and inf
+            raise SingularNetwork(f"reduced solve residual {residual:g} indicates "
+                                  "a singular or ill-conditioned network")
+        v = v[..., 0]
+        kept = self.x0_keep - (delta * v) @ self.y_keep_t
+        return v, kept[..., 0], kept[..., 1:]
 
 
 @dataclass

@@ -1,14 +1,19 @@
 """Independent reference computations used to freeze expected test values.
 
-Everything in here is deliberately written without importing the package
-under test: closed-form ODE solutions, hand-rolled series-parallel ladder
-reduction, and a brute-force inversion counter. Tests compare simulator
-output against these.
+Almost everything in here is deliberately written without importing the
+package under test: closed-form ODE solutions, hand-rolled series-parallel
+ladder reduction, and a brute-force inversion counter. The one exception is
+the dense cycle integrator, which reuses the dense nodal solver and the
+device kernel but none of the controller. Tests compare simulator output
+against these.
 """
 
 import math
 
 import numpy as np
+
+from mlmsim import device as dev
+from mlmsim import network as net
 
 
 # ---------------------------------------------------------------------------
@@ -112,3 +117,49 @@ def euler_drift_reference(w0, rate, v, dt, n_steps, p=1):
         elif w > 1.0:
             w = 1.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# Dense cycle integrator
+#
+# One reset/write/read cycle of a batch-1 cell, re-solving the whole network
+# with network.solve_dc on every timestep and running every step of every
+# phase. The phase schedule and the order of the noise draws are the
+# documented ones: reset amplitude, one per write port held at 0 V during
+# the reset, one per write port, then the read amplitude.
+# ---------------------------------------------------------------------------
+
+def dense_cycle(cell, volts, cfg, w0=None, sigma=0.0, rng=None):
+    """Run one cycle; returns (mean read-out voltage, final device states)."""
+    def draw():
+        return rng.normal(0.0, sigma) if sigma else 0.0
+
+    ports, netlist = cell.ports, cell.netlist
+    dev_a = [netlist.elements[e].a for e in ports.devices]
+    dev_b = [netlist.elements[e].b for e in ports.devices]
+    w = np.zeros((1, ports.n_devices)) if w0 is None else np.array(w0, float)[None, :]
+
+    def steps(duration):
+        return int(round(duration / cfg.dt))
+
+    phases = []
+    if cfg.t_reset > 0:
+        reset = dict.fromkeys(ports.reset, cfg.v_reset + draw())
+        reset.update({idx: draw() for idx in ports.write})
+        phases.append((reset, steps(cfg.t_reset), False))
+    if cfg.t_write > 0:
+        write = {idx: v + draw() for idx, v in zip(ports.write, volts)}
+        phases.append((write, steps(cfg.t_write), False))
+    n_read = steps(cfg.t_read)
+    phases.append((dict.fromkeys(ports.read, cfg.v_read + draw()), n_read, True))
+
+    probe_sum = 0.0
+    for sources, n_steps, is_read in phases:
+        for _ in range(n_steps):
+            r = dev.resistance_array(w, cell.params, cfg.temperature)
+            node_v = net.solve_dc(netlist, r[0], sources).node_voltages
+            v_dev = node_v[dev_a] - node_v[dev_b]
+            dev.step_array(w, v_dev[None, :], cfg.dt, cell.params, cell.kind)
+            if is_read:
+                probe_sum += node_v[ports.probe_node]
+    return probe_sum / n_read, w[0]

@@ -88,6 +88,19 @@ class TestConfigLoading:
         with pytest.raises(cfgmod.ConfigError, match="config.devices"):
             cfgmod.load_config(str(path))
 
+    @pytest.mark.parametrize("doc", [
+        {"device": 5}, {"encoder": 5}, {"cycle": None}, {"device": "ab"},
+        {"noise": [1]},
+    ], ids=["device-int", "encoder-int", "cycle-null", "device-str", "noise-list"])
+    def test_section_must_be_an_object(self, tmp_path, doc, capsys):
+        (section,) = doc
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cfgmod.ConfigError, match=f"^{section} must be an object$"):
+            cfgmod.load_config(str(path))
+        assert cli.main(["encode", "1.3", "--config", str(path)]) == 1
+        assert f"{section} must be an object" in capsys.readouterr().err
+
     def test_invalid_value_carries_section(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"device": {"r_on": -5.0}}))
@@ -296,6 +309,20 @@ class TestCalibrateCommand:
         assert cli.main(["calibrate", "--config", fast_config, "--targets",
                          str(targets), "--out", str(out), "--restarts", "1"]) == 1
         assert "finite and nonzero" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("code,v_out\n222\n", ":2: expected code,v_out"),
+        ("code,v_out\n222,3.3e-4x\n000,1.4e-2\n", ":2: v_out '3.3e-4x' is not a number"),
+        ("# levels\n222,3.3e-4\n000,1.4e-2x\n", ":3: v_out '1.4e-2x' is not a number"),
+    ], ids=["one-column", "bad-number", "bad-number-after-comment"])
+    def test_bad_targets_row_rejected(self, tmp_path, fast_config, capsys, text, message):
+        targets = tmp_path / "targets.csv"
+        targets.write_text(text)
+        out = tmp_path / "fit.json"
+        assert cli.main(["calibrate", "--config", fast_config, "--targets",
+                         str(targets), "--out", str(out), "--restarts", "1"]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_quick_calibration_writes_report(self, tmp_path, capsys):

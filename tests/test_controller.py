@@ -8,7 +8,7 @@ from mlmsim import device as dev
 from mlmsim import encoder as enc
 from mlmsim import network as net
 
-from oracles import inversion_count
+from oracles import dense_cycle, inversion_count
 
 # Coarser-than-default timing keeps unit tests quick; correctness at the
 # default resolution is covered by the acceptance suite.
@@ -329,3 +329,48 @@ class TestPower:
         assert m.pattern == pattern("012")
         assert m.peak_power == ctl.peak_source_power(cell, pattern("012").port_voltages,
                                                      FAST)
+
+
+class TestDenseReference:
+    """The cycle core against a per-step dense integrator at the default dt."""
+
+    @staticmethod
+    def _assert_matches(measurement, reference):
+        v_ref, w_ref = reference
+        assert measurement.v_out == pytest.approx(v_ref, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(measurement.final_device_states, w_ref,
+                                   rtol=1e-9, atol=0.0)
+
+    def test_chained_noisy_cycles(self, cell):
+        cfg = ctl.CycleConfig()
+        w = ctl.run_cycle(cell, pattern("222"), cfg).final_device_states
+        for seed, code in enumerate(("012", "200", "121", "000", "220")):
+            noise = ctl.NoiseConfig(1e-3, seed)
+            m = ctl.run_cycle(cell, pattern(code), cfg, noise=noise, w0=w)
+            self._assert_matches(m, dense_cycle(
+                cell, pattern(code).port_voltages, cfg, w0=w, sigma=1e-3,
+                rng=np.random.default_rng(seed)))
+            w = m.final_device_states
+
+    def test_unequal_cell_at_50c(self):
+        cell = ctl.make_cell(net.CellTopology(r_series=(400.0, 500.0, 650.0),
+                                              read_series_ohms=50.0))
+        cfg = ctl.CycleConfig(temperature=ctl.celsius_to_kelvin(50.0))
+        w = ctl.run_cycle(cell, pattern("021"), cfg).final_device_states
+        m = ctl.run_cycle(cell, pattern("102"), cfg, w0=w)
+        self._assert_matches(m, dense_cycle(cell, pattern("102").port_voltages,
+                                            cfg, w0=w))
+
+    def test_quiescent_phases_end_early(self, cell, monkeypatch):
+        calls = [0]
+        step_array = dev.step_array
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return step_array(*args, **kwargs)
+
+        monkeypatch.setattr(dev, "step_array", counting)
+        ctl.simulate_levels(cell, FAST)
+        # 150 write steps; the reset of a fresh cell and the read are
+        # frozen after their first step
+        assert calls[0] <= 160
