@@ -223,8 +223,17 @@ def cmd_calibrate(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_DOMAIN."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    # subparsers are built with the same class, so they exit the same way
+    parser = _Parser(
         prog="mlmsim",
         description="Multi-level memristive memory cell simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,7 +254,9 @@ def build_parser():
 
     p = sub.add_parser("temp-study", help="per-code statistics over temperatures")
     p.add_argument("--config", default=None)
-    p.add_argument("--temps", default="20,30,40,50")
+    p.add_argument("--temps", default="20,30,40,50",
+                   help="comma-separated temperatures in C; write a list that "
+                        "starts with a negative value as --temps=-10,20")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="temp_study.csv")

@@ -40,7 +40,15 @@ substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside one
-stacked 3x3 solve per timestep.
+stacked 3x3 solve per timestep. A batch may hold several groups of equal
+size, each with its own spawn key and so its own substream: each draw
+above takes one value per row of the first group from that group's
+substream, then one per row of the second group from its own, and so on,
+in group order. A group therefore sees exactly the numbers it would draw
+if it ran alone. Each row may also carry its own temperature. Every row is
+solved and stepped on its own, and a phase that runs on past a group's
+quiescent step repeats that step bit for bit, so a group's results are the
+same inside a batch as alone.
 """
 
 import dataclasses
@@ -59,6 +67,10 @@ READ_DISTURB_TOLERANCE = 1e-3
 
 # Longest cycle a CycleConfig may describe, in timesteps (the default is 2800).
 MAX_CYCLE_STEPS = 10**6
+
+# Most rows a batched driver may simulate at once (a temperature study runs
+# temperatures x trials x codes rows).
+MAX_BATCH_ROWS = 10**5
 
 
 class NonQuiescentRead(Exception):
@@ -204,12 +216,17 @@ def _noise_rng(noise, spawn_key=()):
                                                         spawn_key=spawn_key))
 
 
-def _noise_draw(noise, spawn_key, batch):
-    """Per-phase amplitude perturbation: one fresh draw per call."""
+def _noise_draw(noise, spawn_keys, rows):
+    """Per-phase amplitude perturbation: one fresh draw per call.
+
+    Each draw concatenates `rows` values from each spawn key's substream,
+    in the order of spawn_keys.
+    """
     if noise is None or noise.source_noise_sigma == 0.0:
         return _no_noise
-    rng, sigma = _noise_rng(noise, spawn_key), noise.source_noise_sigma
-    return lambda: rng.normal(0.0, sigma, size=batch)
+    rngs = [_noise_rng(noise, key) for key in spawn_keys]
+    sigma = noise.source_noise_sigma
+    return lambda: np.concatenate([rng.normal(0.0, sigma, size=rows) for rng in rngs])
 
 
 def _reset_phase(cell, cfg, batch, draw):
@@ -240,13 +257,25 @@ def _cycle_phases(cell, cfg, patterns, draw):
     return phases
 
 
-def _run_phases(cell, cfg, phases, w):
+def _run_phases(cell, cfg, phases, w, temperature=None):
     """Run the phases in order on the (B, n) states w, which change in place.
 
-    Returns (v_out, read drift, peak source power), one value per batch row;
-    v_out and drift stay None when no phase is the read.
+    temperature holds one value per batch row in K; None means
+    cfg.temperature for every row. Returns (v_out, read drift, peak source
+    power), one value per batch row; v_out and drift stay None when no
+    phase is the read.
     """
     batch = w.shape[0]
+    if temperature is None:
+        temperature = cfg.temperature
+    else:
+        temperature = np.reshape(temperature, (batch, 1))
+    temps = np.ravel(temperature)
+    factor = dev.temperature_factor(cell.params, temps)
+    if not (factor > 0).all():
+        k = int(np.argmin(factor))
+        raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
+                         f"{factor[k]:.4g} at T = {temps[k]:.6g} K; it must be positive")
     g0 = 1.0 / cell.params.r_on
     v_out = drift = None
     peak_power = np.zeros(batch)
@@ -262,7 +291,7 @@ def _run_phases(cell, cfg, phases, w):
             drift = np.zeros(batch)
         for step in range(phase.n_steps):
             w_prev = w.copy()
-            r = dev.resistance_array(w, cell.params, cfg.temperature)
+            r = dev.resistance_array(w, cell.params, temperature)
             v_dev, v_probe, i_src = model.solve(1.0 / r)
             dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
             if phase.is_read:
@@ -284,7 +313,14 @@ def _run_phases(cell, cfg, phases, w):
     return v_out, drift, peak_power
 
 
-def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_key=()):
+def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
+               temperature=None):
+    """One cycle over the pattern rows: (v_out, final states, drift, peak power).
+
+    The rows split into len(spawn_keys) equal groups, in order, and each
+    group draws its noise from its own substream. temperature optionally
+    gives one value per row in K.
+    """
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim == 1:
         patterns = patterns[None, :]
@@ -295,8 +331,9 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_key=()):
         w = np.zeros((batch, n))
     else:
         w = np.array(w0, dtype=float).reshape(batch, n)
-    phases = _cycle_phases(cell, cfg, patterns, _noise_draw(noise, spawn_key, batch))
-    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w)
+    draw = _noise_draw(noise, spawn_keys, batch // len(spawn_keys))
+    phases = _cycle_phases(cell, cfg, patterns, draw)
+    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
     return v_out, w, drift, peak_power
 
 
@@ -311,6 +348,10 @@ def _measure(cell, cfg, patterns, codes, v_ins, noise=None, w0=None):
 
 def _level_patterns(table):
     return [enc.code_to_write_voltages(row.code) for row in table.rows]
+
+
+def _level_volts(table):
+    return np.array([p.port_voltages for p in _level_patterns(table)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +405,9 @@ def run_input_sweep(cell, encoder_path="behavioral", cfg: CycleConfig = CycleCon
 
 def simulate_levels(cell: Cell, cfg: CycleConfig = CycleConfig(),
                     table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
-                    noise: NoiseConfig = None, spawn_key=()):
-    """Read-out level per table code, one fresh cycle each, in table order.
-
-    spawn_key selects an independent substream of the seeded noise.
-    """
-    volts = np.array([p.port_voltages for p in _level_patterns(table)])
-    v_out, w, _, _ = _run_batch(cell, volts, cfg, noise=noise, spawn_key=spawn_key)
+                    noise: NoiseConfig = None):
+    """Read-out level per table code, one fresh cycle each, in table order."""
+    v_out, w, _, _ = _run_batch(cell, _level_volts(table), cfg, noise=noise)
     return v_out, w
 
 
@@ -425,25 +462,33 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
                           table: enc.BinTable = enc.DEFAULT_BIN_TABLE):
     """Mean/stdev of every code's read-out per temperature, seeded noise.
 
-    Each (temperature, trial) pair gets an independent deterministic
-    substream, so results do not depend on execution order.
+    The whole study is one batched simulation: every code of the table,
+    once per (temperature, trial) group, temperature-major. Each group gets
+    its own deterministic substream, spawn key (temperature index, trial),
+    so its numbers are those it would draw alone. The batch holds
+    len(temps_c) * trials * len(table.rows) rows, at most MAX_BATCH_ROWS.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     if len(set(temps_c)) != len(temps_c):
         raise ValueError(f"temperatures must be distinct, got {list(temps_c)}")
-    # every temperature is validated before the first simulation
-    run_cfgs = [replace(cfg, temperature=celsius_to_kelvin(t)) for t in temps_c]
-    outputs = {}
-    for t_idx, (temp_c, run_cfg) in enumerate(zip(temps_c, run_cfgs)):
-        outputs[temp_c] = np.stack([
-            simulate_levels(cell, run_cfg, table, noise, spawn_key=(t_idx, trial))[0]
-            for trial in range(trials)])
+    n_codes = len(table.rows)
+    n_rows = len(temps_c) * trials * n_codes
+    if n_rows > MAX_BATCH_ROWS:
+        raise ValueError(f"{len(temps_c)} temperatures x {trials} trials x {n_codes} "
+                         f"codes is {n_rows} rows, over the {MAX_BATCH_ROWS}-row limit")
+    # every temperature is validated before the simulation
+    kelvins = [replace(cfg, temperature=celsius_to_kelvin(t)).temperature for t in temps_c]
+    groups = [(t_idx, trial) for t_idx in range(len(temps_c)) for trial in range(trials)]
+    v_out, _, _, _ = _run_batch(cell, np.tile(_level_volts(table), (len(groups), 1)), cfg,
+                                noise=noise, spawn_keys=groups,
+                                temperature=np.repeat(kelvins, trials * n_codes))
+    outputs = v_out.reshape(len(temps_c), trials, n_codes)
 
     stats = []
     for c_idx, row in enumerate(table.rows):
-        for temp_c in temps_c:
-            values = outputs[temp_c][:, c_idx]
+        for t_idx, temp_c in enumerate(temps_c):
+            values = outputs[t_idx, :, c_idx]
             stats.append(StudyStats(
                 code=row.code,
                 temp_c=float(temp_c),

@@ -73,10 +73,19 @@ class MemristorParams:
             raise ValueError(f"window_p must be a positive integer, got {self.window_p}")
 
 
+def temperature_factor(params: MemristorParams, temperature):
+    """The linear factor on resistance at the given temperature(s) in K."""
+    return 1.0 + params.temp_coeff * (temperature - params.t_ref)
+
+
 def resistance_array(w, params: MemristorParams, temperature: float):
-    """Vectorized resistance for an array of states."""
+    """Vectorized resistance for an array of states.
+
+    temperature is a scalar or an array that broadcasts against w, such as
+    one value per batch row.
+    """
     base = params.r_on + np.asarray(w) * (params.r_off - params.r_on)
-    return base * (1.0 + params.temp_coeff * (temperature - params.t_ref))
+    return base * temperature_factor(params, temperature)
 
 
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):

@@ -9,6 +9,7 @@ import pytest
 
 from mlmsim import cli
 from mlmsim import config as cfgmod
+from mlmsim import controller as ctl
 from mlmsim import device as dev
 
 # Coarse cycle timing so CLI runs stay fast; everything else defaulted.
@@ -284,6 +285,28 @@ class TestTempStudyCommand:
         assert cli.main(["temp-study", "--config", fast_config, "--trials", "1",
                          "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_study_over_row_limit_rejected(self, tmp_path, fast_config, capsys,
+                                           monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a study over the row limit reached the simulation")
+
+        monkeypatch.setattr(ctl, "_run_batch", no_simulation)
+        out = tmp_path / "s.csv"
+        trials = ctl.MAX_BATCH_ROWS // 10 + 1
+        assert cli.main(["temp-study", "--config", fast_config, "--temps", "20",
+                         "--trials", str(trials), "--out", str(out)]) == 1
+        assert "row limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_positive_temperature_factor_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cold_coeff.json"
+        path.write_text(json.dumps({"device": {"temp_coeff": -0.01}, **FAST_CYCLE}))
+        out = tmp_path / "s.csv"
+        assert cli.main(["temp-study", "--config", str(path), "--temps", "20,150",
+                         "--trials", "2", "--out", str(out)]) == 1
+        assert "temperature factor" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path, fast_config, monkeypatch):
         args = ["temp-study", "--config", fast_config, "--temps", "20",
                 "--trials", "2", "--out", str(tmp_path / "stats.csv")]
@@ -294,6 +317,19 @@ class TestTempStudyCommand:
         monkeypatch.setenv("MLMSIM_SEED", "77")
         assert cli.main(args) == 0
         assert json.loads(manifest.read_text())["seed"] == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [["temp-study", "--trials", "abc"],
+                                      ["sweep", "--bogus"],
+                                      ["temp-study", "--temps", "-10,20"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mlmsim")
+        assert "error:" in err
 
 
 class TestCalibrateCommand:

@@ -184,6 +184,69 @@ class TestTemperatureStudy:
         with pytest.raises(ValueError):
             ctl.run_temperature_study(cell, trials=1, cfg=FAST)
 
+    def test_batched_study_equals_serial_groups(self):
+        # the serial study ran one 10-row simulation per (temperature, trial)
+        # group on that group's own substream; the batch must reproduce it
+        cell = ctl.make_cell(net.CellTopology(r_series=(400.0, 500.0, 650.0),
+                                              read_series_ohms=50.0))
+        noise = ctl.NoiseConfig(source_noise_sigma=1e-3, rng_seed=11)
+        temps, trials = (0.0, 25.0, 85.0), 3
+        stats = ctl.run_temperature_study(cell, temps_c=temps, trials=trials,
+                                          noise=noise, cfg=FAST)
+        rows = enc.DEFAULT_BIN_TABLE.rows
+        volts = np.array([enc.code_to_write_voltages(row.code).port_voltages
+                          for row in rows])
+        assert len(stats) == len(rows) * len(temps)
+        for t_idx, temp_c in enumerate(temps):
+            cfg = ctl.CycleConfig(dt=FAST.dt, temperature=ctl.celsius_to_kelvin(temp_c))
+            serial = np.stack([
+                ctl._run_batch(cell, volts, cfg, noise=noise,
+                               spawn_keys=[(t_idx, trial)])[0]
+                for trial in range(trials)])
+            for c_idx, row in enumerate(rows):
+                s = stats[c_idx * len(temps) + t_idx]
+                assert (s.code, s.temp_c) == (row.code, temp_c)
+                assert s.mean == float(serial[:, c_idx].mean())
+                assert s.stdev == float(serial[:, c_idx].std(ddof=1))
+                assert s.stdev > 0
+
+    def test_study_is_one_simulation(self, cell, monkeypatch):
+        calls = [0]
+        step_array = dev.step_array
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return step_array(*args, **kwargs)
+
+        monkeypatch.setattr(dev, "step_array", counting)
+        ctl.run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
+                                  noise=ctl.NoiseConfig(1e-3, 5), cfg=FAST)
+        # one cycle's worth of steps (see test_quiescent_phases_end_early),
+        # not one per (temperature, trial) group
+        assert calls[0] <= 160
+
+    def test_row_temperatures_match_scalar_runs(self, cell):
+        volts = np.array([enc.code_to_write_voltages(row.code).port_voltages
+                          for row in enc.DEFAULT_BIN_TABLE.rows])
+        kelvins = (273.15, 358.15)
+        both = ctl._run_batch(cell, np.vstack([volts, volts]), FAST,
+                              temperature=np.repeat(kelvins, len(volts)))
+        for k, kelvin in enumerate(kelvins):
+            alone = ctl._run_batch(cell, volts, ctl.CycleConfig(dt=FAST.dt,
+                                                                temperature=kelvin))
+            for batched, scalar in zip(both, alone):
+                np.testing.assert_array_equal(
+                    batched[k * len(volts):(k + 1) * len(volts)], scalar)
+
+    def test_batch_rows_capped(self, cell, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a study over the row limit reached the simulation")
+
+        monkeypatch.setattr(ctl, "_run_batch", no_simulation)
+        trials = ctl.MAX_BATCH_ROWS // len(enc.DEFAULT_BIN_TABLE.rows) + 1
+        with pytest.raises(ValueError, match=f"{ctl.MAX_BATCH_ROWS}-row limit"):
+            ctl.run_temperature_study(cell, temps_c=(20.0,), trials=trials, cfg=FAST)
+
 
 class TestCalibration:
     def test_identity_start_leaves_residual_unchanged(self):
@@ -280,6 +343,15 @@ class TestConfigValidation:
     def test_noise_stream_without_spawn_key_is_the_plain_seeded_stream(self, seed):
         ours = ctl._noise_rng(ctl.NoiseConfig(1e-3, seed)).normal(size=8)
         assert ours.tolist() == np.random.default_rng(seed).normal(size=8).tolist()
+
+    def test_non_positive_temperature_factor_rejected(self):
+        # 1 + temp_coeff * (T - t_ref) = -0.3 at 150 C: negative resistances
+        cell = ctl.make_cell(params=dev.MemristorParams(temp_coeff=-0.01))
+        hot = ctl.CycleConfig(dt=4e-6, temperature=ctl.celsius_to_kelvin(150.0))
+        with pytest.raises(ValueError, match="temperature factor"):
+            ctl.run_cycle(cell, pattern("012"), hot)
+        with pytest.raises(ValueError, match="423.15 K"):
+            ctl.run_temperature_study(cell, temps_c=(20.0, 150.0), trials=2, cfg=FAST)
 
     def test_pattern_length_checked(self, cell):
         with pytest.raises(ValueError):
