@@ -5,13 +5,15 @@ its engaged sources by element index, its step count, and whether it is the
 read. One loop, `_run_phases`, runs any such list. In each phase the
 engaged sources are fixed, so the network is reduced once onto the three
 device branches (`network.PortModel`, with every device at r_on as the
-reference). On every timestep a 3x3 solve then gives the exact branch
-voltages, probe voltage and source currents for the frozen device
-resistances, after which each device state advances one explicit Euler
-step under its own branch voltage. Devices therefore interact through the
-shared nodes during the write transient, which is the only mechanism that
-can make a device's final state depend on the whole pattern rather than
-its own port alone.
+reference), and every output is written as a ratio of two polynomials in
+the three device conductances. On every timestep one evaluation of those
+polynomials, with a residual check of the reduced 3x3 system, then gives
+the exact branch voltages, probe voltage and source currents for the
+frozen device resistances, after which each device state advances one
+explicit Euler step under its own branch voltage. Devices therefore
+interact through the shared nodes during the write transient, which is the
+only mechanism that can make a device's final state depend on the whole
+pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
 itself for the rest of the phase, so the phase ends there. A read that ends
@@ -40,7 +42,7 @@ substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside one
-stacked 3x3 solve per timestep. A batch may hold several groups of equal
+batched evaluation per timestep. A batch may hold several groups of equal
 size, each with its own spawn key and so its own substream: each draw
 above takes one value per row of the first group from that group's
 substream, then one per row of the second group from its own, and so on,
@@ -279,6 +281,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     g0 = 1.0 / cell.params.r_on
     v_out = drift = None
     peak_power = np.zeros(batch)
+    w_prev = np.empty_like(w)
     for phase in phases:
         tmpl = net.MnaTemplate(cell.netlist, dict.fromkeys(phase.sources, 0.0))
         z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
@@ -290,7 +293,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
             probe_sum = np.zeros(batch)
             drift = np.zeros(batch)
         for step in range(phase.n_steps):
-            w_prev = w.copy()
+            np.copyto(w_prev, w)
             r = dev.resistance_array(w, cell.params, temperature)
             v_dev, v_probe, i_src = model.solve(1.0 / r)
             dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
@@ -298,7 +301,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
                 probe_sum += v_probe
                 drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
             np.maximum(peak_power, (neg_volts * i_src).sum(axis=-1), out=peak_power)
-            if np.array_equal(w, w_prev):
+            if (w == w_prev).all():
                 # every later step of the phase would repeat this one exactly
                 if phase.is_read:
                     for _ in range(phase.n_steps - step - 1):
@@ -311,6 +314,19 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
                     f"(tolerance {READ_DISTURB_TOLERANCE:g})")
             v_out = probe_sum / phase.n_steps
     return v_out, drift, peak_power
+
+
+def _initial_states(cell, w0, batch):
+    """w0 as a fresh (batch, n_devices) array; each state finite and in [0, 1]."""
+    n = cell.ports.n_devices
+    w = np.array(w0, dtype=float)
+    if w.ndim == 0 or w.shape[-1] != n or w.size != batch * n:
+        raise ValueError(f"w0 needs {n} device states for each of {batch} row(s), "
+                         f"got shape {w.shape}")
+    bad = ~((w >= 0.0) & (w <= 1.0))  # also true for NaN
+    if bad.any():
+        raise ValueError(f"w0 state {w[bad][0]!r} is not a finite value in [0, 1]")
+    return w.reshape(batch, n)
 
 
 def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
@@ -327,10 +343,7 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
     batch, n = patterns.shape
     if n != cell.ports.n_devices:
         raise ValueError(f"pattern has {n} ports, cell has {cell.ports.n_devices}")
-    if w0 is None:
-        w = np.zeros((batch, n))
-    else:
-        w = np.array(w0, dtype=float).reshape(batch, n)
+    w = np.zeros((batch, n)) if w0 is None else _initial_states(cell, w0, batch)
     draw = _noise_draw(noise, spawn_keys, batch // len(spawn_keys))
     phases = _cycle_phases(cell, cfg, patterns, draw)
     v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
@@ -369,14 +382,14 @@ def run_cycle(cell: Cell, pattern, cfg: CycleConfig = CycleConfig(),
 
 def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the reset phase to the given states; returns new states."""
-    w = np.array(w0, dtype=float).reshape(1, -1)
+    w = _initial_states(cell, w0, 1)
     _run_phases(cell, cfg, [_reset_phase(cell, cfg, 1, _no_noise)], w)
     return w[0]
 
 
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the read phase; returns (v_out, new states, max state drift)."""
-    w = np.array(w0, dtype=float).reshape(1, -1)
+    w = _initial_states(cell, w0, 1)
     v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _no_noise)], w)
     return float(v_out[0]), w[0], float(drift[0])
 
@@ -563,6 +576,8 @@ def calibrate(targets, base_params=None, base_topology=None,
                          + ", ".join(f"{c}={goal[c]!r}" for c in unusable))
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
     table_codes = [str(row.code) for row in table.rows]
     unknown = set(goal) - set(table_codes)
     if unknown:

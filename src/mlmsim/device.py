@@ -89,16 +89,28 @@ def resistance_array(w, params: MemristorParams, temperature: float):
 
 
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
-    """In-place one-step forward-Euler update of the states w under branch voltages v."""
-    active = np.ones_like(w, dtype=bool)
-    if kind is DeviceModelKind.THRESHOLD_DRIFT:
-        active = (v >= params.v_th_pos) | (v <= params.v_th_neg)
+    """In-place one-step forward-Euler update of the states w under branch voltages v.
 
+    dw = drift_rate * v * f(w) * dt where the device is above threshold,
+    then w is clamped to [0, 1]. Temporaries are reused in place, because
+    at a few devices per row the cost is the number of numpy calls.
+    """
     # window evaluated off the boundary when the drive points inward
-    arg = np.where(v > 0, np.maximum(w, W_BOUNDARY_ESCAPE),
-                   np.minimum(w, 1.0 - W_BOUNDARY_ESCAPE))
-    f = 1.0 - ((2.0 * arg - 1.0) ** 2) ** params.window_p
-    dw = params.drift_rate * v * f * dt
-    w += np.where(active, dw, 0.0)
-    np.clip(w, 0.0, 1.0, out=w)
+    f = np.minimum(w, 1.0 - W_BOUNDARY_ESCAPE)
+    np.copyto(f, np.maximum(w, W_BOUNDARY_ESCAPE), where=v > 0.0)
+    np.add(f, f, out=f)  # 2 * arg, exactly
+    np.subtract(f, 1.0, out=f)
+    np.square(f, out=f)
+    if params.window_p != 1:
+        f **= params.window_p
+    np.subtract(1.0, f, out=f)
+    dw = np.multiply(params.drift_rate, v)
+    dw *= f
+    dw *= dt
+    if kind is DeviceModelKind.THRESHOLD_DRIFT:
+        # inside the threshold band the state stays put
+        np.copyto(dw, 0.0, where=(v < params.v_th_pos) & (v > params.v_th_neg))
+    w += dw
+    np.minimum(w, 1.0, out=w)
+    np.maximum(w, 0.0, out=w)
     return w

@@ -6,8 +6,11 @@ by direct factorization. Memristor elements are placeholders whose
 resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
 re-stamp and re-factor the whole system on each call and stay the
 reference. For a transient, `PortModel` factors the system once per source
-configuration and reduces it onto the device branches, so each timestep
-solves only a system as large as the device count.
+configuration, reduces it onto the device branches, and writes every
+output as a ratio of two polynomials in the device conductances, with
+2^n_devices coefficients each. It keeps those coefficients per batch row,
+8 x (5 + n_sources) doubles for three devices, so a timestep costs one
+polynomial evaluation plus a residual check of the reduced system.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -234,19 +237,37 @@ class MnaTemplate:
 
 
 class PortModel:
-    """A template's system for fixed sources, reduced onto its device branches.
+    """A template's system for fixed sources, in closed form in the device conductances.
 
     Only the device conductances g change from solve to solve, so the nodal
     system is A(g) = A0 + B diag(g - g0) B^T, where B is the node-by-device
     incidence matrix and A0 has every device at the reference conductance
     g0. One factorization of A0 against [B | z] gives Y = A0^-1 B and
     x0 = A0^-1 z (Kron reduction onto the device ports, by the Woodbury
-    identity). Each solve is then one device-count-square system
+    identity). That leaves one device-count-square system per solve,
 
         (I + K diag(g - g0)) v = B^T x0,    K = B^T Y,
 
     whose solution v is the branch voltages; the probe voltage and the
-    source currents follow as x0 - Y ((g - g0) v) on their rows alone.
+    source currents are x0 - Y ((g - g0) v) on their rows alone.
+
+    Each column of that system is affine in one g_j, so by Cramer's rule
+    every output is a ratio of two polynomials that are multilinear in g,
+    with one term per subset of the devices: for three devices a, b, c the
+    monomials 1, g_a, g_b, g_a g_b, g_c, g_a g_c, g_b g_c, g_a g_b g_c. The
+    denominator is the system's determinant,
+    shared by every output and every batch row; each numerator is linear in
+    the row's right-hand side. The constructor takes every coefficient from
+    batched determinants of the column-mixed system, and keeps 2^n of them
+    per batch row for each branch, the probe, each source and the
+    denominator: 8 x (5 + n_sources) doubles per row for three devices. A
+    solve is then the monomials of g, one batched matrix product and one
+    division. The expansion is in g, not in g - g0: the determinant of a
+    passive network has terms of one sign in g (the matrix-tree theorem),
+    so its sum does not cancel. Every solve still checks the residual of
+    the reduced system against a fixed tolerance, and raises
+    SingularNetwork on NaN, inf or an ill-conditioned system.
+
     z has trailing dimension template.m and may carry batch rows; each
     device appears once in the netlist, and its column is its device index.
     """
@@ -274,13 +295,60 @@ class PortModel:
                                   "an ill-conditioned (floating?) network")
         y, x0 = sol[:, :n], sol[:, n:].T.reshape(z.shape)
         keep = [probe_node - 1, *range(template.nv, template.m)]
-        self.g0 = g0
-        self.eye = np.eye(n)
-        self.k = b_mat.T @ y
-        self.u = (x0 @ b_mat)[..., None]
-        self.tol = 1e-6 * max(1.0, float(np.abs(self.u).max()))
-        self.x0_keep = x0[..., keep]
-        self.y_keep_t = y[keep].T
+        k_mat = b_mat.T @ y
+        u = x0 @ b_mat
+
+        # In g, the system is (I - g0 K + K diag(g)) v = u, and the kept rows
+        # are x0_keep + g0 Y_keep^T v - Y_keep^T (g v). Stack both: column j
+        # is constant[:, j] + g_j columns[:, j]. For device subset s, `mixed`
+        # takes column j from `columns` if j is in s and from `constant` if
+        # not; the adjugate of its square part (determinants with one column
+        # replaced) gives the Cramer numerators of s's term.
+        subsets = 2 ** n
+        in_subset = (np.arange(subsets)[:, None] >> np.arange(n)) & 1 == 1
+        columns = np.vstack([k_mat, y[keep]])
+        constant = np.eye(len(columns), n) - g0 * columns
+        mixed = np.where(in_subset[:, None, :], columns, constant)
+        block, coupling = mixed[:, :n], mixed[:, n:]
+        denominator = np.linalg.det(block)
+        # adjugate[s, i, c]: block s with column i replaced by e_c
+        replaced = np.broadcast_to(block[:, None, None], (subsets, n, n, n, n)).copy()
+        idx = np.arange(n)
+        replaced[:, idx, :, :, idx] = np.eye(n)
+        adjugate = np.linalg.det(replaced)
+        # numerators[..., s, r]: branches adjugate u, kept rows x0_keep D - coupling adjugate u
+        per_u = np.concatenate([adjugate, -(coupling @ adjugate)], axis=1)
+        numerators = np.dot(u, per_u.reshape(-1, n).T).reshape(u.shape[:-1] + (subsets, -1))
+        numerators[..., n:] += x0[..., None, keep] * denominator[:, None]
+        # a branch voltage has no term in its own device's conductance
+        numerators[..., :n] *= ~in_subset
+        self.coef = np.concatenate(
+            [numerators, np.broadcast_to(denominator[:, None], numerators.shape[:-1] + (1,))],
+            axis=-1)
+        self.n = n
+        self.system_t = np.vstack([constant[:n].T, k_mat.T])
+        self.u = u
+        self.tol = 1e-6 * max(1.0, float(np.abs(u).max()))
+        self._shape = None
+
+    def _allocate(self, shape):
+        """Scratch arrays and views for solves whose conductances have this shape."""
+        batch = np.broadcast_shapes(shape[:-1], self.coef.shape[:-2])
+        n, subsets = self.n, self.coef.shape[-2]
+        self._shape = shape
+        self._g = np.empty(shape)
+        self._monomials = np.empty(shape[:-1] + (1, subsets))
+        self._monomials[..., 0, 0] = 1.0
+        # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
+        self._products = [(self._monomials[..., 0, :2 ** j], self._g[..., j, None],
+                           self._monomials[..., 0, 2 ** j:2 ** (j + 1)]) for j in range(n)]
+        self._poly = np.empty(batch + (1, self.coef.shape[-1]))
+        self._numerators = self._poly[..., 0, :-1]
+        self._denominator = self._poly[..., 0, -1:]
+        self._stacked = np.empty(batch + (2 * n,))
+        self._stacked_v = self._stacked[..., :n]
+        self._stacked_gv = self._stacked[..., n:]
+        self._residual = np.empty(batch + (n,))
 
     def solve(self, device_conductances):
         """Returns (branch voltages, probe voltage, source currents).
@@ -288,19 +356,25 @@ class PortModel:
         Branch voltages are V(a) - V(b) per device; source currents follow
         the template's active list, oriented a->b through the source.
         """
-        delta = device_conductances - self.g0
-        lhs = self.eye + self.k * delta[..., None, :]
-        try:
-            v = np.linalg.solve(lhs, self.u)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetwork(f"nodal system is singular: {exc}") from None
-        residual = np.abs(lhs @ v - self.u).max()
-        if not residual <= self.tol:  # also catches NaN and inf
-            raise SingularNetwork(f"reduced solve residual {residual:g} indicates "
+        g = np.asarray(device_conductances, dtype=float)
+        if g.shape != self._shape:
+            self._allocate(g.shape)
+        np.copyto(self._g, g)
+        for low, factor, high in self._products:
+            np.multiply(low, factor, out=high)
+        np.matmul(self._monomials, self.coef, out=self._poly)
+        x = np.divide(self._numerators, self._denominator)
+        v = x[..., :self.n]
+        # the reduced system's residual: [v, g v] @ [(I - g0 K)^T; K^T] - u
+        np.copyto(self._stacked_v, v)
+        np.multiply(g, v, out=self._stacked_gv)
+        residual = np.dot(self._stacked, self.system_t, out=self._residual)
+        residual -= self.u
+        worst = np.abs(residual, out=residual).max()
+        if not worst <= self.tol:  # also catches NaN and inf
+            raise SingularNetwork(f"reduced solve residual {worst:g} indicates "
                                   "a singular or ill-conditioned network")
-        v = v[..., 0]
-        kept = self.x0_keep - (delta * v) @ self.y_keep_t
-        return v, kept[..., 0], kept[..., 1:]
+        return v, x[..., self.n], x[..., self.n + 1:]
 
 
 @dataclass

@@ -4,8 +4,9 @@ Almost everything in here is deliberately written without importing the
 package under test: closed-form ODE solutions, hand-rolled series-parallel
 ladder reduction, and a brute-force inversion counter. The one exception is
 the dense cycle integrator, which reuses the dense nodal solver and the
-device kernel but none of the controller. Tests compare simulator output
-against these.
+device kernel but none of the controller, and the reference device step,
+the kernel in whole-array form. Tests compare simulator output against
+these.
 """
 
 import math
@@ -116,6 +117,30 @@ def euler_drift_reference(w0, rate, v, dt, n_steps, p=1):
             w = 0.0
         elif w > 1.0:
             w = 1.0
+    return w
+
+
+# ---------------------------------------------------------------------------
+# Reference device step
+#
+# The device kernel in whole-array form: one expression per quantity, a
+# select for the threshold gate and np.clip for the bounds. The in-place
+# kernel in mlmsim.device must give the same bits for finite inputs.
+# ---------------------------------------------------------------------------
+
+def reference_step_array(w, v, dt, params, kind):
+    """In-place one-step forward-Euler update of the states w under branch voltages v."""
+    active = np.ones_like(w, dtype=bool)
+    if kind is dev.DeviceModelKind.THRESHOLD_DRIFT:
+        active = (v >= params.v_th_pos) | (v <= params.v_th_neg)
+
+    # window evaluated off the boundary when the drive points inward
+    arg = np.where(v > 0, np.maximum(w, dev.W_BOUNDARY_ESCAPE),
+                   np.minimum(w, 1.0 - dev.W_BOUNDARY_ESCAPE))
+    f = 1.0 - ((2.0 * arg - 1.0) ** 2) ** params.window_p
+    dw = params.drift_rate * v * f * dt
+    w += np.where(active, dw, 0.0)
+    np.clip(w, 0.0, 1.0, out=w)
     return w
 
 

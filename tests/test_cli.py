@@ -347,6 +347,17 @@ class TestCalibrateCommand:
         assert "finite and nonzero" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("maxiter", ["0", "-3"])
+    def test_maxiter_below_one_rejected(self, tmp_path, fast_config, capsys, maxiter):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("code,v_out\n222,3.3e-4\n000,1.4e-2\n")
+        out = tmp_path / "fit.json"
+        assert cli.main(["calibrate", "--config", fast_config, "--targets",
+                         str(targets), "--out", str(out), "--restarts", "1",
+                         f"--maxiter={maxiter}"]) == 1
+        assert f"maxiter must be at least 1, got {maxiter}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("code,v_out\n222\n", ":2: expected code,v_out"),
         ("code,v_out\n222,3.3e-4x\n000,1.4e-2\n", ":2: v_out '3.3e-4x' is not a number"),

@@ -89,6 +89,42 @@ class TestResetAndRead:
             ctl.run_cycle(loud, pattern("000"), ctl.CycleConfig(dt=4e-6, v_read=2.0))
 
 
+class TestStartingStates:
+    """A starting state is checked before any phase runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated an invalid starting state")
+        monkeypatch.setattr(ctl, "_run_phases", unreachable)
+
+    @pytest.mark.parametrize("w0, match", [
+        ([1.5, 0.2, 0.1], "1.5"),
+        ([-0.5, 0.2, 0.1], "-0.5"),
+        ([0.1, float("nan"), 0.1], "nan"),
+        ([0.1, 0.2, float("inf")], "inf"),
+        ([0.1, 0.2], r"3 device states .* shape \(2,\)"),
+        ([0.1, 0.2, 0.3, 0.4], r"shape \(4,\)"),
+        (0.5, r"shape \(\)"),
+    ], ids=["above-1", "negative", "nan", "inf", "too-few", "too-many", "scalar"])
+    def test_invalid_w0_rejected(self, cell, w0, match):
+        with pytest.raises(ValueError, match=match):
+            ctl.run_cycle(cell, pattern("012"), FAST, w0=w0)
+        with pytest.raises(ValueError, match=match):
+            ctl.run_reset_phase(cell, w0, FAST)
+        with pytest.raises(ValueError, match=match):
+            ctl.run_read_phase(cell, w0, FAST)
+
+    def test_one_row_of_states_per_pattern(self, cell):
+        volts = np.array([pattern("012").port_voltages, pattern("210").port_voltages])
+        with pytest.raises(ValueError, match=r"each of 2 row\(s\), got shape \(3,\)"):
+            ctl._run_batch(cell, volts, FAST, w0=[0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
+            ctl._run_batch(cell, volts, FAST, w0=np.full((3, 2), 0.5))
+        with pytest.raises(ValueError, match="1.5"):
+            ctl._run_batch(cell, volts, FAST, w0=[[0.1, 0.2, 0.3], [0.4, 1.5, 0.6]])
+
+
 class TestInputSweep:
     def test_staircase_shape(self, cell):
         ms = ctl.run_input_sweep(cell, "behavioral", FAST)
@@ -281,6 +317,8 @@ class TestCalibration:
             ([("000", 1e-2), ("222", 0.0)], {}, "finite and nonzero"),
             ([("222", 3e-4)], {"n_restarts": 0}, "n_restarts"),
             ([("222", 3e-4)], {"n_restarts": -2}, "n_restarts"),
+            ([("222", 3e-4)], {"maxiter": 0}, "maxiter"),
+            ([("222", 3e-4)], {"maxiter": -3}, "maxiter"),
         ]:
             with pytest.raises(ValueError, match=match):
                 ctl.calibrate(targets, cfg=FAST, **kwargs)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlmsim import device as dev
 
-from oracles import logistic_drift
+from oracles import logistic_drift, reference_step_array
 
 THRESHOLD = dev.DeviceModelKind.THRESHOLD_DRIFT
 LINEAR = dev.DeviceModelKind.LINEAR_DRIFT
@@ -116,6 +116,46 @@ class TestDriftNumerics:
             dt = rng.uniform(1e-7, 1e-5)
             dev.step_array(w, v, dt, p, LINEAR)
             assert (w >= 0.0).all() and (w <= 1.0).all()
+
+
+class TestKernelAgainstReference:
+    """The in-place kernel against the whole-array reference, bit for bit."""
+
+    @staticmethod
+    def _states(rng, size):
+        # interior values, the exact bounds, and both escape bands
+        esc = dev.W_BOUNDARY_ESCAPE
+        pools = [rng.uniform(0.0, 1.0, size), np.zeros(size), np.ones(size),
+                 rng.uniform(0.0, esc, size), rng.uniform(1.0 - esc, 1.0, size)]
+        return np.choose(rng.integers(len(pools), size=size), pools)
+
+    @staticmethod
+    def _voltages(rng, size, params):
+        # both sides of both thresholds, exactly on them, and zero
+        pools = [rng.uniform(-5.0, 5.0, size),
+                 rng.uniform(params.v_th_neg, params.v_th_pos, size),
+                 np.full(size, params.v_th_pos), np.full(size, params.v_th_neg),
+                 np.nextafter(params.v_th_pos, -np.inf) + np.zeros(size),
+                 np.nextafter(params.v_th_neg, np.inf) + np.zeros(size),
+                 np.zeros(size)]
+        return np.choose(rng.integers(len(pools), size=size), pools)
+
+    @pytest.mark.parametrize("kind", [THRESHOLD, LINEAR])
+    @pytest.mark.parametrize("window_p", [1, 2, 3])
+    def test_bit_identical(self, kind, window_p):
+        rng = np.random.default_rng(window_p)
+        for _ in range(700):
+            params = dev.MemristorParams(
+                v_th_pos=rng.uniform(0.0, 1.0), v_th_neg=-rng.uniform(0.0, 3.0),
+                drift_rate=10.0 ** rng.uniform(1.0, 4.0), window_p=window_p)
+            shape = (int(rng.integers(1, 8)), int(rng.integers(1, 4)))
+            w = self._states(rng, shape)
+            v = self._voltages(rng, shape, params)
+            dt = 10.0 ** rng.uniform(-8.0, -3.0)
+            expected = reference_step_array(w.copy(), v, dt, params, kind)
+            got = w.copy()
+            assert dev.step_array(got, v, dt, params, kind) is got
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestThresholdDrift:

@@ -292,12 +292,49 @@ class TestPortModel:
             # near r_off; over 1000 random cells they stay within 1.5e-12.
             assert_rowwise_close(i_model, i_src, 5e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_device_netlist_matches_dense_solve(self, seed):
+        # two sources, a bridge resistor and one device: the reduction onto a
+        # single port, with a batch of source values and conductances
+        rng = np.random.default_rng(100 + seed)
+        ohms = rng.uniform(50.0, 5000.0, size=4)
+        nl = net.Netlist(5, [net.VoltageSource(1, 0, 0.0, active=False),
+                             net.Resistor(1, 2, ohms[0]),
+                             net.MemristorRef(2, 3, device=0),
+                             net.Resistor(3, 4, ohms[1]),
+                             net.Resistor(4, 0, ohms[2]),
+                             net.Resistor(2, 4, ohms[3]),
+                             net.VoltageSource(3, 0, 0.0, active=False)])
+        batch = 5
+        sources = {0: rng.uniform(-4.0, 4.0, size=batch),
+                   6: rng.uniform(-4.0, 4.0, size=batch)}
+        tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
+        z = tmpl.rhs(sources)
+        g = 1.0 / rng.uniform(1e3, 1e5, size=(batch, 1))
+        volts, i_src = tmpl.solve(g, z)
+        v_dev, v_probe, i_model = net.PortModel(tmpl, z, 1e-3, 4).solve(g)
+        assert_rowwise_close(v_dev, volts[:, [2]] - volts[:, [3]], 1e-12)
+        assert_rowwise_close(v_probe[:, None], volts[:, [4]], 1e-12)
+        assert_rowwise_close(i_model, i_src, 5e-12)
+
     def test_non_finite_conductance_is_singular(self):
         nl, ports = net.build_mlm_cell(net.CellTopology())
         tmpl = net.MnaTemplate(nl, dict.fromkeys(ports.read, 0.05))
         model = net.PortModel(tmpl, tmpl.z_base, 1e-3, ports.probe_node)
         with pytest.raises(net.SingularNetwork):
             model.solve(np.array([[1e-3, np.nan, 1e-3]]))
+
+    @pytest.mark.parametrize("g", [np.inf, -1e-3], ids=["infinite", "singular"])
+    def test_degenerate_conductance_is_singular(self, g):
+        # at g = -1/1000 S the device cancels the 1 kohm feed of node 2
+        nl = net.Netlist(3, [net.VoltageSource(1, 0, 1.0),
+                             net.Resistor(1, 2, 1000.0),
+                             net.MemristorRef(2, 0, device=0)])
+        tmpl = net.MnaTemplate(nl)
+        model = net.PortModel(tmpl, tmpl.z_base, 1e-3, 2)
+        assert model.solve(np.array([[2e-3]]))[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        with np.errstate(invalid="ignore"), pytest.raises(net.SingularNetwork):
+            model.solve(np.array([[g]]))
 
     def test_floating_network_is_singular(self):
         nl = net.Netlist(4, [net.VoltageSource(1, 0, 1.0),
