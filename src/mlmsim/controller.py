@@ -8,7 +8,7 @@ device branches (`network.PortModel`, with every device at r_on as the
 reference), and every output is written as a ratio of two polynomials in
 the three device conductances. On every timestep one evaluation of those
 polynomials, with a residual check of the reduced 3x3 system, then gives
-the exact branch voltages, probe voltage and source currents for the
+the exact branch voltages, probe voltage and total source power for the
 frozen device resistances, after which each device state advances one
 explicit Euler step under its own branch voltage. Devices therefore
 interact through the shared nodes during the write transient, which is the
@@ -31,8 +31,16 @@ and the single-phase operations run a one-element list through the same loop.
            raises NonQuiescentRead.
 
 Every step also folds the total source power -V*I of the phase's engaged
-sources into a per-row running maximum, so each run reports its own peak
-source power.
+sources, which the model gives as one more ratio of polynomials, into a
+per-row running maximum, so each run reports its own peak source power.
+
+Two kernels step a phase, chosen by the row count alone. A batch of more
+than one row runs numpy calls on whole arrays (`_step_arrays`). A batch of
+one row, as in `run_cycle` and the single-phase operations, steps in Python
+floats (`_step_floats`): at three devices a numpy call costs more than the
+arithmetic it does. Both use the same phase list, the same per-phase model
+and the same checks; the float device law gives `device.step_array`'s bits,
+and the polynomial sums may differ from numpy's in the last bits.
 
 With source noise, each phase draws its perturbations as it is built, in
 this order: the reset amplitude, one per write port held at 0 V, one per
@@ -49,14 +57,17 @@ substream, then one per row of the second group from its own, and so on,
 in group order. A group therefore sees exactly the numbers it would draw
 if it ran alone. Each row may also carry its own temperature. Every row is
 solved and stepped on its own, and a phase that runs on past a group's
-quiescent step repeats that step bit for bit, so a group's results are the
-same inside a batch as alone.
+quiescent step repeats that step bit for bit, so a group of two or more
+rows gets the same results inside a batch as alone. A one-row group run
+alone takes the float kernel, and agrees with its row of a larger batch to
+1e-12 relative.
 """
 
 import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, replace
+from operator import mul, sub
 
 import numpy as np
 
@@ -265,7 +276,8 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     temperature holds one value per batch row in K; None means
     cfg.temperature for every row. Returns (v_out, read drift, peak source
     power), one value per batch row; v_out and drift stay None when no
-    phase is the read.
+    phase is the read. A one-row batch steps in Python floats
+    (`_step_floats`), any larger batch in numpy (`_step_arrays`).
     """
     batch = w.shape[0]
     if temperature is None:
@@ -279,41 +291,113 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
         raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
                          f"{factor[k]:.4g} at T = {temps[k]:.6g} K; it must be positive")
     g0 = 1.0 / cell.params.r_on
+    run_phase = _step_floats if batch == 1 else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
-    w_prev = np.empty_like(w)
     for phase in phases:
         tmpl = net.MnaTemplate(cell.netlist, dict.fromkeys(phase.sources, 0.0))
         z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
         model = net.PortModel(tmpl, z, g0, cell.ports.probe_node)
-        # -V per engaged source: the source rows of z, ordered like the currents
-        neg_volts = -z[..., tmpl.nv:]
+        probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, temperature,
+                                           peak_power)
         if phase.is_read:
-            w_start = w.copy()
-            probe_sum = np.zeros(batch)
-            drift = np.zeros(batch)
-        for step in range(phase.n_steps):
-            np.copyto(w_prev, w)
-            r = dev.resistance_array(w, cell.params, temperature)
-            v_dev, v_probe, i_src = model.solve(1.0 / r)
-            dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
-            if phase.is_read:
-                probe_sum += v_probe
-                drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
-            np.maximum(peak_power, (neg_volts * i_src).sum(axis=-1), out=peak_power)
-            if (w == w_prev).all():
-                # every later step of the phase would repeat this one exactly
-                if phase.is_read:
-                    for _ in range(phase.n_steps - step - 1):
-                        probe_sum += v_probe
-                break
-        if phase.is_read:
+            drift = phase_drift
             if (drift >= READ_DISTURB_TOLERANCE).any():
                 raise NonQuiescentRead(
                     f"read moved device state by {drift.max():.3e} of full scale "
                     f"(tolerance {READ_DISTURB_TOLERANCE:g})")
             v_out = probe_sum / phase.n_steps
     return v_out, drift, peak_power
+
+
+def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
+    """Step the states w through one phase; returns (probe sum, read drift).
+
+    w and peak_power change in place; the probe sum and drift, one value
+    per batch row, stay zero unless the phase is the read.
+    """
+    batch = w.shape[0]
+    w_prev = np.empty_like(w)
+    w_start = w.copy()
+    probe_sum = np.zeros(batch)
+    drift = np.zeros(batch)
+    for step in range(phase.n_steps):
+        np.copyto(w_prev, w)
+        r = dev.resistance_array(w, cell.params, temperature)
+        v_dev, v_probe, _, power = model.solve(1.0 / r)
+        dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
+        if phase.is_read:
+            probe_sum += v_probe
+            drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
+        np.maximum(peak_power, power, out=peak_power)
+        if (w == w_prev).all():
+            # every later step of the phase would repeat this one exactly
+            if phase.is_read:
+                for _ in range(phase.n_steps - step - 1):
+                    probe_sum += v_probe
+            break
+    return probe_sum, drift
+
+
+def _multilinear(c, ga, gb, gab, gc):
+    """A `network.PortModel` polynomial in three conductances, from its 8 coefficients."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return c0 + ga * c1 + gb * c2 + gab * c3 + gc * (c4 + ga * c5 + gb * c6 + gab * c7)
+
+
+def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
+    """`_step_arrays` for a one-row batch of the cell's three devices, in Python floats.
+
+    At three devices a numpy call costs more than the arithmetic it does,
+    so each step evaluates the model's polynomials and the device law on
+    floats instead: the same coefficients, the same residual check against
+    model.tol, and the power column in place of the source currents. The
+    device law gives step_array's bits; the polynomial sums may differ from
+    the batched matrix product in the last bits.
+    """
+    conductances, step_row = dev.row_law(cell.params, cell.kind, cfg.dt,
+                                         np.ravel(temperature)[0])
+    columns = model.coef[0].T.tolist()
+    col_a, col_b, col_c, col_probe = columns[:4]
+    col_power, col_den = columns[-2:]
+    # residual i: [v, g v] . row i of the reduced system, less u[i]
+    system = list(zip(model.system_t.T.tolist(), model.u[0].tolist()))
+    tol = model.tol
+    ws = w_start = w[0].tolist()
+    peak = float(peak_power[0])
+    probe_sum = drift = 0.0
+    for step in range(phase.n_steps):
+        ga, gb, gc = conductances(ws)
+        gab = ga * gb
+        den = _multilinear(col_den, ga, gb, gab, gc)
+        if den == 0.0:
+            raise net.SingularNetwork("reduced system has a zero determinant")
+        va = _multilinear(col_a, ga, gb, gab, gc) / den
+        vb = _multilinear(col_b, ga, gb, gab, gc) / den
+        vc = _multilinear(col_c, ga, gb, gab, gc) / den
+        gva, gvb, gvc = ga * va, gb * vb, gc * vc
+        for (s0, s1, s2, s3, s4, s5), ui in system:
+            residual = abs(s0 * va + s1 * vb + s2 * vc + s3 * gva + s4 * gvb + s5 * gvc - ui)
+            if not residual <= tol:  # one component at a time: max() can drop a NaN
+                raise net.SingularNetwork(f"reduced solve residual {residual:g} indicates "
+                                          "a singular or ill-conditioned network")
+        new = step_row(ws, (va, vb, vc))
+        if phase.is_read:
+            probe = _multilinear(col_probe, ga, gb, gab, gc) / den
+            probe_sum += probe
+            drift = max(drift, *map(abs, map(sub, new, w_start)))
+        power = _multilinear(col_power, ga, gb, gab, gc) / den
+        if power > peak or power != power:  # a NaN stays, as in np.maximum
+            peak = power
+        if new == ws:
+            if phase.is_read:
+                for _ in range(phase.n_steps - step - 1):
+                    probe_sum += probe
+            break
+        ws = new
+    w[0] = ws
+    peak_power[0] = peak
+    return np.array([probe_sum]), np.array([drift])
 
 
 def _initial_states(cell, w0, batch):
@@ -490,7 +574,10 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
     if n_rows > MAX_BATCH_ROWS:
         raise ValueError(f"{len(temps_c)} temperatures x {trials} trials x {n_codes} "
                          f"codes is {n_rows} rows, over the {MAX_BATCH_ROWS}-row limit")
-    # every temperature is validated before the simulation
+    # every temperature is validated before the simulation, and named as given
+    for t in temps_c:
+        if celsius_to_kelvin(t) <= 0:
+            raise ValueError(f"temperature must be above -273.15 C, got {t!r} C")
     kelvins = [replace(cfg, temperature=celsius_to_kelvin(t)).temperature for t in temps_c]
     groups = [(t_idx, trial) for t_idx in range(len(temps_c)) for trial in range(trials)]
     v_out, _, _, _ = _run_batch(cell, np.tile(_level_volts(table), (len(groups), 1)), cfg,

@@ -9,7 +9,7 @@ reference. For a transient, `PortModel` factors the system once per source
 configuration, reduces it onto the device branches, and writes every
 output as a ratio of two polynomials in the device conductances, with
 2^n_devices coefficients each. It keeps those coefficients per batch row,
-8 x (5 + n_sources) doubles for three devices, so a timestep costs one
+8 x (6 + n_sources) doubles for three devices, so a timestep costs one
 polynomial evaluation plus a residual check of the reduced system.
 
 The multi-level cell builder produces one sub-cell per memristor:
@@ -258,13 +258,16 @@ class PortModel:
     denominator is the system's determinant,
     shared by every output and every batch row; each numerator is linear in
     the row's right-hand side. The constructor takes every coefficient from
-    batched determinants of the column-mixed system, and keeps 2^n of them
-    per batch row for each branch, the probe, each source and the
-    denominator: 8 x (5 + n_sources) doubles per row for three devices. A
-    solve is then the monomials of g, one batched matrix product and one
-    division. The expansion is in g, not in g - g0: the determinant of a
-    passive network has terms of one sign in g (the matrix-tree theorem),
-    so its sum does not cancel. Every solve still checks the residual of
+    batched determinants of the column-mixed system. One more numerator,
+    the source currents' numerators weighted by each source's -V from z,
+    gives the total source power -V*I over the same denominator, so a solve
+    never sums the currents. The model keeps 2^n coefficients per batch row
+    for each branch, the probe, each source, the power and the denominator,
+    in that column order: 8 x (6 + n_sources) doubles per row for three
+    devices. A solve is then the monomials of g, one batched matrix product
+    and one division. The expansion is in g, not in g - g0: the determinant
+    of a passive network has terms of one sign in g (the matrix-tree
+    theorem), so its sum does not cancel. Every solve still checks the residual of
     the reduced system against a fixed tolerance, and raises
     SingularNetwork on NaN, inf or an ill-conditioned system.
 
@@ -322,8 +325,11 @@ class PortModel:
         numerators[..., n:] += x0[..., None, keep] * denominator[:, None]
         # a branch voltage has no term in its own device's conductance
         numerators[..., :n] *= ~in_subset
+        # total source power -V.I: the source currents' numerators weighted by -V
+        power = -(numerators[..., n + 1:] * z[..., None, template.nv:]).sum(axis=-1)
         self.coef = np.concatenate(
-            [numerators, np.broadcast_to(denominator[:, None], numerators.shape[:-1] + (1,))],
+            [numerators, power[..., None],
+             np.broadcast_to(denominator[:, None], numerators.shape[:-1] + (1,))],
             axis=-1)
         self.n = n
         self.system_t = np.vstack([constant[:n].T, k_mat.T])
@@ -351,10 +357,11 @@ class PortModel:
         self._residual = np.empty(batch + (n,))
 
     def solve(self, device_conductances):
-        """Returns (branch voltages, probe voltage, source currents).
+        """Returns (branch voltages, probe voltage, source currents, source power).
 
         Branch voltages are V(a) - V(b) per device; source currents follow
-        the template's active list, oriented a->b through the source.
+        the template's active list, oriented a->b through the source; source
+        power is the total -V*I of the engaged sources.
         """
         g = np.asarray(device_conductances, dtype=float)
         if g.shape != self._shape:
@@ -374,7 +381,7 @@ class PortModel:
         if not worst <= self.tol:  # also catches NaN and inf
             raise SingularNetwork(f"reduced solve residual {worst:g} indicates "
                                   "a singular or ill-conditioned network")
-        return v, x[..., self.n], x[..., self.n + 1:]
+        return v, x[..., self.n], x[..., self.n + 1:-1], x[..., -1]
 
 
 @dataclass

@@ -281,6 +281,14 @@ class TestTempStudyCommand:
         assert "temperature" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_below_absolute_zero_names_the_input(self, tmp_path, fast_config, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["temp-study", "--config", fast_config, "--temps=-300",
+                         "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "-300" in err and "-26.85" not in err
+        assert not out.exists()
+
     def test_too_few_trials_rejected(self, tmp_path, fast_config):
         assert cli.main(["temp-study", "--config", fast_config, "--trials", "1",
                          "--out", str(tmp_path / "s.csv")]) == 1

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -484,3 +485,88 @@ class TestDenseReference:
         # 150 write steps; the reset of a fresh cell and the read are
         # frozen after their first step
         assert calls[0] <= 160
+
+
+def _parity_case(name):
+    """(cell, cycle config, noise) for one kernel-parity case."""
+    cfg = ctl.CycleConfig()
+    if name == "unequal cell at 50 C":
+        cell = ctl.make_cell(net.CellTopology(r_series=(400.0, 500.0, 650.0),
+                                              read_series_ohms=50.0))
+        return cell, replace(cfg, temperature=ctl.celsius_to_kelvin(50.0)), None
+    if name == "1 mV noise":
+        return ctl.make_cell(), cfg, ctl.NoiseConfig(1e-3, 7)
+    if name == "linear drift":
+        # a short, small read keeps a model without thresholds inside the
+        # read-disturb tolerance
+        return (ctl.make_cell(kind=dev.DeviceModelKind.LINEAR_DRIFT),
+                replace(cfg, v_read=0.01, t_read=2e-5), None)
+    if name.startswith("window_p"):
+        return ctl.make_cell(params=dev.MemristorParams(window_p=int(name[-1]))), cfg, None
+    return ctl.make_cell(), cfg, None
+
+
+class TestKernelParity:
+    """A one-row batch steps in Python floats, a larger one in numpy."""
+
+    @pytest.mark.parametrize("name", ["default", "unequal cell at 50 C", "1 mV noise",
+                                      "linear drift", "window_p 2", "window_p 3"])
+    def test_one_row_matches_a_row_of_two(self, name):
+        cell, cfg, noise = _parity_case(name)
+        other = pattern("111").port_voltages
+        w_one = w_two = None
+        for code in ("222", "012", "120", "000"):
+            volts = pattern(code).port_voltages
+            v_one, w_one, _, peak_one = ctl._run_batch(cell, [volts], cfg, w0=w_one,
+                                                       noise=noise)
+            # row 0 draws from the same substream as the one-row run
+            v_two, w_two, _, peak_two = ctl._run_batch(cell, [volts, other], cfg, w0=w_two,
+                                                       noise=noise, spawn_keys=((), (1,)))
+            np.testing.assert_allclose(v_one, v_two[:1], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(w_one, w_two[:1], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(peak_one, peak_two[:1], rtol=1e-12, atol=0.0)
+
+    def test_kernel_chosen_by_row_count(self, cell, monkeypatch):
+        calls = []
+        step_array = dev.step_array
+
+        def counting(w, *args, **kwargs):
+            calls.append(len(w))
+            return step_array(w, *args, **kwargs)
+
+        monkeypatch.setattr(dev, "step_array", counting)
+        volts = pattern("012").port_voltages
+        ctl._run_batch(cell, [volts], FAST)
+        assert calls == []
+        ctl._run_batch(cell, [volts, volts], FAST)
+        assert calls and set(calls) == {2}
+
+
+class TestFailureParity:
+    """A corrupted model raises SingularNetwork from either kernel."""
+
+    @pytest.fixture(params=["zero denominator", "NaN numerator", "NaN right-hand side"])
+    def corrupted_models(self, request, monkeypatch):
+        build = net.PortModel.__init__
+
+        def corrupted(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            if request.param == "zero denominator":
+                model.coef[..., -1] = 0.0
+            elif request.param == "NaN numerator":
+                model.coef[..., 0, 0] = np.nan  # first branch voltage, constant term
+            else:
+                # only the middle residual component is NaN, so a max() over
+                # the components would drop it
+                model.u[..., 1] = np.nan
+
+        monkeypatch.setattr(net.PortModel, "__init__", corrupted)
+
+    def test_one_row(self, cell, corrupted_models):
+        with pytest.raises(net.SingularNetwork):
+            ctl.run_cycle(cell, pattern("012"), FAST)
+
+    def test_ten_rows(self, cell, corrupted_models):
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(net.SingularNetwork):
+            ctl.simulate_levels(cell, FAST)

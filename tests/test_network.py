@@ -284,13 +284,15 @@ class TestPortModel:
             z = tmpl.rhs(sources)
             volts, i_src = tmpl.solve(g, z)
             model = net.PortModel(tmpl, z, 1.0 / params.r_on, ports.probe_node)
-            v_dev, v_probe, i_model = model.solve(g)
+            v_dev, v_probe, i_model, power = model.solve(g)
             assert_rowwise_close(v_dev, volts[:, dev_a] - volts[:, dev_b], 1e-12)
             assert_rowwise_close(v_probe[:, None], volts[:, [ports.probe_node]], 1e-12)
             # The reduced currents subtract a correction from the currents at
             # g0 = 1/r_on, which are up to ~50x larger when the devices sit
             # near r_off; over 1000 random cells they stay within 1.5e-12.
             assert_rowwise_close(i_model, i_src, 5e-12)
+            assert_rowwise_close(power[:, None],
+                                 -(z[..., tmpl.nv:] * i_src).sum(-1)[:, None], 5e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_device_netlist_matches_dense_solve(self, seed):
@@ -312,7 +314,7 @@ class TestPortModel:
         z = tmpl.rhs(sources)
         g = 1.0 / rng.uniform(1e3, 1e5, size=(batch, 1))
         volts, i_src = tmpl.solve(g, z)
-        v_dev, v_probe, i_model = net.PortModel(tmpl, z, 1e-3, 4).solve(g)
+        v_dev, v_probe, i_model, _ = net.PortModel(tmpl, z, 1e-3, 4).solve(g)
         assert_rowwise_close(v_dev, volts[:, [2]] - volts[:, [3]], 1e-12)
         assert_rowwise_close(v_probe[:, None], volts[:, [4]], 1e-12)
         assert_rowwise_close(i_model, i_src, 5e-12)
