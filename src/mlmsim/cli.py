@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 domain or configuration error, 2 simulation error
 """
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -41,18 +42,35 @@ def _write_manifest(out_path, sim, seed):
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = f"{out_path}.manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    _write_json(f"{out_path}.manifest.json", manifest)
+
+
+@contextlib.contextmanager
+def _output(path, **open_args):
+    """An output file open for writing, its directory created first.
+
+    Any OSError while creating or writing it (a directory in its place, a
+    parent that cannot be made, a full disk) becomes a ConfigError that
+    names the path.
+    """
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", **open_args) as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_json(path, document):
+    with _output(path) as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return path
 
 
 def _write_csv(path, header, rows):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -202,12 +220,7 @@ def cmd_calibrate(args):
         ],
         "evaluations": result.n_evaluations,
     }
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(args.out, report)
     _write_manifest(args.out, sim, seed)
     print(f"residual {result.residual_initial:.4g} -> {result.residual_best:.4g} "
           f"({result.improvement:.1%} improvement), "

@@ -131,6 +131,17 @@ def _finite(convert):
     return parse
 
 
+def _reject_booleans(value, path):
+    """Raise ConfigError at the first true or false in a parsed document; no field takes one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: {json.dumps(value)} is not allowed in a config; "
+                          "no field takes a boolean")
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _reject_booleans(item, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}")
+
+
 def load_config(path=None) -> SimConfig:
     """Load a config file; None or an empty document yields the defaults."""
     if path is None:
@@ -150,6 +161,8 @@ def load_config(path=None) -> SimConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _take(data, "config", ("device", "topology", "encoder", "cycle", "noise"))
+    for name, section in data.items():
+        _reject_booleans(section, name)
 
     params = _build(dev.MemristorParams, _section(data, "device"), "device")
     topology = _build(net.CellTopology, _section(data, "topology"), "topology")

@@ -6,7 +6,11 @@ read. One loop, `_run_phases`, runs any such list. In each phase the
 engaged sources are fixed, so the network is reduced once onto the three
 device branches (`network.PortModel`, with every device at r_on as the
 reference), and every output is written as a ratio of two polynomials in
-the three device conductances. On every timestep one evaluation of those
+the three device conductances. The part of that reduction that does not
+depend on the source values is kept on the cell's template for the
+phase's source set (`Cell.template`), so a chain of cycles on one cell
+builds it once per source set: reset, write and read. A phase then costs
+one solve for its source values. On every timestep one evaluation of those
 polynomials, with a residual check of the reduced 3x3 system, then gives
 the exact branch voltages, probe voltage and total source power for the
 frozen device resistances, after which each device state advances one
@@ -38,9 +42,12 @@ Two kernels step a phase, chosen by the row count alone. A batch of more
 than one row runs numpy calls on whole arrays (`_step_arrays`). A batch of
 one row, as in `run_cycle` and the single-phase operations, steps in Python
 floats (`_step_floats`): at three devices a numpy call costs more than the
-arithmetic it does. Both use the same phase list, the same per-phase model
-and the same checks; the float device law gives `device.step_array`'s bits,
-and the polynomial sums may differ from numpy's in the last bits.
+arithmetic it does, so each step is straight-line code over the three
+devices' floats, with the device law of `device.row_law` called once per
+device for its conductance and once for its step. Both kernels use the
+same phase list, the same per-phase model and the same checks; the float
+device law gives `device.step_array`'s bits, and the polynomial sums may
+differ from numpy's in the last bits.
 
 With source noise, each phase draws its perturbations as it is built, in
 this order: the reset amplitude, one per write port held at 0 V, one per
@@ -66,8 +73,7 @@ alone takes the float kernel, and agrees with its row of a larger batch to
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, replace
-from operator import mul, sub
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,13 +191,28 @@ class StudyStats:
 
 @dataclass(frozen=True)
 class Cell:
-    """A built cell: topology, device parameterization, netlist and ports."""
+    """A built cell: topology, device parameterization, netlist and ports.
+
+    templates holds one `network.MnaTemplate` per set of engaged sources,
+    built on first use by `template`; each keeps its own port reduction, so
+    a chain of cycles on one cell reduces the network once per source set.
+    """
 
     topology: net.CellTopology
     params: dev.MemristorParams
     kind: dev.DeviceModelKind
     netlist: net.Netlist
     ports: net.CellPorts
+    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def template(self, sources):
+        """The MnaTemplate with exactly these source indices engaged."""
+        key = frozenset(sources)
+        tmpl = self.templates.get(key)
+        if tmpl is None:
+            tmpl = self.templates[key] = net.MnaTemplate(self.netlist,
+                                                         dict.fromkeys(key, 0.0))
+        return tmpl
 
 
 def make_cell(topology=None, params=None,
@@ -295,7 +316,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     v_out = drift = None
     peak_power = np.zeros(batch)
     for phase in phases:
-        tmpl = net.MnaTemplate(cell.netlist, dict.fromkeys(phase.sources, 0.0))
+        tmpl = cell.template(phase.sources)
         z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
         model = net.PortModel(tmpl, z, g0, cell.ports.probe_node)
         probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, temperature,
@@ -339,63 +360,79 @@ def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
     return probe_sum, drift
 
 
-def _multilinear(c, ga, gb, gab, gc):
-    """A `network.PortModel` polynomial in three conductances, from its 8 coefficients."""
-    c0, c1, c2, c3, c4, c5, c6, c7 = c
-    return c0 + ga * c1 + gb * c2 + gab * c3 + gc * (c4 + ga * c5 + gb * c6 + gab * c7)
+# _SELF_TERMS[s, j]: device j is in subset s, so branch j's polynomial has
+# no g_j term there (`network.PortModel` zeroes it)
+_SELF_TERMS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 
 
 def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
     """`_step_arrays` for a one-row batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does,
-    so each step evaluates the model's polynomials and the device law on
-    floats instead: the same coefficients, the same residual check against
-    model.tol, and the power column in place of the source currents. The
-    device law gives step_array's bits; the polynomial sums may differ from
-    the batched matrix product in the last bits.
+    so each step evaluates the model's polynomials and the device law as
+    straight-line float code instead: the same coefficients, the same
+    residual check against model.tol, and the power column in place of the
+    source currents. The branch polynomials leave out the four coefficients
+    per branch that the model zeroes, which is checked once per phase; the
+    other sums run in the order of the monomials. The device law gives
+    step_array's bits; the polynomial sums may differ from the batched
+    matrix product in the last bits.
     """
-    conductances, step_row = dev.row_law(cell.params, cell.kind, cfg.dt,
-                                         np.ravel(temperature)[0])
-    columns = model.coef[0].T.tolist()
-    col_a, col_b, col_c, col_probe = columns[:4]
-    col_power, col_den = columns[-2:]
+    conductance, step_device = dev.row_law(cell.params, cell.kind, cfg.dt,
+                                           np.ravel(temperature)[0])
+    coef = model.coef[0]
+    if (coef[:, :3][_SELF_TERMS] != 0.0).any():
+        raise RuntimeError("a branch polynomial of the port model has a term in its "
+                           "own device's conductance; the float kernel assumes none")
+    columns = coef.T.tolist()
+    (a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _) = columns[:2]
+    (c0, c1, c2, c3, *_), (p0, p1, p2, p3, p4, p5, p6, p7) = columns[2:4]
+    (q0, q1, q2, q3, q4, q5, q6, q7), (d0, d1, d2, d3, d4, d5, d6, d7) = columns[-2:]
     # residual i: [v, g v] . row i of the reduced system, less u[i]
-    system = list(zip(model.system_t.T.tolist(), model.u[0].tolist()))
-    tol = model.tol
-    ws = w_start = w[0].tolist()
+    ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
+     (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
+    u0, u1, u2 = model.u[0].tolist()
+    tol, is_read = model.tol, phase.is_read
+    wa, wb, wc = sa, sb, sc = w[0].tolist()
     peak = float(peak_power[0])
     probe_sum = drift = 0.0
     for step in range(phase.n_steps):
-        ga, gb, gc = conductances(ws)
+        ga, gb, gc = conductance(wa), conductance(wb), conductance(wc)
         gab = ga * gb
-        den = _multilinear(col_den, ga, gb, gab, gc)
-        if den == 0.0:
+        den = d0 + ga * d1 + gb * d2 + gab * d3 + gc * (d4 + ga * d5 + gb * d6 + gab * d7)
+        if den == 0.0:  # a NaN or infinite one fails the residual check, as in numpy
             raise net.SingularNetwork("reduced system has a zero determinant")
-        va = _multilinear(col_a, ga, gb, gab, gc) / den
-        vb = _multilinear(col_b, ga, gb, gab, gc) / den
-        vc = _multilinear(col_c, ga, gb, gab, gc) / den
+        va = (a0 + gb * a2 + gc * (a4 + gb * a6)) / den
+        vb = (b0 + ga * b1 + gc * (b4 + ga * b5)) / den
+        vc = (c0 + ga * c1 + gb * c2 + gab * c3) / den
         gva, gvb, gvc = ga * va, gb * vb, gc * vc
-        for (s0, s1, s2, s3, s4, s5), ui in system:
-            residual = abs(s0 * va + s1 * vb + s2 * vc + s3 * gva + s4 * gvb + s5 * gvc - ui)
-            if not residual <= tol:  # one component at a time: max() can drop a NaN
-                raise net.SingularNetwork(f"reduced solve residual {residual:g} indicates "
-                                          "a singular or ill-conditioned network")
-        new = step_row(ws, (va, vb, vc))
-        if phase.is_read:
-            probe = _multilinear(col_probe, ga, gb, gab, gc) / den
+        r0 = abs(e0 * va + e1 * vb + e2 * vc + e3 * gva + e4 * gvb + e5 * gvc - u0)
+        r1 = abs(f0 * va + f1 * vb + f2 * vc + f3 * gva + f4 * gvb + f5 * gvc - u1)
+        r2 = abs(h0 * va + h1 * vb + h2 * vc + h3 * gva + h4 * gvb + h5 * gvc - u2)
+        # one component at a time: max() can drop a NaN
+        if not (r0 <= tol and r1 <= tol and r2 <= tol):
+            worst = next(r for r in (r0, r1, r2) if not r <= tol)
+            raise net.SingularNetwork(f"reduced solve residual {worst:g} indicates "
+                                      "a singular or ill-conditioned network")
+        na, nb, nc = step_device(wa, va), step_device(wb, vb), step_device(wc, vc)
+        if is_read:
+            probe = (p0 + ga * p1 + gb * p2 + gab * p3
+                     + gc * (p4 + ga * p5 + gb * p6 + gab * p7)) / den
             probe_sum += probe
-            drift = max(drift, *map(abs, map(sub, new, w_start)))
-        power = _multilinear(col_power, ga, gb, gab, gc) / den
+            for moved in (abs(na - sa), abs(nb - sb), abs(nc - sc)):
+                if moved > drift:
+                    drift = moved
+        power = (q0 + ga * q1 + gb * q2 + gab * q3
+                 + gc * (q4 + ga * q5 + gb * q6 + gab * q7)) / den
         if power > peak or power != power:  # a NaN stays, as in np.maximum
             peak = power
-        if new == ws:
-            if phase.is_read:
+        if na == wa and nb == wb and nc == wc:
+            if is_read:
                 for _ in range(phase.n_steps - step - 1):
                     probe_sum += probe
             break
-        ws = new
-    w[0] = ws
+        wa, wb, wc = na, nb, nc
+    w[0] = wa, wb, wc
     peak_power[0] = peak
     return np.array([probe_sum]), np.array([drift])
 

@@ -117,11 +117,11 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
 
 
 def row_law(params: MemristorParams, kind: DeviceModelKind, dt, temperature):
-    """The device law for one row of states in Python floats: (conductances, step).
+    """The device law for one device in Python floats: (conductance, step).
 
-    conductances(w) gives 1.0 / resistance_array(w, params, temperature)
-    and step(w, v) the states step_array(w, v, dt, params, kind) would
-    leave, as new lists with the same bits, because each float operation
+    conductance(w_j) gives 1.0 / resistance_array(w_j, params, temperature)
+    and step(w_j, v_j) the state step_array(w, v, dt, params, kind) would
+    leave for that device, with the same bits, because each float operation
     is the one the array code applies elementwise. For a window_p above 2
     the window power stays a numpy call: numpy's power loop and Python's
     pow differ in the last bit.
@@ -134,26 +134,23 @@ def row_law(params: MemristorParams, kind: DeviceModelKind, dt, temperature):
     th_pos, th_neg = float(params.v_th_pos), float(params.v_th_neg)
     gated = kind is DeviceModelKind.THRESHOLD_DRIFT
 
-    def conductances(w):
-        return [1.0 / ((r_on + wj * span) * factor) for wj in w]
+    def conductance(wj):
+        return 1.0 / ((r_on + wj * span) * factor)
 
-    def step(w, v):
-        new = []
-        for wj, vj in zip(w, v):
-            if gated and th_neg < vj < th_pos:
-                wj = wj + 0.0
-            else:
-                # each conditional picks what np.maximum / np.minimum would
-                x = (low if wj < low else wj) if vj > 0.0 else (high if wj > high else wj)
-                x = x + x - 1.0
+    def step(wj, vj):
+        if gated and th_neg < vj < th_pos:
+            wj = wj + 0.0
+        else:
+            # each conditional picks what np.maximum / np.minimum would
+            x = (low if wj < low else wj) if vj > 0.0 else (high if wj > high else wj)
+            x = x + x - 1.0
+            x = x * x
+            if p == 2:
                 x = x * x
-                if p == 2:
-                    x = x * x
-                elif p != 1:
-                    x = np.power([x], p).tolist()[0]
-                wj = wj + rate * vj * (1.0 - x) * dt
-                wj = 1.0 if wj >= 1.0 else wj
-            new.append(0.0 if wj <= 0.0 else wj)
-        return new
+            elif p != 1:
+                x = np.power([x], p).tolist()[0]
+            wj = wj + rate * vj * (1.0 - x) * dt
+            wj = 1.0 if wj >= 1.0 else wj
+        return 0.0 if wj <= 0.0 else wj
 
-    return conductances, step
+    return conductance, step

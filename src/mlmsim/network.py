@@ -5,12 +5,15 @@ analysis with voltage sources handled as extra current unknowns and solved
 by direct factorization. Memristor elements are placeholders whose
 resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
 re-stamp and re-factor the whole system on each call and stay the
-reference. For a transient, `PortModel` factors the system once per source
-configuration, reduces it onto the device branches, and writes every
-output as a ratio of two polynomials in the device conductances, with
-2^n_devices coefficients each. It keeps those coefficients per batch row,
-8 x (6 + n_sources) doubles for three devices, so a timestep costs one
-polynomial evaluation plus a residual check of the reduced system.
+reference. For a transient, `PortModel` reduces the system onto the device
+branches and writes every output as a ratio of two polynomials in the
+device conductances, with 2^n_devices coefficients each. It keeps those
+coefficients per batch row, 8 x (6 + n_sources) doubles for three devices,
+so a timestep costs one polynomial evaluation plus a residual check of the
+reduced system. The part of the reduction that does not depend on the
+source values (`PortReduction`) is built once per template and kept on it,
+so a model for new source values costs one solve against A0 and a few
+small products.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -174,6 +177,16 @@ class MnaTemplate:
         self.a_base = a_mat
         self.z_base = z
         self.device_stamps = tuple(stamps)
+        self._reduction = None
+
+    def port_reduction(self, g0, probe_node):
+        """The source-independent half of a PortModel, built on first use and kept.
+
+        One reduction is kept, for the last (g0, probe_node) asked for.
+        """
+        if self._reduction is None or self._reduction.key != (g0, probe_node):
+            self._reduction = PortReduction(self, g0, probe_node)
+        return self._reduction
 
     @staticmethod
     def _stamp_conductance(a_mat, na, nb, g):
@@ -236,13 +249,86 @@ class MnaTemplate:
         return volts, x[..., self.nv:]
 
 
+def _solve_checked(a_mat, rhs):
+    """A^-1 rhs, or SingularNetwork when A is singular or the residual is too large."""
+    try:
+        sol = np.linalg.solve(a_mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetwork(f"nodal system is singular: {exc}") from None
+    residual = np.abs(a_mat @ sol - rhs).max()
+    if not residual <= 1e-6 * max(1.0, float(np.abs(rhs).max())):
+        raise SingularNetwork(f"nodal solve residual {residual:g} indicates "
+                              "an ill-conditioned (floating?) network")
+    return sol
+
+
+class PortReduction:
+    """The half of a `PortModel` that does not depend on the source values.
+
+    A template fixes which sources are engaged, so A0, Y = A0^-1 B,
+    K = B^T Y, the subset determinants and adjugates, and the reduced
+    system's rows depend only on the template, g0 and the probe node.
+    `MnaTemplate.port_reduction` builds this once and keeps it; every array
+    here is read-only, because the template shares it with each model.
+    """
+
+    def __init__(self, template, g0, probe_node):
+        n = template.netlist.device_count
+        b_mat = np.zeros((template.m, n))
+        for dev, na, nb in template.device_stamps:
+            if b_mat[:, dev].any():
+                raise ValueError(f"device {dev} appears in more than one branch")
+            if na > 0:
+                b_mat[na - 1, dev] = 1.0
+            if nb > 0:
+                b_mat[nb - 1, dev] = -1.0
+        a0 = template.a_base + g0 * (b_mat @ b_mat.T)
+        y = _solve_checked(a0, b_mat)
+        keep = [probe_node - 1, *range(template.nv, template.m)]
+        k_mat = b_mat.T @ y
+
+        # In g, the system is (I - g0 K + K diag(g)) v = u, and the kept rows
+        # are x0_keep + g0 Y_keep^T v - Y_keep^T (g v). Stack both: column j
+        # is constant[:, j] + g_j columns[:, j]. For device subset s, `mixed`
+        # takes column j from `columns` if j is in s and from `constant` if
+        # not; the adjugate of its square part (determinants with one column
+        # replaced) gives the Cramer numerators of s's term.
+        subsets = 2 ** n
+        in_subset = (np.arange(subsets)[:, None] >> np.arange(n)) & 1 == 1
+        columns = np.vstack([k_mat, y[keep]])
+        constant = np.eye(len(columns), n) - g0 * columns
+        mixed = np.where(in_subset[:, None, :], columns, constant)
+        block, coupling = mixed[:, :n], mixed[:, n:]
+        denominator = np.linalg.det(block)
+        # adjugate[s, i, c]: block s with column i replaced by e_c
+        replaced = np.broadcast_to(block[:, None, None], (subsets, n, n, n, n)).copy()
+        idx = np.arange(n)
+        replaced[:, idx, :, :, idx] = np.eye(n)
+        adjugate = np.linalg.det(replaced)
+        per_u = np.concatenate([adjugate, -(coupling @ adjugate)], axis=1)
+
+        self.key = (g0, probe_node)
+        self.n = n
+        self.subsets = subsets
+        self.keep = np.array(keep)
+        self.b_mat = b_mat
+        self.a0 = a0
+        self.per_u = per_u.reshape(-1, n).T
+        self.denominator = denominator
+        self.no_self_term = ~in_subset
+        self.system_t = np.vstack([constant[:n].T, k_mat.T])
+        for array in (b_mat, a0, self.keep, self.per_u, denominator, self.no_self_term,
+                      self.system_t):
+            array.flags.writeable = False
+
+
 class PortModel:
     """A template's system for fixed sources, in closed form in the device conductances.
 
     Only the device conductances g change from solve to solve, so the nodal
     system is A(g) = A0 + B diag(g - g0) B^T, where B is the node-by-device
     incidence matrix and A0 has every device at the reference conductance
-    g0. One factorization of A0 against [B | z] gives Y = A0^-1 B and
+    g0. Solving A0 against B and against z gives Y = A0^-1 B and
     x0 = A0^-1 z (Kron reduction onto the device ports, by the Woodbury
     identity). That leaves one device-count-square system per solve,
 
@@ -271,68 +357,38 @@ class PortModel:
     the reduced system against a fixed tolerance, and raises
     SingularNetwork on NaN, inf or an ill-conditioned system.
 
+    Everything but x0 depends only on the template, g0 and the probe node:
+    A0, Y, K, the subset determinants and adjugates, and the reduced
+    system's rows. That half is a `PortReduction`, which the template
+    builds on first use and keeps (`MnaTemplate.port_reduction`), read-only.
+    The constructor computes only the source-dependent half: x0, u = B^T x0,
+    the numerators, the power column and the tolerance. Every array a model
+    exposes is its own, so changing one leaves the template's half and the
+    next model unchanged.
+
     z has trailing dimension template.m and may carry batch rows; each
     device appears once in the netlist, and its column is its device index.
     """
 
     def __init__(self, template, z, g0, probe_node):
-        n = template.netlist.device_count
-        b_mat = np.zeros((template.m, n))
-        for dev, na, nb in template.device_stamps:
-            if b_mat[:, dev].any():
-                raise ValueError(f"device {dev} appears in more than one branch")
-            if na > 0:
-                b_mat[na - 1, dev] = 1.0
-            if nb > 0:
-                b_mat[nb - 1, dev] = -1.0
-        a0 = template.a_base + g0 * (b_mat @ b_mat.T)
+        red = template.port_reduction(g0, probe_node)
+        n = red.n
         z = np.asarray(z, dtype=float)
-        rhs = np.hstack([b_mat, z.reshape(-1, template.m).T])
-        try:
-            sol = np.linalg.solve(a0, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetwork(f"nodal system is singular: {exc}") from None
-        residual = np.abs(a0 @ sol - rhs).max()
-        if not residual <= 1e-6 * max(1.0, float(np.abs(rhs).max())):
-            raise SingularNetwork(f"nodal solve residual {residual:g} indicates "
-                                  "an ill-conditioned (floating?) network")
-        y, x0 = sol[:, :n], sol[:, n:].T.reshape(z.shape)
-        keep = [probe_node - 1, *range(template.nv, template.m)]
-        k_mat = b_mat.T @ y
-        u = x0 @ b_mat
-
-        # In g, the system is (I - g0 K + K diag(g)) v = u, and the kept rows
-        # are x0_keep + g0 Y_keep^T v - Y_keep^T (g v). Stack both: column j
-        # is constant[:, j] + g_j columns[:, j]. For device subset s, `mixed`
-        # takes column j from `columns` if j is in s and from `constant` if
-        # not; the adjugate of its square part (determinants with one column
-        # replaced) gives the Cramer numerators of s's term.
-        subsets = 2 ** n
-        in_subset = (np.arange(subsets)[:, None] >> np.arange(n)) & 1 == 1
-        columns = np.vstack([k_mat, y[keep]])
-        constant = np.eye(len(columns), n) - g0 * columns
-        mixed = np.where(in_subset[:, None, :], columns, constant)
-        block, coupling = mixed[:, :n], mixed[:, n:]
-        denominator = np.linalg.det(block)
-        # adjugate[s, i, c]: block s with column i replaced by e_c
-        replaced = np.broadcast_to(block[:, None, None], (subsets, n, n, n, n)).copy()
-        idx = np.arange(n)
-        replaced[:, idx, :, :, idx] = np.eye(n)
-        adjugate = np.linalg.det(replaced)
+        x0 = _solve_checked(red.a0, z.reshape(-1, template.m).T).T.reshape(z.shape)
+        u = x0 @ red.b_mat
         # numerators[..., s, r]: branches adjugate u, kept rows x0_keep D - coupling adjugate u
-        per_u = np.concatenate([adjugate, -(coupling @ adjugate)], axis=1)
-        numerators = np.dot(u, per_u.reshape(-1, n).T).reshape(u.shape[:-1] + (subsets, -1))
-        numerators[..., n:] += x0[..., None, keep] * denominator[:, None]
+        numerators = np.dot(u, red.per_u).reshape(u.shape[:-1] + (red.subsets, -1))
+        numerators[..., n:] += x0[..., None, red.keep] * red.denominator[:, None]
         # a branch voltage has no term in its own device's conductance
-        numerators[..., :n] *= ~in_subset
+        numerators[..., :n] *= red.no_self_term
         # total source power -V.I: the source currents' numerators weighted by -V
         power = -(numerators[..., n + 1:] * z[..., None, template.nv:]).sum(axis=-1)
         self.coef = np.concatenate(
             [numerators, power[..., None],
-             np.broadcast_to(denominator[:, None], numerators.shape[:-1] + (1,))],
+             np.broadcast_to(red.denominator[:, None], numerators.shape[:-1] + (1,))],
             axis=-1)
         self.n = n
-        self.system_t = np.vstack([constant[:n].T, k_mat.T])
+        self.system_t = red.system_t.copy()
         self.u = u
         self.tol = 1e-6 * max(1.0, float(np.abs(u).max()))
         self._shape = None

@@ -11,6 +11,7 @@ from mlmsim import cli
 from mlmsim import config as cfgmod
 from mlmsim import controller as ctl
 from mlmsim import device as dev
+from mlmsim import encoder as enc
 
 # Coarse cycle timing so CLI runs stay fast; everything else defaulted.
 FAST_CYCLE = {"cycle": {"dt": 4e-6}}
@@ -159,6 +160,24 @@ class TestConfigLoading:
                          "--out", str(tmp_path / "x.csv")]) == 1
         assert "overflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"device": {"window_p": True}}, "device.window_p"),
+        ({"noise": {"rng_seed": False}}, "noise.rng_seed"),
+        ({"cycle": {"dt": True}}, "cycle.dt"),
+        ({"topology": {"r_series": [500, True, 500]}}, "topology.r_series[1]"),
+        ({"encoder": {"bins": [[0.0, False, "222"]]}}, "encoder.bins[0][1]"),
+    ], ids=["window_p", "rng_seed", "dt", "r_series-item", "bin-bound"])
+    def test_boolean_rejected(self, tmp_path, capsys, doc, where):
+        # JSON true and false would otherwise pass as the numbers 1 and 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cfgmod.ConfigError, match=re.escape(where)):
+            cfgmod.load_config(str(path))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.load_config("/nonexistent/config.json")
@@ -243,6 +262,45 @@ class TestSweepCommand:
         path.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--config", str(path),
                          "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 with one error line naming it."""
+
+    @pytest.fixture(params=["existing directory", "parent is a file"])
+    def bad_path(self, request, tmp_path):
+        if request.param == "existing directory":
+            path = tmp_path / "taken"
+            path.mkdir()
+            return str(path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return str(blocker / "sub" / "out.csv")
+
+    @pytest.fixture
+    def targets(self, tmp_path):
+        # the cell's own levels: the fit starts at zero residual, so it writes
+        v_out, _ = ctl.simulate_levels(ctl.make_cell(), ctl.CycleConfig(dt=4e-6))
+        path = tmp_path / "targets.csv"
+        path.write_text("code,v_out\n" + "\n".join(
+            f"{row.code},{float(v)!r}" for row, v in zip(enc.DEFAULT_BIN_TABLE.rows, v_out)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["sweep --out", "sweep --patterns-out",
+                                         "temp-study --out", "calibrate --out"])
+    def test_exits_1_naming_the_path(self, tmp_path, fast_config, targets, capsys,
+                                     command, bad_path):
+        name, flag = command.split()
+        argv = [name, "--config", fast_config, "--out", str(tmp_path / "fine.csv"),
+                flag, bad_path]
+        if name == "temp-study":
+            argv += ["--temps", "20,50", "--trials", "2"]
+        elif name == "calibrate":
+            argv += ["--targets", targets, "--maxiter", "1", "--restarts", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {bad_path}: ")
+        assert err.count("\n") == 1
 
 
 class TestTempStudyCommand:

@@ -570,3 +570,92 @@ class TestFailureParity:
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(net.SingularNetwork):
             ctl.simulate_levels(cell, FAST)
+
+
+class TestSelfTermCheck:
+    """The one-row kernel leaves out the branch coefficients the model zeroes,
+    so a model with a nonzero one must stop it, not be evaluated without it."""
+
+    def test_nonzero_self_term_raises(self, cell, monkeypatch):
+        build = net.PortModel.__init__
+
+        def with_self_term(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            model.coef[..., 1, 0] = 1e-9  # branch a's g_a term
+
+        monkeypatch.setattr(net.PortModel, "__init__", with_self_term)
+        with pytest.raises(RuntimeError, match="own device's conductance"):
+            ctl.run_cycle(cell, pattern("012"), FAST)
+
+
+class TestReductionReuse:
+    """A cell keeps one port reduction per source set; reusing it changes nothing."""
+
+    CODES = ("222", "012", "120", "000", "111", "202", "021", "112", "001", "220",
+             "102", "011")
+
+    def _chain(self, next_cell):
+        w, results = None, []
+        for k, code in enumerate(self.CODES):
+            noise = ctl.NoiseConfig(1e-3, k) if k % 3 == 1 else None
+            m = ctl.run_cycle(next_cell(), pattern(code), ctl.CycleConfig(), noise=noise,
+                              w0=w)
+            w = m.final_device_states
+            results.append((m.v_out, w, m.peak_power))
+        return results
+
+    def test_chained_cycles_equal_fresh_cells(self, monkeypatch):
+        builds = [0]
+        build = net.PortReduction.__init__
+
+        def counting(*args, **kwargs):
+            builds[0] += 1
+            build(*args, **kwargs)
+
+        monkeypatch.setattr(net.PortReduction, "__init__", counting)
+        one = ctl.make_cell()
+        reused = self._chain(lambda: one)
+        assert builds[0] == 3  # reset, write and read
+        fresh = self._chain(ctl.make_cell)
+        assert builds[0] == 3 + 3 * len(self.CODES)
+        # equal floats, and the same bits: == would let 0.0 match -0.0
+        assert repr(reused) == repr(fresh)
+
+    def test_levels_twice_equal_a_fresh_cell(self):
+        cell = ctl.make_cell()
+        first = ctl.simulate_levels(cell, FAST)
+        second = ctl.simulate_levels(cell, FAST)
+        fresh = ctl.simulate_levels(ctl.make_cell(), FAST)
+        for a, b, c in zip(first, second, fresh):
+            np.testing.assert_array_equal(a.view(np.int64), c.view(np.int64))
+            np.testing.assert_array_equal(b.view(np.int64), c.view(np.int64))
+
+    @pytest.mark.parametrize("phase", ["reset", "write", "read"])
+    def test_changing_a_model_leaves_the_next_unchanged(self, cell, phase):
+        cfg = ctl.CycleConfig()
+        sources = {
+            "reset": lambda: ctl._reset_phase(cell, cfg, 2, ctl._no_noise),
+            "write": lambda: ctl._write_phase(cell, cfg, np.array([[0.0, 2.5, 4.0],
+                                                                   [4.0, 4.0, 0.0]]),
+                                              ctl._no_noise),
+            "read": lambda: ctl._read_phase(cell, cfg, ctl._no_noise),
+        }[phase]().sources
+        tmpl = cell.template(sources)
+        z = np.broadcast_to(tmpl.rhs(sources), (2, tmpl.m))
+        g0 = 1.0 / cell.params.r_on
+
+        def model():
+            return net.PortModel(tmpl, z, g0, cell.ports.probe_node)
+
+        first = model()
+        expected = [first.coef.copy(), first.u.copy(), first.system_t.copy(), first.tol]
+        first.coef[...] = np.nan
+        first.u[...] = np.nan
+        first.system_t[...] = np.nan
+        second = model()
+        kept = vars(tmpl.port_reduction(g0, cell.ports.probe_node)).values()
+        assert not any(a.flags.writeable for a in kept if isinstance(a, np.ndarray))
+        for got, want in zip([second.coef, second.u, second.system_t, second.tol],
+                             expected):
+            np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                          np.asarray(want).view(np.int64))

@@ -156,16 +156,17 @@ class TestKernelAgainstReference:
             got = w.copy()
             assert dev.step_array(got, v, dt, params, kind) is got
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-            # the float law of a one-row batch, row by row
+            # the float law of a one-row batch, row by row, one device at a time
             temperature = rng.uniform(250.0, 400.0)
-            conductances, step_row = dev.row_law(params, kind, dt, temperature)
+            conductance, step_device = dev.row_law(params, kind, dt, temperature)
             g = 1.0 / dev.resistance_array(w, params, temperature)
             for w_row, v_row, g_row, expected_row in zip(w, v, g, expected):
                 np.testing.assert_array_equal(
-                    np.array(step_row(w_row.tolist(), v_row.tolist())).view(np.int64),
+                    np.array([step_device(wj, vj) for wj, vj
+                              in zip(w_row.tolist(), v_row.tolist())]).view(np.int64),
                     expected_row.view(np.int64))
                 np.testing.assert_array_equal(
-                    np.array(conductances(w_row.tolist())).view(np.int64),
+                    np.array([conductance(wj) for wj in w_row.tolist()]).view(np.int64),
                     g_row.view(np.int64))
 
 

@@ -284,6 +284,11 @@ class TestPortModel:
             z = tmpl.rhs(sources)
             volts, i_src = tmpl.solve(g, z)
             model = net.PortModel(tmpl, z, 1.0 / params.r_on, ports.probe_node)
+            # branch j has no term in its own g_j: coefficient (s, j) is an exact
+            # zero whenever device j is in subset s, which the float kernel relies on
+            in_subset = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
+            assert (model.coef[:, :, :3][:, in_subset] == 0.0).all()
+            assert (model.coef[:, :, :3][:, ~in_subset] != 0.0).any()
             v_dev, v_probe, i_model, power = model.solve(g)
             assert_rowwise_close(v_dev, volts[:, dev_a] - volts[:, dev_b], 1e-12)
             assert_rowwise_close(v_probe[:, None], volts[:, [ports.probe_node]], 1e-12)
@@ -337,6 +342,29 @@ class TestPortModel:
         assert model.solve(np.array([[2e-3]]))[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
         with np.errstate(invalid="ignore"), pytest.raises(net.SingularNetwork):
             model.solve(np.array([[g]]))
+
+    @pytest.mark.parametrize("volts", [np.nan, np.inf])
+    def test_non_finite_source_value_is_singular(self, volts):
+        nl, ports = net.build_mlm_cell(net.CellTopology())
+        sources = {idx: np.array([0.05, volts]) for idx in ports.read}
+        tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
+        with np.errstate(invalid="ignore"), pytest.raises(net.SingularNetwork):
+            net.PortModel(tmpl, tmpl.rhs(sources), 1e-3, ports.probe_node)
+
+    def test_kept_reduction_follows_g0_and_probe(self):
+        # a template keeps one reduction; asking for another g0 or probe node
+        # must give the model a fresh template would
+        nl, ports = net.build_mlm_cell(net.CellTopology(r_series=(400.0, 500.0, 650.0)))
+        sources = dict.fromkeys(ports.write, 2.5)
+        kept = net.MnaTemplate(nl, sources)
+        for g0, probe in [(1e-3, ports.probe_node), (1e-4, ports.probe_node),
+                          (1e-4, ports.probe_node + 1), (1e-3, ports.probe_node)]:
+            fresh = net.MnaTemplate(nl, sources)
+            got = net.PortModel(kept, kept.z_base, g0, probe)
+            want = net.PortModel(fresh, fresh.z_base, g0, probe)
+            for a, b in [(got.coef, want.coef), (got.u, want.u),
+                         (got.system_t, want.system_t)]:
+                np.testing.assert_array_equal(a, b)
 
     def test_floating_network_is_singular(self):
         nl = net.Netlist(4, [net.VoltageSource(1, 0, 1.0),
