@@ -4,6 +4,8 @@ Every command that writes files also drops a `<output>.manifest.json` next
 to each output carrying the resolved config hash, the seed, the tool
 version and a timestamp, so runs can be traced back to their inputs. With
 a fixed config and seed the data outputs are byte-identical across runs.
+A command checks that it can write each output and its manifest before
+it simulates.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 simulation error
 (singular network, non-quiescent read, failed calibration).
@@ -46,7 +48,7 @@ def _write_manifest(out_path, sim, seed):
 
 
 @contextlib.contextmanager
-def _output(path, **open_args):
+def _output(path, mode="w", **open_args):
     """An output file open for writing, its directory created first.
 
     Any OSError while creating or writing it (a directory in its place, a
@@ -57,10 +59,24 @@ def _output(path, **open_args):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8", **open_args) as handle:
+        with open(path, mode, encoding="utf-8", **open_args) as handle:
             yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_writable(*outputs):
+    """Raise the ConfigError that writing an output or its manifest would.
+
+    Each path is opened for appending, which leaves an existing file as it
+    is; a file that the check creates is removed again.
+    """
+    for path in [p for out in outputs for p in (out, f"{out}.manifest.json")]:
+        existed = os.path.lexists(path)
+        with _output(path, mode="a"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def _write_json(path, document):
@@ -102,6 +118,8 @@ def cmd_sweep(args):
     seed = _resolve_seed(args, sim)
     noise = ctl.NoiseConfig(sim.noise.source_noise_sigma, seed)
     structural = args.encoder == "structural"
+    patterns_out = args.patterns_out or _derive_patterns_path(args.out)
+    _check_writable(args.out, patterns_out)
 
     measurements = ctl.run_input_sweep(
         sim.make_cell(), args.encoder, sim.cycle, table=sim.table, enc_cfg=sim.enc_cfg,
@@ -112,7 +130,6 @@ def cmd_sweep(args):
     _write_csv(args.out, ["v_in", "code", "temp_C", "trial", "v_out"], rows)
     _write_manifest(args.out, sim, seed)
 
-    patterns_out = args.patterns_out or _derive_patterns_path(args.out)
     header = ["v_in", "code", "v_w1", "v_w2", "v_w3"]
     pattern_rows = []
     for m in measurements:
@@ -148,6 +165,7 @@ def cmd_temp_study(args):
     if not temps:
         raise ConfigError("--temps must list at least one temperature")
     noise = ctl.NoiseConfig(sim.noise.source_noise_sigma, seed)
+    _check_writable(args.out)
     stats = ctl.run_temperature_study(
         sim.make_cell(), temps_c=temps, trials=args.trials, noise=noise,
         cfg=sim.cycle, table=sim.table)
@@ -196,6 +214,7 @@ def cmd_calibrate(args):
     sim = load_config(args.config)
     seed = _resolve_seed(args, sim)
     targets = _read_targets(args.targets)
+    _check_writable(args.out)
     result = ctl.calibrate(
         targets, base_params=sim.params, base_topology=sim.topology,
         cfg=sim.cycle, table=sim.table,

@@ -38,16 +38,23 @@ Every step also folds the total source power -V*I of the phase's engaged
 sources, which the model gives as one more ratio of polynomials, into a
 per-row running maximum, so each run reports its own peak source power.
 
-Two kernels step a phase, chosen by the row count alone. A batch of more
-than one row runs numpy calls on whole arrays (`_step_arrays`). A batch of
-one row, as in `run_cycle` and the single-phase operations, steps in Python
-floats (`_step_floats`): at three devices a numpy call costs more than the
+Two kernels step a phase, chosen by the number of rows simulated alone. A
+batch of more than one row runs numpy calls on whole arrays
+(`_step_arrays`), into arrays allocated once per phase. A batch of one row,
+as in `run_cycle` and the single-phase operations, steps in Python floats
+(`_step_floats`): at three devices a numpy call costs more than the
 arithmetic it does, so each step is straight-line code over the three
 devices' floats, with the device law of `device.row_law` called once per
 device for its conductance and once for its step. Both kernels use the
 same phase list, the same per-phase model and the same checks; the float
 device law gives `device.step_array`'s bits, and the polynomial sums may
 differ from numpy's in the last bits.
+
+Fresh cells without noise give equal write patterns equal results, so the
+input sweep and the all-codes scan simulate each distinct pattern once and
+copy its results to every row that has it: the default 61-point sweep
+simulates 10 rows. The kernel follows those simulated rows, so a sweep
+whose inputs all fall in one bin runs the float kernel.
 
 With source noise, each phase draws its perturbations as it is built, in
 this order: the reset amplitude, one per write port held at 0 V, one per
@@ -335,28 +342,38 @@ def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
     """Step the states w through one phase; returns (probe sum, read drift).
 
     w and peak_power change in place; the probe sum and drift, one value
-    per batch row, stay zero unless the phase is the read.
+    per batch row, stay zero unless the phase is the read. Every array the
+    loop writes is allocated once per phase, and the states alternate
+    between w and a second array: each step reads one and writes the other.
     """
     batch = w.shape[0]
-    w_prev = np.empty_like(w)
+    params, dt, kind = cell.params, cfg.dt, cell.kind
+    factor = dev.temperature_factor(params, temperature)
+    g = np.empty_like(w)
+    scratch = dev.step_scratch(w.shape)
     w_start = w.copy()
+    old, new = w, np.empty_like(w)
+    moved = np.empty_like(w)
     probe_sum = np.zeros(batch)
     drift = np.zeros(batch)
     for step in range(phase.n_steps):
-        np.copyto(w_prev, w)
-        r = dev.resistance_array(w, cell.params, temperature)
-        v_dev, v_probe, _, power = model.solve(1.0 / r)
-        dev.step_array(w, v_dev, cfg.dt, cell.params, cell.kind)
+        dev.conductance_array(old, params, factor, g)
+        v_dev, v_probe, _, power = model.solve(g)
+        dev.step_array(old, v_dev, dt, params, kind, out=new, scratch=scratch)
         if phase.is_read:
             probe_sum += v_probe
-            drift = np.maximum(drift, np.abs(w - w_start).max(axis=-1))
+            np.subtract(new, w_start, out=moved)
+            np.maximum(drift, np.abs(moved, out=moved).max(axis=-1), out=drift)
         np.maximum(peak_power, power, out=peak_power)
-        if (w == w_prev).all():
+        old, new = new, old
+        if (old == new).all():
             # every later step of the phase would repeat this one exactly
             if phase.is_read:
                 for _ in range(phase.n_steps - step - 1):
                     probe_sum += v_probe
             break
+    if old is not w:
+        np.copyto(w, old)
     return probe_sum, drift
 
 
@@ -472,9 +489,21 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
 
 
 def _measure(cell, cfg, patterns, codes, v_ins, noise=None, w0=None):
-    """One batched cycle over WritePatterns; a Measurement per row, in order."""
-    volts = np.array([p.port_voltages for p in patterns])
-    v_out, w, _, peak = _run_batch(cell, volts, cfg, w0=w0, noise=noise)
+    """One batched cycle over WritePatterns; a Measurement per row, in order.
+
+    Without starting states or noise, each distinct row of write voltages,
+    compared by its bits, is simulated once, and its results go to every
+    row that has it.
+    """
+    volts = np.array([p.port_voltages for p in patterns], dtype=float)
+    if (w0 is None and len(volts) > 1
+            and (noise is None or noise.source_noise_sigma == 0.0)):
+        _, first, inverse = np.unique(volts.view(np.int64), axis=0, return_index=True,
+                                      return_inverse=True)
+        v_out, w, _, peak = _run_batch(cell, volts[first], cfg)
+        v_out, w, peak = v_out[inverse], w[inverse], peak[inverse]
+    else:
+        v_out, w, _, peak = _run_batch(cell, volts, cfg, w0=w0, noise=noise)
     return [Measurement(v_in, code, float(vo), cfg.temperature, tuple(states), p,
                         float(pk))
             for v_in, code, p, vo, states, pk in zip(v_ins, codes, patterns, v_out, w, peak)]

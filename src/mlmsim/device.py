@@ -29,6 +29,12 @@ import numpy as np
 # trajectories that stay inside [W_BOUNDARY_ESCAPE, 1 - W_BOUNDARY_ESCAPE].
 W_BOUNDARY_ESCAPE = 1e-3
 
+# The array law's fixed constants as 0-d arrays: numpy converts a Python
+# float argument again on every call, which at a few devices per row is a
+# large part of the call.
+_ZERO, _ONE, _LOW, _HIGH = (np.array(c) for c in (0.0, 1.0, W_BOUNDARY_ESCAPE,
+                                                  1.0 - W_BOUNDARY_ESCAPE))
+
 
 class DeviceModelKind(Enum):
     LINEAR_DRIFT = "linear_drift"
@@ -88,32 +94,58 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * temperature_factor(params, temperature)
 
 
-def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind):
-    """In-place one-step forward-Euler update of the states w under branch voltages v.
+def conductance_array(w, params: MemristorParams, factor, out):
+    """1.0 / resistance_array(w, params, T), with the same bits, into out.
+
+    factor is temperature_factor(params, T), a scalar or an array that
+    broadcasts against w, so a caller stepping many times at one
+    temperature computes it once.
+    """
+    np.multiply(w, params.r_off - params.r_on, out=out)
+    out += params.r_on
+    out *= factor
+    return np.divide(_ONE, out, out=out)
+
+
+def step_scratch(shape):
+    """Work arrays for `step_array` over states of this shape."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+
+
+def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
+               out=None, scratch=None):
+    """One forward-Euler step of the states w under branch voltages v.
 
     dw = drift_rate * v * f(w) * dt where the device is above threshold,
-    then w is clamped to [0, 1]. Temporaries are reused in place, because
-    at a few devices per row the cost is the number of numpy calls.
+    then the state is clamped to [0, 1]. The new states go to out, which
+    is w itself unless given (an in-place update), and are returned.
+    scratch, from `step_scratch` for the shape of the states, holds the
+    temporaries, so a caller stepping many times allocates them once.
     """
+    if out is None:
+        out = w
+    f, dw, mask, band = scratch or step_scratch(np.broadcast_shapes(w.shape, v.shape))
     # window evaluated off the boundary when the drive points inward
-    f = np.minimum(w, 1.0 - W_BOUNDARY_ESCAPE)
-    np.copyto(f, np.maximum(w, W_BOUNDARY_ESCAPE), where=v > 0.0)
+    np.minimum(w, _HIGH, out=f)
+    np.maximum(w, _LOW, out=f, where=np.greater(v, _ZERO, out=mask))
     np.add(f, f, out=f)  # 2 * arg, exactly
-    np.subtract(f, 1.0, out=f)
+    np.subtract(f, _ONE, out=f)
     np.square(f, out=f)
     if params.window_p != 1:
         f **= params.window_p
-    np.subtract(1.0, f, out=f)
-    dw = np.multiply(params.drift_rate, v)
+    np.subtract(_ONE, f, out=f)
+    np.multiply(params.drift_rate, v, out=dw)
     dw *= f
     dw *= dt
     if kind is DeviceModelKind.THRESHOLD_DRIFT:
         # inside the threshold band the state stays put
-        np.copyto(dw, 0.0, where=(v < params.v_th_pos) & (v > params.v_th_neg))
-    w += dw
-    np.minimum(w, 1.0, out=w)
-    np.maximum(w, 0.0, out=w)
-    return w
+        np.less(v, params.v_th_pos, out=band)
+        band &= np.greater(v, params.v_th_neg, out=mask)
+        np.copyto(dw, _ZERO, where=band)
+    np.add(w, dw, out=out)
+    np.minimum(out, _ONE, out=out)
+    np.maximum(out, _ZERO, out=out)
+    return out
 
 
 def row_law(params: MemristorParams, kind: DeviceModelKind, dt, temperature):

@@ -407,6 +407,10 @@ class PortModel:
         self._poly = np.empty(batch + (1, self.coef.shape[-1]))
         self._numerators = self._poly[..., 0, :-1]
         self._denominator = self._poly[..., 0, -1:]
+        self._x = np.empty(batch + (self.coef.shape[-1] - 1,))
+        self._x_v = self._x[..., :n]
+        self._v = np.empty(batch + (n,))  # contiguous: the device law reads it often
+        self._outputs = (self._v, self._x[..., n], self._x[..., n + 1:-1], self._x[..., -1])
         self._stacked = np.empty(batch + (2 * n,))
         self._stacked_v = self._stacked[..., :n]
         self._stacked_gv = self._stacked[..., n:]
@@ -417,7 +421,8 @@ class PortModel:
 
         Branch voltages are V(a) - V(b) per device; source currents follow
         the template's active list, oriented a->b through the source; source
-        power is the total -V*I of the engaged sources.
+        power is the total -V*I of the engaged sources. The four are arrays
+        of the model's, which the next solve overwrites.
         """
         g = np.asarray(device_conductances, dtype=float)
         if g.shape != self._shape:
@@ -426,18 +431,19 @@ class PortModel:
         for low, factor, high in self._products:
             np.multiply(low, factor, out=high)
         np.matmul(self._monomials, self.coef, out=self._poly)
-        x = np.divide(self._numerators, self._denominator)
-        v = x[..., :self.n]
+        np.divide(self._numerators, self._denominator, out=self._x)
+        v = self._v
+        np.copyto(v, self._x_v)
         # the reduced system's residual: [v, g v] @ [(I - g0 K)^T; K^T] - u
         np.copyto(self._stacked_v, v)
-        np.multiply(g, v, out=self._stacked_gv)
+        np.multiply(self._g, v, out=self._stacked_gv)
         residual = np.dot(self._stacked, self.system_t, out=self._residual)
         residual -= self.u
         worst = np.abs(residual, out=residual).max()
         if not worst <= self.tol:  # also catches NaN and inf
             raise SingularNetwork(f"reduced solve residual {worst:g} indicates "
                                   "a singular or ill-conditioned network")
-        return v, x[..., self.n], x[..., self.n + 1:-1], x[..., -1]
+        return self._outputs
 
 
 @dataclass

@@ -286,11 +286,22 @@ class TestUnwritableOutput:
             f"{row.code},{float(v)!r}" for row, v in zip(enc.DEFAULT_BIN_TABLE.rows, v_out)))
         return str(path)
 
+    SIMULATIONS = {"sweep": "run_input_sweep", "temp-study": "run_temperature_study",
+                   "calibrate": "calibrate"}
+
+    @staticmethod
+    def _forbid(monkeypatch, simulation):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{simulation} ran before the outputs were checked")
+
+        monkeypatch.setattr(ctl, simulation, never)
+
     @pytest.mark.parametrize("command", ["sweep --out", "sweep --patterns-out",
                                          "temp-study --out", "calibrate --out"])
     def test_exits_1_naming_the_path(self, tmp_path, fast_config, targets, capsys,
-                                     command, bad_path):
+                                     monkeypatch, command, bad_path):
         name, flag = command.split()
+        self._forbid(monkeypatch, self.SIMULATIONS[name])
         argv = [name, "--config", fast_config, "--out", str(tmp_path / "fine.csv"),
                 flag, bad_path]
         if name == "temp-study":
@@ -301,6 +312,26 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {bad_path}: ")
         assert err.count("\n") == 1
+        # the check of --out leaves no file behind
+        assert not (tmp_path / "fine.csv").exists()
+        assert not (tmp_path / "fine.csv.manifest.json").exists()
+
+    def test_unwritable_manifest_found_first(self, tmp_path, fast_config, capsys,
+                                             monkeypatch):
+        self._forbid(monkeypatch, "run_input_sweep")
+        out = tmp_path / "s.csv"
+        (tmp_path / "s.csv.manifest.json").mkdir()
+        assert cli.main(["sweep", "--config", fast_config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.manifest.json: ")
+        assert not out.exists()
+
+    def test_check_leaves_an_existing_output_unchanged(self, tmp_path, fast_config,
+                                                       bad_path):
+        out = tmp_path / "kept.csv"
+        out.write_text("earlier run\n")
+        assert cli.main(["sweep", "--config", fast_config, "--out", str(out),
+                         "--patterns-out", bad_path]) == 1
+        assert out.read_text() == "earlier run\n"
 
 
 class TestTempStudyCommand:

@@ -472,6 +472,21 @@ class TestDenseReference:
         self._assert_matches(m, dense_cycle(cell, pattern("102").port_voltages,
                                             cfg, w0=w))
 
+    def test_numpy_kernel_rows_at_their_own_temperatures(self, cell):
+        # three rows take the numpy kernel, each from the states an earlier
+        # batch left it; each row is checked on its own
+        cfg = ctl.CycleConfig()
+        kelvins = [ctl.celsius_to_kelvin(t) for t in (20.0, 35.0, 50.0)]
+        earlier = np.array([pattern(code).port_voltages for code in ("021", "220", "101")])
+        _, w0, _, _ = ctl._run_batch(cell, earlier, cfg, temperature=kelvins)
+        volts = np.array([pattern(code).port_voltages for code in ("102", "012", "210")])
+        v_out, w, _, _ = ctl._run_batch(cell, volts, cfg, w0=w0, temperature=kelvins)
+        for k, kelvin in enumerate(kelvins):
+            v_ref, w_ref = dense_cycle(cell, volts[k], replace(cfg, temperature=kelvin),
+                                       w0=w0[k])
+            assert v_out[k] == pytest.approx(v_ref, rel=1e-9, abs=0.0)
+            np.testing.assert_allclose(w[k], w_ref, rtol=1e-9, atol=0.0)
+
     def test_quiescent_phases_end_early(self, cell, monkeypatch):
         calls = [0]
         step_array = dev.step_array
@@ -540,6 +555,42 @@ class TestKernelParity:
         assert calls == []
         ctl._run_batch(cell, [volts, volts], FAST)
         assert calls and set(calls) == {2}
+
+
+class TestRowDeduplication:
+    """A noise-free fresh-cell sweep simulates each distinct write pattern once."""
+
+    @pytest.fixture
+    def rows_simulated(self, monkeypatch):
+        rows = []
+        run_phases = ctl._run_phases
+
+        def recording(cell, cfg, phases, w, *args, **kwargs):
+            rows.append(len(w))
+            return run_phases(cell, cfg, phases, w, *args, **kwargs)
+
+        monkeypatch.setattr(ctl, "_run_phases", recording)
+        return rows
+
+    @pytest.mark.parametrize("path", ["behavioral", "structural"])
+    def test_default_sweep_simulates_ten_rows(self, cell, rows_simulated, path):
+        assert len(ctl.run_input_sweep(cell, path, FAST)) == 61
+        assert rows_simulated == [10]
+
+    def test_noisy_sweep_simulates_every_row(self, cell, rows_simulated):
+        ctl.run_input_sweep(cell, "behavioral", FAST, noise=ctl.NoiseConfig(1e-3, 0))
+        assert rows_simulated == [61]
+
+    @pytest.mark.parametrize("path", ["behavioral", "structural"])
+    def test_results_equal_the_full_batch(self, cell, path):
+        cfg = ctl.CycleConfig()
+        ms = ctl.run_input_sweep(cell, path, cfg)
+        volts = np.array([m.pattern.port_voltages for m in ms])
+        v_out, w, _, peak = ctl._run_batch(cell, volts, cfg)
+        for got, want in ((np.array([m.v_out for m in ms]), v_out),
+                          (np.array([m.final_device_states for m in ms]), w),
+                          (np.array([m.peak_power for m in ms]), peak)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFailureParity:

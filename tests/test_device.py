@@ -156,10 +156,20 @@ class TestKernelAgainstReference:
             got = w.copy()
             assert dev.step_array(got, v, dt, params, kind) is got
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            # into another array, with scratch arrays: the same bits, w unchanged
+            before, out = w.copy(), np.empty_like(w)
+            assert dev.step_array(w, v, dt, params, kind, out=out,
+                                  scratch=dev.step_scratch(shape)) is out
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
             # the float law of a one-row batch, row by row, one device at a time
             temperature = rng.uniform(250.0, 400.0)
             conductance, step_device = dev.row_law(params, kind, dt, temperature)
             g = 1.0 / dev.resistance_array(w, params, temperature)
+            factor = dev.temperature_factor(params, temperature)
+            np.testing.assert_array_equal(
+                dev.conductance_array(w, params, factor, np.empty_like(w)).view(np.int64),
+                g.view(np.int64))
             for w_row, v_row, g_row, expected_row in zip(w, v, g, expected):
                 np.testing.assert_array_equal(
                     np.array([step_device(wj, vj) for wj, vj
