@@ -4,8 +4,8 @@ Every command that writes files also drops a `<output>.manifest.json` next
 to each output carrying the resolved config hash, the seed, the tool
 version and a timestamp, so runs can be traced back to their inputs. With
 a fixed config and seed the data outputs are byte-identical across runs.
-A command checks that it can write each output and its manifest before
-it simulates.
+A command checks that it can write each output and its manifest, and
+that no two of them name one file, before it simulates.
 
 Exit codes: 0 success, 1 domain or configuration error, 2 simulation error
 (singular network, non-quiescent read, failed calibration).
@@ -68,10 +68,18 @@ def _output(path, mode="w", **open_args):
 def _check_writable(*outputs):
     """Raise the ConfigError that writing an output or its manifest would.
 
-    Each path is opened for appending, which leaves an existing file as it
-    is; a file that the check creates is removed again.
+    Two of those paths that resolve to one file are an error too: the later
+    write would replace the earlier. Each path is opened for appending,
+    which leaves an existing file as it is; a file that the check creates
+    is removed again.
     """
-    for path in [p for out in outputs for p in (out, f"{out}.manifest.json")]:
+    paths = [p for out in outputs for p in (out, f"{out}.manifest.json")]
+    resolved = [os.path.realpath(p) for p in paths]
+    for k, path in enumerate(resolved):
+        if path in resolved[:k]:
+            raise ConfigError(f"{paths[resolved.index(path)]} and {paths[k]} are the "
+                              "same file; give each output its own path")
+    for path in paths:
         existed = os.path.lexists(path)
         with _output(path, mode="a"):
             pass

@@ -38,23 +38,26 @@ Every step also folds the total source power -V*I of the phase's engaged
 sources, which the model gives as one more ratio of polynomials, into a
 per-row running maximum, so each run reports its own peak source power.
 
-Two kernels step a phase, chosen by the number of rows simulated alone. A
-batch of more than one row runs numpy calls on whole arrays
-(`_step_arrays`), into arrays allocated once per phase. A batch of one row,
-as in `run_cycle` and the single-phase operations, steps in Python floats
-(`_step_floats`): at three devices a numpy call costs more than the
-arithmetic it does, so each step is straight-line code over the three
-devices' floats, with the device law of `device.row_law` called once per
-device for its conductance and once for its step. Both kernels use the
-same phase list, the same per-phase model and the same checks; the float
-device law gives `device.step_array`'s bits, and the polynomial sums may
-differ from numpy's in the last bits.
+Two kernels step a phase, chosen by the number of rows simulated at once.
+A batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature
+study and the noisy sweep, runs numpy calls on whole arrays
+(`_step_arrays`), into arrays allocated once per phase. A smaller batch,
+as in `run_cycle`, the single-phase operations, the ten distinct rows of
+the sweep and the level scan, steps in Python floats (`_step_floats`): at
+three devices a numpy call costs more than the arithmetic it does, so the
+rows are stepped one after another, each step straight-line code over the
+three devices' floats, with the device law of `device.row_law` called once
+per device for its conductance and once for its step, and each row ends a
+phase at its own quiescent step. Both kernels use the same phase list, the
+same per-phase model and the same checks; the float device law gives
+`device.step_array`'s bits, and the polynomial sums may differ from
+numpy's in the last bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
 copy its results to every row that has it: the default 61-point sweep
-simulates 10 rows. The kernel follows those simulated rows, so a sweep
-whose inputs all fall in one bin runs the float kernel.
+simulates 10 rows. The kernel follows those simulated rows, so the
+default sweep runs the float kernel.
 
 With source noise, each phase draws its perturbations as it is built, in
 this order: the reset amplitude, one per write port held at 0 V, one per
@@ -72,9 +75,11 @@ in group order. A group therefore sees exactly the numbers it would draw
 if it ran alone. Each row may also carry its own temperature. Every row is
 solved and stepped on its own, and a phase that runs on past a group's
 quiescent step repeats that step bit for bit, so a group of two or more
-rows gets the same results inside a batch as alone. A one-row group run
-alone takes the float kernel, and agrees with its row of a larger batch to
-1e-12 relative.
+rows gets the same results inside a batch as alone when both runs take the
+same kernel. A group of up to FLOAT_KERNEL_MAX_ROWS rows run alone takes
+the float kernel, and agrees with its rows of a larger batch to 1e-12
+relative; so does a one-row group, whose model is built by matrix-vector
+products rather than matrix products.
 """
 
 import dataclasses
@@ -97,6 +102,11 @@ MAX_CYCLE_STEPS = 10**6
 # Most rows a batched driver may simulate at once (a temperature study runs
 # temperatures x trials x codes rows).
 MAX_BATCH_ROWS = 10**5
+
+# Largest batch that `_run_phases` steps in Python floats, one row after
+# another; a larger one steps in numpy. On noisy default-dt cycles the float
+# kernel is 1.66x faster at 10 rows, 1.32x at 12, 1.02x at 16 and 0.76x at 24.
+FLOAT_KERNEL_MAX_ROWS = 12
 
 
 class NonQuiescentRead(Exception):
@@ -304,8 +314,8 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     temperature holds one value per batch row in K; None means
     cfg.temperature for every row. Returns (v_out, read drift, peak source
     power), one value per batch row; v_out and drift stay None when no
-    phase is the read. A one-row batch steps in Python floats
-    (`_step_floats`), any larger batch in numpy (`_step_arrays`).
+    phase is the read. A batch of up to FLOAT_KERNEL_MAX_ROWS rows steps in
+    Python floats (`_step_floats`), a larger one in numpy (`_step_arrays`).
     """
     batch = w.shape[0]
     if temperature is None:
@@ -319,7 +329,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
         raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
                          f"{factor[k]:.4g} at T = {temps[k]:.6g} K; it must be positive")
     g0 = 1.0 / cell.params.r_on
-    run_phase = _step_floats if batch == 1 else _step_arrays
+    run_phase = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
     for phase in phases:
@@ -383,75 +393,80 @@ _SELF_TERMS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 
 
 def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
-    """`_step_arrays` for a one-row batch of the cell's three devices, in Python floats.
+    """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does,
-    so each step evaluates the model's polynomials and the device law as
-    straight-line float code instead: the same coefficients, the same
-    residual check against model.tol, and the power column in place of the
-    source currents. The branch polynomials leave out the four coefficients
-    per branch that the model zeroes, which is checked once per phase; the
-    other sums run in the order of the monomials. The device law gives
-    step_array's bits; the polynomial sums may differ from the batched
-    matrix product in the last bits.
+    so the rows are stepped one after another, each step evaluating the
+    model's polynomials and the device law as straight-line float code
+    instead: row k's coefficients model.coef[k] and model.u[k] at row k's
+    temperature, the same residual check against model.tol, and the power
+    column in place of the source currents. Each row ends the phase at its
+    own quiescent step, which in the numpy kernel it would repeat bit for
+    bit. The branch polynomials leave out the four coefficients per branch
+    that the model zeroes, which is checked once per phase; the other sums
+    run in the order of the monomials. The device law gives step_array's
+    bits; the polynomial sums may differ from the batched matrix product in
+    the last bits.
     """
-    conductance, step_device = dev.row_law(cell.params, cell.kind, cfg.dt,
-                                           np.ravel(temperature)[0])
-    coef = model.coef[0]
-    if (coef[:, :3][_SELF_TERMS] != 0.0).any():
+    if (model.coef[..., :3][..., _SELF_TERMS] != 0.0).any():
         raise RuntimeError("a branch polynomial of the port model has a term in its "
                            "own device's conductance; the float kernel assumes none")
-    columns = coef.T.tolist()
-    (a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _) = columns[:2]
-    (c0, c1, c2, c3, *_), (p0, p1, p2, p3, p4, p5, p6, p7) = columns[2:4]
-    (q0, q1, q2, q3, q4, q5, q6, q7), (d0, d1, d2, d3, d4, d5, d6, d7) = columns[-2:]
     # residual i: [v, g v] . row i of the reduced system, less u[i]
     ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
      (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
-    u0, u1, u2 = model.u[0].tolist()
-    tol, is_read = model.tol, phase.is_read
-    wa, wb, wc = sa, sb, sc = w[0].tolist()
-    peak = float(peak_power[0])
-    probe_sum = drift = 0.0
-    for step in range(phase.n_steps):
-        ga, gb, gc = conductance(wa), conductance(wb), conductance(wc)
-        gab = ga * gb
-        den = d0 + ga * d1 + gb * d2 + gab * d3 + gc * (d4 + ga * d5 + gb * d6 + gab * d7)
-        if den == 0.0:  # a NaN or infinite one fails the residual check, as in numpy
-            raise net.SingularNetwork("reduced system has a zero determinant")
-        va = (a0 + gb * a2 + gc * (a4 + gb * a6)) / den
-        vb = (b0 + ga * b1 + gc * (b4 + ga * b5)) / den
-        vc = (c0 + ga * c1 + gb * c2 + gab * c3) / den
-        gva, gvb, gvc = ga * va, gb * vb, gc * vc
-        r0 = abs(e0 * va + e1 * vb + e2 * vc + e3 * gva + e4 * gvb + e5 * gvc - u0)
-        r1 = abs(f0 * va + f1 * vb + f2 * vc + f3 * gva + f4 * gvb + f5 * gvc - u1)
-        r2 = abs(h0 * va + h1 * vb + h2 * vc + h3 * gva + h4 * gvb + h5 * gvc - u2)
-        # one component at a time: max() can drop a NaN
-        if not (r0 <= tol and r1 <= tol and r2 <= tol):
-            worst = next(r for r in (r0, r1, r2) if not r <= tol)
-            raise net.SingularNetwork(f"reduced solve residual {worst:g} indicates "
-                                      "a singular or ill-conditioned network")
-        na, nb, nc = step_device(wa, va), step_device(wb, vb), step_device(wc, vc)
-        if is_read:
-            probe = (p0 + ga * p1 + gb * p2 + gab * p3
-                     + gc * (p4 + ga * p5 + gb * p6 + gab * p7)) / den
-            probe_sum += probe
-            for moved in (abs(na - sa), abs(nb - sb), abs(nc - sc)):
-                if moved > drift:
-                    drift = moved
-        power = (q0 + ga * q1 + gb * q2 + gab * q3
-                 + gc * (q4 + ga * q5 + gb * q6 + gab * q7)) / den
-        if power > peak or power != power:  # a NaN stays, as in np.maximum
-            peak = power
-        if na == wa and nb == wb and nc == wc:
+    tol, is_read, n_steps = model.tol, phase.is_read, phase.n_steps
+    probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
+    temps = np.broadcast_to(np.ravel(temperature), len(w)).tolist()
+    for k, temp in enumerate(temps):
+        conductance, step_device = dev.row_law(cell.params, cell.kind, cfg.dt, temp)
+        columns = model.coef[k].T.tolist()
+        (a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _) = columns[:2]
+        (c0, c1, c2, c3, *_), (p0, p1, p2, p3, p4, p5, p6, p7) = columns[2:4]
+        (q0, q1, q2, q3, q4, q5, q6, q7), (d0, d1, d2, d3, d4, d5, d6, d7) = columns[-2:]
+        u0, u1, u2 = model.u[k].tolist()
+        wa, wb, wc = sa, sb, sc = w[k].tolist()
+        peak = float(peak_power[k])
+        probe_sum = drift = 0.0
+        for step in range(n_steps):
+            ga, gb, gc = conductance(wa), conductance(wb), conductance(wc)
+            gab = ga * gb
+            den = d0 + ga * d1 + gb * d2 + gab * d3 + gc * (d4 + ga * d5 + gb * d6 + gab * d7)
+            if den == 0.0:  # a NaN or infinite one fails the residual check, as in numpy
+                raise net.SingularNetwork("reduced system has a zero determinant")
+            va = (a0 + gb * a2 + gc * (a4 + gb * a6)) / den
+            vb = (b0 + ga * b1 + gc * (b4 + ga * b5)) / den
+            vc = (c0 + ga * c1 + gb * c2 + gab * c3) / den
+            gva, gvb, gvc = ga * va, gb * vb, gc * vc
+            r0 = abs(e0 * va + e1 * vb + e2 * vc + e3 * gva + e4 * gvb + e5 * gvc - u0)
+            r1 = abs(f0 * va + f1 * vb + f2 * vc + f3 * gva + f4 * gvb + f5 * gvc - u1)
+            r2 = abs(h0 * va + h1 * vb + h2 * vc + h3 * gva + h4 * gvb + h5 * gvc - u2)
+            # one component at a time: max() can drop a NaN
+            if not (r0 <= tol and r1 <= tol and r2 <= tol):
+                worst = next(r for r in (r0, r1, r2) if not r <= tol)
+                raise net.SingularNetwork(f"reduced solve residual {worst:g} indicates "
+                                          "a singular or ill-conditioned network")
+            na, nb, nc = step_device(wa, va), step_device(wb, vb), step_device(wc, vc)
             if is_read:
-                for _ in range(phase.n_steps - step - 1):
-                    probe_sum += probe
-            break
-        wa, wb, wc = na, nb, nc
-    w[0] = wa, wb, wc
-    peak_power[0] = peak
-    return np.array([probe_sum]), np.array([drift])
+                probe = (p0 + ga * p1 + gb * p2 + gab * p3
+                         + gc * (p4 + ga * p5 + gb * p6 + gab * p7)) / den
+                probe_sum += probe
+                for moved in (abs(na - sa), abs(nb - sb), abs(nc - sc)):
+                    if moved > drift:
+                        drift = moved
+            power = (q0 + ga * q1 + gb * q2 + gab * q3
+                     + gc * (q4 + ga * q5 + gb * q6 + gab * q7)) / den
+            if power > peak or power != power:  # a NaN stays, as in np.maximum
+                peak = power
+            if na == wa and nb == wb and nc == wc:
+                if is_read:
+                    for _ in range(n_steps - step - 1):
+                        probe_sum += probe
+                break
+            wa, wb, wc = na, nb, nc
+        w[k] = wa, wb, wc
+        peak_power[k] = peak
+        probe_sums[k], drifts[k] = probe_sum, drift
+    return probe_sums, drifts
 
 
 def _initial_states(cell, w0, batch):

@@ -333,6 +333,21 @@ class TestUnwritableOutput:
                          "--patterns-out", bad_path]) == 1
         assert out.read_text() == "earlier run\n"
 
+    @pytest.mark.parametrize("patterns_out, manifest", [
+        ("s.csv", "s.csv"), ("./s.csv", "s.csv"), ("sub/../s.csv", "s.csv"),
+        ("s.csv.manifest.json", "s.csv.manifest.json")])
+    def test_outputs_sharing_a_file_rejected(self, tmp_path, fast_config, capsys,
+                                             monkeypatch, patterns_out, manifest):
+        self._forbid(monkeypatch, "run_input_sweep")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert cli.main(["sweep", "--config", fast_config, "--out", "s.csv",
+                         "--patterns-out", patterns_out]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {manifest} and {patterns_out} are the same file; "
+                       "give each output its own path\n")
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "sub"]
+
 
 class TestTempStudyCommand:
     def test_zero_noise_stdev_column(self, tmp_path, fast_config):
@@ -491,3 +506,29 @@ class TestCalibrateCommand:
         assert report["residual_best"] < report["residual_initial"]
         assert len(report["per_code"]) == 10
         assert "improvement" in capsys.readouterr().out
+
+
+class TestGoldenOutputs:
+    """Data outputs keep the bytes of the files under tests/data.
+
+    A change that moves a result on purpose regenerates them with
+      mlmsim sweep --out tests/data/sweep.csv
+      mlmsim temp-study --config <{"noise": {"source_noise_sigma": 1e-3}}> \\
+          --temps 20,50 --trials 2 --seed 3 --out tests/data/temp_study_1mV.csv
+    and deletes the manifests those leave beside them.
+    """
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    def test_default_sweep(self, tmp_path):
+        assert cli.main(["sweep", "--out", str(tmp_path / "sweep.csv")]) == 0
+        for name in ("sweep.csv", "sweep_patterns.csv"):
+            assert (tmp_path / name).read_bytes() == (self.DATA / name).read_bytes(), name
+
+    def test_noisy_temp_study(self, tmp_path):
+        config = tmp_path / "noise.json"
+        config.write_text(json.dumps({"noise": {"source_noise_sigma": 1e-3}}))
+        out = tmp_path / "temp_study_1mV.csv"
+        assert cli.main(["temp-study", "--config", str(config), "--temps", "20,50",
+                         "--trials", "2", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (self.DATA / out.name).read_bytes()

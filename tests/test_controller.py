@@ -15,6 +15,10 @@ from oracles import dense_cycle, inversion_count
 # default resolution is covered by the acceptance suite.
 FAST = ctl.CycleConfig(dt=4e-6)
 
+# FLOAT_KERNEL_MAX_ROWS values that put every batch on one kernel, numpy or
+# floats, so that runs of different row counts compare bit for bit
+ONE_KERNEL = (0, 10**6)
+
 
 @pytest.fixture(scope="module")
 def cell():
@@ -221,31 +225,33 @@ class TestTemperatureStudy:
         with pytest.raises(ValueError):
             ctl.run_temperature_study(cell, trials=1, cfg=FAST)
 
-    def test_batched_study_equals_serial_groups(self):
+    def test_batched_study_equals_serial_groups(self, monkeypatch):
         # the serial study ran one 10-row simulation per (temperature, trial)
         # group on that group's own substream; the batch must reproduce it
         cell = ctl.make_cell(net.CellTopology(r_series=(400.0, 500.0, 650.0),
                                               read_series_ohms=50.0))
         noise = ctl.NoiseConfig(source_noise_sigma=1e-3, rng_seed=11)
         temps, trials = (0.0, 25.0, 85.0), 3
-        stats = ctl.run_temperature_study(cell, temps_c=temps, trials=trials,
-                                          noise=noise, cfg=FAST)
         rows = enc.DEFAULT_BIN_TABLE.rows
         volts = np.array([enc.code_to_write_voltages(row.code).port_voltages
                           for row in rows])
-        assert len(stats) == len(rows) * len(temps)
-        for t_idx, temp_c in enumerate(temps):
-            cfg = ctl.CycleConfig(dt=FAST.dt, temperature=ctl.celsius_to_kelvin(temp_c))
-            serial = np.stack([
-                ctl._run_batch(cell, volts, cfg, noise=noise,
-                               spawn_keys=[(t_idx, trial)])[0]
-                for trial in range(trials)])
-            for c_idx, row in enumerate(rows):
-                s = stats[c_idx * len(temps) + t_idx]
-                assert (s.code, s.temp_c) == (row.code, temp_c)
-                assert s.mean == float(serial[:, c_idx].mean())
-                assert s.stdev == float(serial[:, c_idx].std(ddof=1))
-                assert s.stdev > 0
+        for limit in ONE_KERNEL:
+            monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", limit)
+            stats = ctl.run_temperature_study(cell, temps_c=temps, trials=trials,
+                                              noise=noise, cfg=FAST)
+            assert len(stats) == len(rows) * len(temps)
+            for t_idx, temp_c in enumerate(temps):
+                cfg = ctl.CycleConfig(dt=FAST.dt, temperature=ctl.celsius_to_kelvin(temp_c))
+                serial = np.stack([
+                    ctl._run_batch(cell, volts, cfg, noise=noise,
+                                   spawn_keys=[(t_idx, trial)])[0]
+                    for trial in range(trials)])
+                for c_idx, row in enumerate(rows):
+                    s = stats[c_idx * len(temps) + t_idx]
+                    assert (s.code, s.temp_c) == (row.code, temp_c)
+                    assert s.mean == float(serial[:, c_idx].mean())
+                    assert s.stdev == float(serial[:, c_idx].std(ddof=1))
+                    assert s.stdev > 0
 
     def test_study_is_one_simulation(self, cell, monkeypatch):
         calls = [0]
@@ -262,18 +268,20 @@ class TestTemperatureStudy:
         # not one per (temperature, trial) group
         assert calls[0] <= 160
 
-    def test_row_temperatures_match_scalar_runs(self, cell):
+    def test_row_temperatures_match_scalar_runs(self, cell, monkeypatch):
         volts = np.array([enc.code_to_write_voltages(row.code).port_voltages
                           for row in enc.DEFAULT_BIN_TABLE.rows])
         kelvins = (273.15, 358.15)
-        both = ctl._run_batch(cell, np.vstack([volts, volts]), FAST,
-                              temperature=np.repeat(kelvins, len(volts)))
-        for k, kelvin in enumerate(kelvins):
-            alone = ctl._run_batch(cell, volts, ctl.CycleConfig(dt=FAST.dt,
-                                                                temperature=kelvin))
-            for batched, scalar in zip(both, alone):
-                np.testing.assert_array_equal(
-                    batched[k * len(volts):(k + 1) * len(volts)], scalar)
+        for limit in ONE_KERNEL:
+            monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", limit)
+            both = ctl._run_batch(cell, np.vstack([volts, volts]), FAST,
+                                  temperature=np.repeat(kelvins, len(volts)))
+            for k, kelvin in enumerate(kelvins):
+                alone = ctl._run_batch(cell, volts, ctl.CycleConfig(dt=FAST.dt,
+                                                                    temperature=kelvin))
+                for batched, scalar in zip(both, alone):
+                    np.testing.assert_array_equal(
+                        batched[k * len(volts):(k + 1) * len(volts)], scalar)
 
     def test_batch_rows_capped(self, cell, monkeypatch):
         def no_simulation(*args, **kwargs):
@@ -472,20 +480,33 @@ class TestDenseReference:
         self._assert_matches(m, dense_cycle(cell, pattern("102").port_voltages,
                                             cfg, w0=w))
 
-    def test_numpy_kernel_rows_at_their_own_temperatures(self, cell):
-        # three rows take the numpy kernel, each from the states an earlier
-        # batch left it; each row is checked on its own
+    @staticmethod
+    def _rows_at_their_own_temperatures(cell, n_rows):
+        # three rows at 20, 35 and 50 C, repeated to fill n_rows, each from
+        # the states an earlier batch left it; each of the three is checked
+        # on its own, and each repeat has the bits of its first copy
         cfg = ctl.CycleConfig()
-        kelvins = [ctl.celsius_to_kelvin(t) for t in (20.0, 35.0, 50.0)]
-        earlier = np.array([pattern(code).port_voltages for code in ("021", "220", "101")])
+        kelvins = np.resize([ctl.celsius_to_kelvin(t) for t in (20.0, 35.0, 50.0)], n_rows)
+        earlier = np.resize([pattern(code).port_voltages for code in ("021", "220", "101")],
+                            (n_rows, 3))
         _, w0, _, _ = ctl._run_batch(cell, earlier, cfg, temperature=kelvins)
-        volts = np.array([pattern(code).port_voltages for code in ("102", "012", "210")])
+        volts = np.resize([pattern(code).port_voltages for code in ("102", "012", "210")],
+                          (n_rows, 3))
         v_out, w, _, _ = ctl._run_batch(cell, volts, cfg, w0=w0, temperature=kelvins)
-        for k, kelvin in enumerate(kelvins):
+        for k, kelvin in enumerate(kelvins[:3]):
             v_ref, w_ref = dense_cycle(cell, volts[k], replace(cfg, temperature=kelvin),
                                        w0=w0[k])
             assert v_out[k] == pytest.approx(v_ref, rel=1e-9, abs=0.0)
             np.testing.assert_allclose(w[k], w_ref, rtol=1e-9, atol=0.0)
+        for result in (v_out, w):
+            np.testing.assert_array_equal(result[3:].view(np.int64),
+                                          result[:-3].view(np.int64))
+
+    def test_numpy_kernel_rows_at_their_own_temperatures(self, cell):
+        self._rows_at_their_own_temperatures(cell, ctl.FLOAT_KERNEL_MAX_ROWS + 1)
+
+    def test_float_kernel_rows_at_their_own_temperatures(self, cell):
+        self._rows_at_their_own_temperatures(cell, 3)
 
     def test_quiescent_phases_end_early(self, cell, monkeypatch):
         calls = [0]
@@ -496,10 +517,39 @@ class TestDenseReference:
             return step_array(*args, **kwargs)
 
         monkeypatch.setattr(dev, "step_array", counting)
-        ctl.simulate_levels(cell, FAST)
+        # the level codes, repeated to one row more than the float kernel takes
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE),
+                          (ctl.FLOAT_KERNEL_MAX_ROWS + 1, 3))
+        ctl._run_batch(cell, volts, FAST)
         # 150 write steps; the reset of a fresh cell and the read are
         # frozen after their first step
-        assert calls[0] <= 160
+        assert 0 < calls[0] <= 160
+
+    def test_float_rows_end_at_their_own_quiescent_step(self, cell, monkeypatch):
+        steps = []
+        row_law = dev.row_law
+
+        def counting(*args):
+            conductance, step = row_law(*args)
+            k = len(steps)
+            steps.append(0)
+
+            def counted(wj, vj):
+                steps[k] += 1
+                return step(wj, vj)
+
+            return conductance, counted
+
+        monkeypatch.setattr(dev, "row_law", counting)
+        ctl.simulate_levels(cell, FAST)
+        codes = [str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows]
+        # one device law per row and phase (reset, write, read), three
+        # device steps per timestep
+        per_row = np.reshape(steps, (3, len(codes))).sum(axis=0) // 3
+        # the 000 row writes nothing: its write is frozen after one step,
+        # as are the reset of a fresh cell and the read
+        assert per_row[codes.index("000")] == 3
+        assert 3 < per_row.max() <= 152
 
 
 def _parity_case(name):
@@ -522,24 +572,33 @@ def _parity_case(name):
 
 
 class TestKernelParity:
-    """A one-row batch steps in Python floats, a larger one in numpy."""
+    """A batch of up to FLOAT_KERNEL_MAX_ROWS rows steps in Python floats, a
+    larger one in numpy."""
 
     @pytest.mark.parametrize("name", ["default", "unequal cell at 50 C", "1 mV noise",
                                       "linear drift", "window_p 2", "window_p 3"])
     def test_one_row_matches_a_row_of_two(self, name):
+        # row 0 of a two-row batch steps in floats as the one-row run does,
+        # and row 0 of a batch one row too large for floats steps in numpy
         cell, cfg, noise = _parity_case(name)
         other = pattern("111").port_voltages
-        w_one = w_two = None
+        n_numpy = ctl.FLOAT_KERNEL_MAX_ROWS + 1
+        # row 0 of every batch draws from the same substream as the one-row run
+        keys = [()] + [(k,) for k in range(1, n_numpy)]
+        w_one = w_two = w_numpy = None
         for code in ("222", "012", "120", "000"):
             volts = pattern(code).port_voltages
             v_one, w_one, _, peak_one = ctl._run_batch(cell, [volts], cfg, w0=w_one,
                                                        noise=noise)
-            # row 0 draws from the same substream as the one-row run
             v_two, w_two, _, peak_two = ctl._run_batch(cell, [volts, other], cfg, w0=w_two,
-                                                       noise=noise, spawn_keys=((), (1,)))
-            np.testing.assert_allclose(v_one, v_two[:1], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(w_one, w_two[:1], rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(peak_one, peak_two[:1], rtol=1e-12, atol=0.0)
+                                                       noise=noise, spawn_keys=keys[:2])
+            v_numpy, w_numpy, _, peak_numpy = ctl._run_batch(
+                cell, [volts] + [other] * (n_numpy - 1), cfg, w0=w_numpy, noise=noise,
+                spawn_keys=keys)
+            for one, two, many in ((v_one, v_two, v_numpy), (w_one, w_two, w_numpy),
+                                   (peak_one, peak_two, peak_numpy)):
+                np.testing.assert_allclose(one, two[:1], rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(two[:1], many[:1], rtol=1e-12, atol=0.0)
 
     def test_kernel_chosen_by_row_count(self, cell, monkeypatch):
         calls = []
@@ -550,11 +609,35 @@ class TestKernelParity:
             return step_array(w, *args, **kwargs)
 
         monkeypatch.setattr(dev, "step_array", counting)
-        volts = pattern("012").port_voltages
-        ctl._run_batch(cell, [volts], FAST)
+        n = ctl.FLOAT_KERNEL_MAX_ROWS
+        volts = [pattern("012").port_voltages] * (n + 1)
+        ctl._run_batch(cell, volts[:n], FAST)
         assert calls == []
-        ctl._run_batch(cell, [volts, volts], FAST)
-        assert calls and set(calls) == {2}
+        ctl._run_batch(cell, volts, FAST)
+        assert calls and set(calls) == {n + 1}
+
+    def test_float_rows_do_not_depend_on_their_batch(self, cell):
+        # rows from programmed states: each has the same bits beside another
+        # row as in the full batch, and agrees with run_cycle on it alone to
+        # 1e-12 (the port model of one row takes a matrix-vector product
+        # where a batch takes a matrix product, and the two can differ in
+        # the last bit)
+        n = ctl.FLOAT_KERNEL_MAX_ROWS
+        codes = np.resize([str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows], n)
+        w0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, 3))
+        volts = np.array([pattern(code).port_voltages for code in codes])
+
+        def results(rows):
+            v_out, w, _, peak = ctl._run_batch(cell, volts[rows], FAST, w0=w0[rows])
+            return np.column_stack([v_out, w, peak])
+
+        full = results(slice(None))
+        for k, code in enumerate(codes):
+            pair = results([(k + 1) % n, k])
+            np.testing.assert_array_equal(pair[1].view(np.int64), full[k].view(np.int64))
+            m = ctl.run_cycle(cell, pattern(code), FAST, w0=w0[k])
+            np.testing.assert_allclose([m.v_out, *m.final_device_states, m.peak_power],
+                                       full[k], rtol=1e-12, atol=0.0)
 
 
 class TestRowDeduplication:
@@ -582,15 +665,17 @@ class TestRowDeduplication:
         assert rows_simulated == [61]
 
     @pytest.mark.parametrize("path", ["behavioral", "structural"])
-    def test_results_equal_the_full_batch(self, cell, path):
+    def test_results_equal_the_full_batch(self, cell, path, monkeypatch):
         cfg = ctl.CycleConfig()
-        ms = ctl.run_input_sweep(cell, path, cfg)
-        volts = np.array([m.pattern.port_voltages for m in ms])
-        v_out, w, _, peak = ctl._run_batch(cell, volts, cfg)
-        for got, want in ((np.array([m.v_out for m in ms]), v_out),
-                          (np.array([m.final_device_states for m in ms]), w),
-                          (np.array([m.peak_power for m in ms]), peak)):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for limit in ONE_KERNEL:
+            monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", limit)
+            ms = ctl.run_input_sweep(cell, path, cfg)
+            volts = np.array([m.pattern.port_voltages for m in ms])
+            v_out, w, _, peak = ctl._run_batch(cell, volts, cfg)
+            for got, want in ((np.array([m.v_out for m in ms]), v_out),
+                              (np.array([m.final_device_states for m in ms]), w),
+                              (np.array([m.peak_power for m in ms]), peak)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFailureParity:
@@ -618,13 +703,20 @@ class TestFailureParity:
             ctl.run_cycle(cell, pattern("012"), FAST)
 
     def test_ten_rows(self, cell, corrupted_models):
+        # the level scan: ten rows, stepped in floats
+        with pytest.raises(net.SingularNetwork):
+            ctl.simulate_levels(cell, FAST)
+
+    def test_numpy_rows(self, cell, corrupted_models):
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE),
+                          (ctl.FLOAT_KERNEL_MAX_ROWS + 1, 3))
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(net.SingularNetwork):
-            ctl.simulate_levels(cell, FAST)
+            ctl._run_batch(cell, volts, FAST)
 
 
 class TestSelfTermCheck:
-    """The one-row kernel leaves out the branch coefficients the model zeroes,
+    """The float kernel leaves out the branch coefficients the model zeroes,
     so a model with a nonzero one must stop it, not be evaluated without it."""
 
     def test_nonzero_self_term_raises(self, cell, monkeypatch):
