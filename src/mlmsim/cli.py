@@ -182,12 +182,16 @@ def cmd_temp_study(args):
     _write_csv(args.out, ["code", "temp_C", "mean_V", "stdev_V"], rows)
     _write_manifest(args.out, sim, seed)
 
+    print(f"wrote {len(rows)} rows to {args.out}")
+    if len(temps) < 2:
+        print("per-code mean drift across temperatures: needs two or more "
+              "temperatures, no verdict")
+        return EXIT_OK
     drift = 0.0
     for row in sim.table.rows:
         means = np.array([s.mean for s in stats if s.code == row.code])
         drift = max(drift, (means.max() - means.min()) / means.mean())
     verdict = "within" if drift <= 0.01 else "OUTSIDE"
-    print(f"wrote {len(rows)} rows to {args.out}")
     print(f"max per-code mean drift across temperatures: {drift:.4%} "
           f"({verdict} the 1% bound)")
     return EXIT_OK

@@ -10,14 +10,17 @@ the three device conductances. The part of that reduction that does not
 depend on the source values is kept on the cell's template for the
 phase's source set (`Cell.template`), so a chain of cycles on one cell
 builds it once per source set: reset, write and read. A phase then costs
-one solve for its source values. On every timestep one evaluation of those
-polynomials, with a residual check of the reduced 3x3 system, then gives
-the exact branch voltages, probe voltage and total source power for the
-frozen device resistances, after which each device state advances one
-explicit Euler step under its own branch voltage. Devices therefore
-interact through the shared nodes during the write transient, which is the
-only mechanism that can make a device's final state depend on the whole
-pattern rather than its own port alone.
+one solve for its source values, and none when its right-hand side
+repeats the previous one of its source set bit for bit: the template keeps
+its last model (`network.MnaTemplate.port_model`), so a noise-free chain of
+cycles builds only the model of each new write. On every timestep one
+evaluation of those polynomials, with a residual check of the reduced 3x3
+system, then gives the exact branch voltages, probe voltage and total
+source power for the frozen device resistances, after which each device
+state advances one explicit Euler step under its own branch voltage.
+Devices therefore interact through the shared nodes during the write
+transient, which is the only mechanism that can make a device's final
+state depend on the whole pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
 itself for the rest of the phase, so the phase ends there. A read that ends
@@ -46,12 +49,13 @@ as in `run_cycle`, the single-phase operations, the ten distinct rows of
 the sweep and the level scan, steps in Python floats (`_step_floats`): at
 three devices a numpy call costs more than the arithmetic it does, so the
 rows are stepped one after another, each step straight-line code over the
-three devices' floats, with the device law of `device.row_law` called once
-per device for its conductance and once for its step, and each row ends a
-phase at its own quiescent step. Both kernels use the same phase list, the
-same per-phase model and the same checks; the float device law gives
-`device.step_array`'s bits, and the polynomial sums may differ from
-numpy's in the last bits.
+three devices' floats with the device law written out inline, and each row
+ends a phase at its own quiescent step. A step there recomputes only what a
+moved device changed: that device's conductance and, while device c alone
+moves, none of the g_a/g_b partial sums of the polynomials. Both kernels
+use the same phase list, the same per-phase model and the same checks; the
+inline device law gives `device.step_array`'s bits, and the polynomial sums
+may differ from numpy's in the last bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -105,8 +109,9 @@ MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
 # another; a larger one steps in numpy. On noisy default-dt cycles the float
-# kernel is 1.66x faster at 10 rows, 1.32x at 12, 1.02x at 16 and 0.76x at 24.
-FLOAT_KERNEL_MAX_ROWS = 12
+# kernel is 2.4x faster at 10 rows, 1.8x at 12, 1.4x at 16, 1.2x at 20,
+# 1.0x at 22-24 and 0.87x at 28.
+FLOAT_KERNEL_MAX_ROWS = 20
 
 
 class NonQuiescentRead(Exception):
@@ -335,7 +340,7 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     for phase in phases:
         tmpl = cell.template(phase.sources)
         z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
-        model = net.PortModel(tmpl, z, g0, cell.ports.probe_node)
+        model = tmpl.port_model(z, g0, cell.ports.probe_node)
         probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, temperature,
                                            peak_power)
         if phase.is_read:
@@ -403,10 +408,18 @@ def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
     column in place of the source currents. Each row ends the phase at its
     own quiescent step, which in the numpy kernel it would repeat bit for
     bit. The branch polynomials leave out the four coefficients per branch
-    that the model zeroes, which is checked once per phase; the other sums
-    run in the order of the monomials. The device law gives step_array's
-    bits; the polynomial sums may differ from the batched matrix product in
-    the last bits.
+    that the model zeroes, which is checked once per phase.
+
+    The device law is written out for each device with the float operations
+    `device.conductance_array` and `device.step_array` apply elementwise,
+    so it gives their bits for every kind and window_p. A device's
+    conductance is recomputed only when its state moved. Every polynomial
+    sum runs in the order of the monomials, which puts g_c outermost, so
+    its g_a/g_b-only partial sums are kept until device a or b moves; the
+    results are those of the full sums, bit for bit. Residual row i is
+    summed per device as (e_i0 + e_i3 g_a) v_a + ..., its coefficients kept
+    with their conductance. The polynomial sums may differ from the batched
+    matrix product in the last bits.
     """
     if (model.coef[..., :3][..., _SELF_TERMS] != 0.0).any():
         raise RuntimeError("a branch polynomial of the port model has a term in its "
@@ -415,10 +428,20 @@ def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
     ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
      (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
     tol, is_read, n_steps = model.tol, phase.is_read, phase.n_steps
+    # the device law's constants; float() keeps the loop in Python floats
+    # when a parameter is a numpy scalar
+    params = cell.params
+    r_on, span = float(params.r_on), float(params.r_off - params.r_on)
+    low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
+    rate, p, dt = float(params.drift_rate), params.window_p, float(cfg.dt)
+    if cell.kind is dev.DeviceModelKind.THRESHOLD_DRIFT:
+        th_neg, th_pos = float(params.v_th_neg), float(params.v_th_pos)
+    else:
+        th_neg = th_pos = 0.0  # an empty band: no voltage freezes a state
     probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
     temps = np.broadcast_to(np.ravel(temperature), len(w)).tolist()
     for k, temp in enumerate(temps):
-        conductance, step_device = dev.row_law(cell.params, cell.kind, cfg.dt, temp)
+        factor = float(dev.temperature_factor(params, temp))
         columns = model.coef[k].T.tolist()
         (a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _) = columns[:2]
         (c0, c1, c2, c3, *_), (p0, p1, p2, p3, p4, p5, p6, p7) = columns[2:4]
@@ -427,37 +450,101 @@ def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
         wa, wb, wc = sa, sb, sc = w[k].tolist()
         peak = float(peak_power[k])
         probe_sum = drift = 0.0
+        ga = 1.0 / ((r_on + wa * span) * factor)
+        gb = 1.0 / ((r_on + wb * span) * factor)
+        gc = 1.0 / ((r_on + wc * span) * factor)
+        ea, fa, ha = e0 + e3 * ga, f0 + f3 * ga, h0 + h3 * ga
+        eb, fb, hb = e1 + e4 * gb, f1 + f4 * gb, h1 + h4 * gb
+        ec, fc, hc = e2 + e5 * gc, f2 + f5 * gc, h2 + h5 * gc
+        # branch a's numerator has no g_a term, branch b's no g_b term
+        va0, va1 = a0 + gb * a2, a4 + gb * a6
+        vb0, vb1 = b0 + ga * b1, b4 + ga * b5
+        ab_moved = True
         for step in range(n_steps):
-            ga, gb, gc = conductance(wa), conductance(wb), conductance(wc)
-            gab = ga * gb
-            den = d0 + ga * d1 + gb * d2 + gab * d3 + gc * (d4 + ga * d5 + gb * d6 + gab * d7)
+            if ab_moved:
+                # the g_a/g_b sums: g_c^0 and g_c^1 terms of each polynomial
+                gab = ga * gb
+                den0 = d0 + ga * d1 + gb * d2 + gab * d3
+                den1 = d4 + ga * d5 + gb * d6 + gab * d7
+                vc0 = c0 + ga * c1 + gb * c2 + gab * c3
+                power0 = q0 + ga * q1 + gb * q2 + gab * q3
+                power1 = q4 + ga * q5 + gb * q6 + gab * q7
+                if is_read:
+                    probe0 = p0 + ga * p1 + gb * p2 + gab * p3
+                    probe1 = p4 + ga * p5 + gb * p6 + gab * p7
+                ab_moved = False
+            den = den0 + gc * den1
             if den == 0.0:  # a NaN or infinite one fails the residual check, as in numpy
                 raise net.SingularNetwork("reduced system has a zero determinant")
-            va = (a0 + gb * a2 + gc * (a4 + gb * a6)) / den
-            vb = (b0 + ga * b1 + gc * (b4 + ga * b5)) / den
-            vc = (c0 + ga * c1 + gb * c2 + gab * c3) / den
-            gva, gvb, gvc = ga * va, gb * vb, gc * vc
-            r0 = abs(e0 * va + e1 * vb + e2 * vc + e3 * gva + e4 * gvb + e5 * gvc - u0)
-            r1 = abs(f0 * va + f1 * vb + f2 * vc + f3 * gva + f4 * gvb + f5 * gvc - u1)
-            r2 = abs(h0 * va + h1 * vb + h2 * vc + h3 * gva + h4 * gvb + h5 * gvc - u2)
+            va = (va0 + gc * va1) / den
+            vb = (vb0 + gc * vb1) / den
+            vc = vc0 / den
+            r0 = ea * va + eb * vb + ec * vc - u0
+            r1 = fa * va + fb * vb + fc * vc - u1
+            r2 = ha * va + hb * vb + hc * vc - u2
             # one component at a time: max() can drop a NaN
-            if not (r0 <= tol and r1 <= tol and r2 <= tol):
-                worst = next(r for r in (r0, r1, r2) if not r <= tol)
+            if not (-tol <= r0 <= tol and -tol <= r1 <= tol and -tol <= r2 <= tol):
+                worst = next(abs(r) for r in (r0, r1, r2) if not -tol <= r <= tol)
                 raise net.SingularNetwork(f"reduced solve residual {worst:g} indicates "
                                           "a singular or ill-conditioned network")
-            na, nb, nc = step_device(wa, va), step_device(wb, vb), step_device(wc, vc)
+            # the device law, once per device: frozen inside the threshold
+            # band, else an Euler step of the window law; each conditional
+            # picks what np.maximum / np.minimum would
+            if th_neg < va < th_pos:
+                na = wa if wa > 0.0 else 0.0
+            else:
+                x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
+                x = x + x - 1.0
+                x = x * x
+                if p != 1:
+                    x = x * x if p == 2 else _window_power(x, p)
+                na = wa + rate * va * (1.0 - x) * dt
+                na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
+            if th_neg < vb < th_pos:
+                nb = wb if wb > 0.0 else 0.0
+            else:
+                x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
+                x = x + x - 1.0
+                x = x * x
+                if p != 1:
+                    x = x * x if p == 2 else _window_power(x, p)
+                nb = wb + rate * vb * (1.0 - x) * dt
+                nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
+            if th_neg < vc < th_pos:
+                nc = wc if wc > 0.0 else 0.0
+            else:
+                x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
+                x = x + x - 1.0
+                x = x * x
+                if p != 1:
+                    x = x * x if p == 2 else _window_power(x, p)
+                nc = wc + rate * vc * (1.0 - x) * dt
+                nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
             if is_read:
-                probe = (p0 + ga * p1 + gb * p2 + gab * p3
-                         + gc * (p4 + ga * p5 + gb * p6 + gab * p7)) / den
+                probe = (probe0 + gc * probe1) / den
                 probe_sum += probe
                 for moved in (abs(na - sa), abs(nb - sb), abs(nc - sc)):
                     if moved > drift:
                         drift = moved
-            power = (q0 + ga * q1 + gb * q2 + gab * q3
-                     + gc * (q4 + ga * q5 + gb * q6 + gab * q7)) / den
+            power = (power0 + gc * power1) / den
             if power > peak or power != power:  # a NaN stays, as in np.maximum
                 peak = power
-            if na == wa and nb == wb and nc == wc:
+            # equal states, 0.0 and -0.0 included, have equal conductances
+            if na != wa:
+                ga = 1.0 / ((r_on + na * span) * factor)
+                ea, fa, ha = e0 + e3 * ga, f0 + f3 * ga, h0 + h3 * ga
+                vb0, vb1 = b0 + ga * b1, b4 + ga * b5
+                ab_moved = True
+            if nb != wb:
+                gb = 1.0 / ((r_on + nb * span) * factor)
+                eb, fb, hb = e1 + e4 * gb, f1 + f4 * gb, h1 + h4 * gb
+                va0, va1 = a0 + gb * a2, a4 + gb * a6
+                ab_moved = True
+            if nc != wc:
+                gc = 1.0 / ((r_on + nc * span) * factor)
+                ec, fc, hc = e2 + e5 * gc, f2 + f5 * gc, h2 + h5 * gc
+            elif not ab_moved:
+                # every later step of the phase would repeat this one exactly
                 if is_read:
                     for _ in range(n_steps - step - 1):
                         probe_sum += probe
@@ -467,6 +554,11 @@ def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
         peak_power[k] = peak
         probe_sums[k], drifts[k] = probe_sum, drift
     return probe_sums, drifts
+
+
+def _window_power(x, p):
+    """x ** p as numpy's power loop rounds it; Python's pow can differ in the last bit."""
+    return np.power([x], p).tolist()[0]
 
 
 def _initial_states(cell, w0, batch):

@@ -147,42 +147,3 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
     np.maximum(out, _ZERO, out=out)
     return out
 
-
-def row_law(params: MemristorParams, kind: DeviceModelKind, dt, temperature):
-    """The device law for one device in Python floats: (conductance, step).
-
-    conductance(w_j) gives 1.0 / resistance_array(w_j, params, temperature)
-    and step(w_j, v_j) the state step_array(w, v, dt, params, kind) would
-    leave for that device, with the same bits, because each float operation
-    is the one the array code applies elementwise. For a window_p above 2
-    the window power stays a numpy call: numpy's power loop and Python's
-    pow differ in the last bit.
-    """
-    # float() keeps the loop in Python floats when a field is a numpy scalar
-    r_on, span = float(params.r_on), float(params.r_off - params.r_on)
-    factor = float(temperature_factor(params, temperature))
-    low, high = W_BOUNDARY_ESCAPE, 1.0 - W_BOUNDARY_ESCAPE
-    rate, p, dt = float(params.drift_rate), params.window_p, float(dt)
-    th_pos, th_neg = float(params.v_th_pos), float(params.v_th_neg)
-    gated = kind is DeviceModelKind.THRESHOLD_DRIFT
-
-    def conductance(wj):
-        return 1.0 / ((r_on + wj * span) * factor)
-
-    def step(wj, vj):
-        if gated and th_neg < vj < th_pos:
-            wj = wj + 0.0
-        else:
-            # each conditional picks what np.maximum / np.minimum would
-            x = (low if wj < low else wj) if vj > 0.0 else (high if wj > high else wj)
-            x = x + x - 1.0
-            x = x * x
-            if p == 2:
-                x = x * x
-            elif p != 1:
-                x = np.power([x], p).tolist()[0]
-            wj = wj + rate * vj * (1.0 - x) * dt
-            wj = 1.0 if wj >= 1.0 else wj
-        return 0.0 if wj <= 0.0 else wj
-
-    return conductance, step

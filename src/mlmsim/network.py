@@ -13,7 +13,8 @@ so a timestep costs one polynomial evaluation plus a residual check of the
 reduced system. The part of the reduction that does not depend on the
 source values (`PortReduction`) is built once per template and kept on it,
 so a model for new source values costs one solve against A0 and a few
-small products.
+small products, and `MnaTemplate.port_model` keeps the last model built,
+for a right-hand side that repeats.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -178,6 +179,7 @@ class MnaTemplate:
         self.z_base = z
         self.device_stamps = tuple(stamps)
         self._reduction = None
+        self._model = self._model_key = None
 
     def port_reduction(self, g0, probe_node):
         """The source-independent half of a PortModel, built on first use and kept.
@@ -187,6 +189,21 @@ class MnaTemplate:
         if self._reduction is None or self._reduction.key != (g0, probe_node):
             self._reduction = PortReduction(self, g0, probe_node)
         return self._reduction
+
+    def port_model(self, z, g0, probe_node):
+        """The PortModel for right-hand sides z, built when they change and kept.
+
+        One model is kept, for the last (g0, probe_node, z) asked for; z is
+        compared by its shape and bits, so a phase that repeats its source
+        values exactly, as in a noise-free chain of cycles, reuses it, and
+        a noisy one builds its own. A kept model is shared by every caller
+        that asks for it again, so its arrays are read, never changed.
+        """
+        key = (g0, probe_node, z.shape, z.tobytes())
+        if self._model_key != key:
+            self._model = PortModel(self, z, g0, probe_node)
+            self._model_key = key
+        return self._model
 
     @staticmethod
     def _stamp_conductance(a_mat, na, nb, g):

@@ -377,6 +377,16 @@ class TestTempStudyCommand:
                          "--out", str(tmp_path / "s.csv")]) == 0
         assert "1% bound" in capsys.readouterr().out
 
+    def test_one_temperature_gives_no_drift_verdict(self, tmp_path, fast_config, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["temp-study", "--config", fast_config, "--temps", "20",
+                         "--trials", "2", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"wrote 10 rows to {out}" in printed
+        assert "needs two or more temperatures" in printed
+        assert "bound" not in printed and "%" not in printed
+        assert len(out.read_text().strip().splitlines()) == 11
+
     @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20", "20,20"])
     def test_invalid_temperature_rejected(self, tmp_path, fast_config, capsys, temps):
         out = tmp_path / "s.csv"

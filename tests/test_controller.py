@@ -526,26 +526,28 @@ class TestDenseReference:
         assert 0 < calls[0] <= 160
 
     def test_float_rows_end_at_their_own_quiescent_step(self, cell, monkeypatch):
-        steps = []
-        row_law = dev.row_law
+        # each row's step loop in the float kernel runs over range(n_steps):
+        # a controller-level range that counts what each loop takes
+        loops = []
 
-        def counting(*args):
-            conductance, step = row_law(*args)
-            k = len(steps)
-            steps.append(0)
+        def counting_range(*args):
+            taken = [len(range(*args)), 0]
+            loops.append(taken)
+            for i in range(*args):
+                taken[1] += 1
+                yield i
 
-            def counted(wj, vj):
-                steps[k] += 1
-                return step(wj, vj)
-
-            return conductance, counted
-
-        monkeypatch.setattr(dev, "row_law", counting)
+        monkeypatch.setattr(ctl, "range", counting_range, raising=False)
         ctl.simulate_levels(cell, FAST)
         codes = [str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows]
-        # one device law per row and phase (reset, write, read), three
-        # device steps per timestep
-        per_row = np.reshape(steps, (3, len(codes))).sum(axis=0) // 3
+        # one step loop per row and phase (reset, write, read); a read that
+        # ends early runs one shorter loop to pad its probe sum
+        n_read = FAST.steps(FAST.t_read)
+        lengths = {FAST.steps(FAST.t_reset), FAST.steps(FAST.t_write), n_read}
+        steps = [taken for n, taken in loops if n in lengths]
+        assert len(steps) == 3 * len(codes)
+        assert all(n < n_read for n, _ in loops if n not in lengths)
+        per_row = np.reshape(steps, (3, len(codes))).sum(axis=0)
         # the 000 row writes nothing: its write is frozen after one step,
         # as are the reset of a fresh cell and the read
         assert per_row[codes.index("000")] == 3
@@ -679,7 +681,11 @@ class TestRowDeduplication:
 
 
 class TestFailureParity:
-    """A corrupted model raises SingularNetwork from either kernel."""
+    """A corrupted model raises SingularNetwork from either kernel.
+
+    Each test runs on a cell of its own: a cell's templates keep their last
+    model, which was built before the corruption.
+    """
 
     @pytest.fixture(params=["zero denominator", "NaN numerator", "NaN right-hand side"])
     def corrupted_models(self, request, monkeypatch):
@@ -698,28 +704,28 @@ class TestFailureParity:
 
         monkeypatch.setattr(net.PortModel, "__init__", corrupted)
 
-    def test_one_row(self, cell, corrupted_models):
+    def test_one_row(self, corrupted_models):
         with pytest.raises(net.SingularNetwork):
-            ctl.run_cycle(cell, pattern("012"), FAST)
+            ctl.run_cycle(ctl.make_cell(), pattern("012"), FAST)
 
-    def test_ten_rows(self, cell, corrupted_models):
+    def test_ten_rows(self, corrupted_models):
         # the level scan: ten rows, stepped in floats
         with pytest.raises(net.SingularNetwork):
-            ctl.simulate_levels(cell, FAST)
+            ctl.simulate_levels(ctl.make_cell(), FAST)
 
-    def test_numpy_rows(self, cell, corrupted_models):
+    def test_numpy_rows(self, corrupted_models):
         volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE),
                           (ctl.FLOAT_KERNEL_MAX_ROWS + 1, 3))
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(net.SingularNetwork):
-            ctl._run_batch(cell, volts, FAST)
+            ctl._run_batch(ctl.make_cell(), volts, FAST)
 
 
 class TestSelfTermCheck:
     """The float kernel leaves out the branch coefficients the model zeroes,
     so a model with a nonzero one must stop it, not be evaluated without it."""
 
-    def test_nonzero_self_term_raises(self, cell, monkeypatch):
+    def test_nonzero_self_term_raises(self, monkeypatch):
         build = net.PortModel.__init__
 
         def with_self_term(model, *args, **kwargs):
@@ -728,7 +734,7 @@ class TestSelfTermCheck:
 
         monkeypatch.setattr(net.PortModel, "__init__", with_self_term)
         with pytest.raises(RuntimeError, match="own device's conductance"):
-            ctl.run_cycle(cell, pattern("012"), FAST)
+            ctl.run_cycle(ctl.make_cell(), pattern("012"), FAST)
 
 
 class TestReductionReuse:
@@ -802,3 +808,55 @@ class TestReductionReuse:
                              expected):
             np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                           np.asarray(want).view(np.int64))
+
+
+class TestModelReuse:
+    """A template keeps its last port model and reuses it for a phase whose
+    right-hand side repeats bit for bit."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        build = net.PortModel.__init__
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            build(*args, **kwargs)
+
+        monkeypatch.setattr(net.PortModel, "__init__", counting)
+        return count
+
+    def test_noise_free_chain_builds_only_the_next_write(self, builds):
+        cell = ctl.make_cell()
+        w = ctl.run_cycle(cell, pattern("012"), FAST).final_device_states
+        assert builds[0] == 3
+        ctl.run_cycle(cell, pattern("220"), FAST, w0=w)
+        assert builds[0] == 3 + 1
+
+    def test_noisy_chain_rebuilds_every_phase(self, builds):
+        cell, w = ctl.make_cell(), None
+        for seed in range(3):
+            w = ctl.run_cycle(cell, pattern("012"), FAST, noise=ctl.NoiseConfig(1e-3, seed),
+                              w0=w).final_device_states
+            assert builds[0] == 3 * (seed + 1)
+
+    def test_reused_models_equal_fresh_cells(self, builds):
+        codes = ("222", "222", "012", "000", "012", "012")
+
+        def chain(next_cell):
+            w, results = None, []
+            for code in codes:
+                m = ctl.run_cycle(next_cell(), pattern(code), ctl.CycleConfig(), w0=w)
+                w = m.final_device_states
+                results.append((m.v_out, w, m.peak_power))
+            return results
+
+        one = ctl.make_cell()
+        reused = chain(lambda: one)
+        # the first cycle builds reset, write and read; after it only a new
+        # write pattern builds a model
+        assert builds[0] == 3 + 3
+        fresh = chain(ctl.make_cell)
+        assert builds[0] == 6 + 3 * len(codes)
+        # equal floats, and the same bits: == would let 0.0 match -0.0
+        assert repr(reused) == repr(fresh)

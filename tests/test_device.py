@@ -1,9 +1,11 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlmsim import controller as ctl
 from mlmsim import device as dev
 
 from oracles import logistic_drift, reference_step_array
@@ -162,22 +164,51 @@ class TestKernelAgainstReference:
                                   scratch=dev.step_scratch(shape)) is out
             np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
             np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
-            # the float law of a one-row batch, row by row, one device at a time
             temperature = rng.uniform(250.0, 400.0)
-            conductance, step_device = dev.row_law(params, kind, dt, temperature)
             g = 1.0 / dev.resistance_array(w, params, temperature)
             factor = dev.temperature_factor(params, temperature)
             np.testing.assert_array_equal(
                 dev.conductance_array(w, params, factor, np.empty_like(w)).view(np.int64),
                 g.view(np.int64))
-            for w_row, v_row, g_row, expected_row in zip(w, v, g, expected):
-                np.testing.assert_array_equal(
-                    np.array([step_device(wj, vj) for wj, vj
-                              in zip(w_row.tolist(), v_row.tolist())]).view(np.int64),
-                    expected_row.view(np.int64))
-                np.testing.assert_array_equal(
-                    np.array([conductance(wj) for wj in w_row.tolist()]).view(np.int64),
-                    g_row.view(np.int64))
+            # the float kernel's inline law, several steps on three devices
+            self._check_float_kernel(rng, params, kind, dt)
+
+    def _check_float_kernel(self, rng, params, kind, dt):
+        """The float kernel's inline law against repeated array-law steps.
+
+        A stub port model with exact polynomials: denominator 1, constant
+        branch voltages, the probe g_a, the power g_b + g_c and residual 0.
+        """
+        rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
+        w = self._states(rng, (rows, 3))
+        v = self._voltages(rng, (rows, 3), params)
+        temperature = rng.uniform(250.0, 400.0, size=(rows, 1))
+        coef = np.zeros((rows, 8, 6))
+        coef[:, 0, :3] = v          # each branch's constant term
+        coef[:, 1, 3] = 1.0         # probe: the g_a monomial
+        coef[:, [2, 4], 4] = 1.0    # power: the g_b and g_c monomials
+        coef[:, 0, 5] = 1.0         # denominator
+        model = SimpleNamespace(coef=coef, u=np.zeros((rows, 3)),
+                                system_t=np.zeros((6, 3)), tol=0.0)
+        phase = ctl.Phase({}, n_steps, is_read=bool(rng.integers(2)))
+        got, peak = w.copy(), np.zeros(rows)
+        probe, drift = ctl._step_floats(SimpleNamespace(params=params, kind=kind),
+                                        SimpleNamespace(dt=dt), phase, model, got,
+                                        temperature, peak)
+        factor = dev.temperature_factor(params, temperature)
+        g, want = np.empty_like(w), w.copy()
+        want_probe, want_peak, want_drift = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+        for _ in range(n_steps):
+            dev.conductance_array(want, params, factor, g)
+            want_probe += g[:, 0]
+            np.maximum(want_peak, g[:, 1] + g[:, 2], out=want_peak)
+            dev.step_array(want, v, dt, params, kind)
+            np.maximum(want_drift, np.abs(want - w).max(axis=1), out=want_drift)
+        if not phase.is_read:
+            want_probe[:] = want_drift[:] = 0.0
+        for result, expected in ((got, want), (peak, want_peak), (probe, want_probe),
+                                 (drift, want_drift)):
+            np.testing.assert_array_equal(result.view(np.int64), expected.view(np.int64))
 
 
 class TestThresholdDrift:
