@@ -190,7 +190,8 @@ def cmd_temp_study(args):
     drift = 0.0
     for row in sim.table.rows:
         means = np.array([s.mean for s in stats if s.code == row.code])
-        drift = max(drift, (means.max() - means.min()) / means.mean())
+        # relative to |mean|: a negative read gives negative levels
+        drift = max(drift, (means.max() - means.min()) / abs(means.mean()))
     verdict = "within" if drift <= 0.01 else "OUTSIDE"
     print(f"max per-code mean drift across temperatures: {drift:.4%} "
           f"({verdict} the 1% bound)")

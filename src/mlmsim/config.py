@@ -1,8 +1,9 @@
 """Simulator configuration: one JSON document, every field defaulted.
 
 An empty document (or no file at all) resolves to the reference experiment:
-the three-sub-cell cell with calibrated device parameters, the standard bin
-table, and the standard cycle timing. Sections mirror the module types:
+the three-sub-cell cell with the default device parameters (not fitted to
+the reference levels), the standard bin table, and the standard cycle
+timing. Sections mirror the module types:
 
     {
       "device":   {"r_on": ..., "v_th_pos": 0.3, ...},

@@ -5,14 +5,15 @@ its engaged sources by element index, its step count, and whether it is the
 read. One loop, `_run_phases`, runs any such list. In each phase the
 engaged sources are fixed, so the network is reduced once onto the three
 device branches (`network.PortModel`, with every device at r_on as the
-reference), and every output is written as a ratio of two polynomials in
-the three device conductances. The part of that reduction that does not
-depend on the source values is kept on the cell's template for the
-phase's source set (`Cell.template`), so a chain of cycles on one cell
-builds it once per source set: reset, write and read. A phase then costs
-one solve for its source values, and none when its right-hand side
-repeats the previous one of its source set bit for bit: the template keeps
-its last model (`network.MnaTemplate.port_model`), so a noise-free chain of
+reference), and the branch voltages, the probe voltage and the total
+source power are each written as a ratio of two polynomials in the three
+device conductances: six columns of coefficients in every phase. The cell
+owns these models (`Cell.model`). It keeps the part of a reduction that
+does not depend on the source values (`network.PortReduction`) per source
+set, so a chain of cycles on one cell builds it three times in all: reset,
+write and read. A phase then costs one solve for its source values, and
+none when its right-hand side repeats the previous one of its source set
+bit for bit: the reduction keeps its last model, so a noise-free chain of
 cycles builds only the model of each new write. On every timestep one
 evaluation of those polynomials, with a residual check of the reduced 3x3
 system, then gives the exact branch voltages, probe voltage and total
@@ -149,6 +150,8 @@ class CycleConfig:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be above 0 K, got {self.temperature!r}")
+        if self.v_read == 0:
+            raise ValueError("v_read must be nonzero: a 0 V read gives every level 0 V")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         for name in ("t_reset", "t_write", "t_read"):
@@ -215,9 +218,9 @@ class StudyStats:
 class Cell:
     """A built cell: topology, device parameterization, netlist and ports.
 
-    templates holds one `network.MnaTemplate` per set of engaged sources,
-    built on first use by `template`; each keeps its own port reduction, so
-    a chain of cycles on one cell reduces the network once per source set.
+    reductions holds one `network.PortReduction` per set of engaged
+    sources, built on first use by `model`, so a chain of cycles on one
+    cell reduces the network once per source set.
     """
 
     topology: net.CellTopology
@@ -225,16 +228,20 @@ class Cell:
     kind: dev.DeviceModelKind
     netlist: net.Netlist
     ports: net.CellPorts
-    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def template(self, sources):
-        """The MnaTemplate with exactly these source indices engaged."""
+    def model(self, sources, batch):
+        """The `network.PortModel` of a phase's sources, with every device at
+        r_on as the reference, for batch rows; the last one again while the
+        right-hand side of the source set repeats bit for bit."""
         key = frozenset(sources)
-        tmpl = self.templates.get(key)
-        if tmpl is None:
-            tmpl = self.templates[key] = net.MnaTemplate(self.netlist,
-                                                         dict.fromkeys(key, 0.0))
-        return tmpl
+        red = self.reductions.get(key)
+        if red is None:
+            tmpl = net.MnaTemplate(self.netlist, dict.fromkeys(key, 0.0))
+            red = self.reductions[key] = net.PortReduction(tmpl, 1.0 / self.params.r_on,
+                                                           self.ports.probe_node)
+        tmpl = red.template
+        return red.model(np.broadcast_to(tmpl.rhs(sources), (batch, tmpl.m)))
 
 
 def make_cell(topology=None, params=None,
@@ -327,22 +334,17 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
         temperature = cfg.temperature
     else:
         temperature = np.reshape(temperature, (batch, 1))
-    temps = np.ravel(temperature)
-    factor = dev.temperature_factor(cell.params, temps)
-    if not (factor > 0).all():
-        k = int(np.argmin(factor))
+    factor = dev.temperature_factor(cell.params, temperature)
+    if not np.all(factor > 0):
+        k, t = int(np.argmin(factor)), np.ravel(temperature)
         raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
-                         f"{factor[k]:.4g} at T = {temps[k]:.6g} K; it must be positive")
-    g0 = 1.0 / cell.params.r_on
+                         f"{np.ravel(factor)[k]:.4g} at T = {t[k]:.6g} K; it must be positive")
     run_phase = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
     for phase in phases:
-        tmpl = cell.template(phase.sources)
-        z = np.broadcast_to(tmpl.rhs(phase.sources), (batch, tmpl.m))
-        model = tmpl.port_model(z, g0, cell.ports.probe_node)
-        probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, temperature,
-                                           peak_power)
+        model = cell.model(phase.sources, batch)
+        probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, factor, peak_power)
         if phase.is_read:
             drift = phase_drift
             if (drift >= READ_DISTURB_TOLERANCE).any():
@@ -353,17 +355,17 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     return v_out, drift, peak_power
 
 
-def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
+def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     """Step the states w through one phase; returns (probe sum, read drift).
 
-    w and peak_power change in place; the probe sum and drift, one value
-    per batch row, stay zero unless the phase is the read. Every array the
-    loop writes is allocated once per phase, and the states alternate
-    between w and a second array: each step reads one and writes the other.
+    factor is the device temperature factor, a scalar or a (B, 1) array. w
+    and peak_power change in place; the probe sum and drift, one value per
+    batch row, stay zero unless the phase is the read. Every array the loop
+    writes is allocated once per phase, and the states alternate between w
+    and a second array: each step reads one and writes the other.
     """
     batch = w.shape[0]
     params, dt, kind = cell.params, cfg.dt, cell.kind
-    factor = dev.temperature_factor(params, temperature)
     g = np.empty_like(w)
     scratch = dev.step_scratch(w.shape)
     w_start = w.copy()
@@ -373,7 +375,7 @@ def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
     drift = np.zeros(batch)
     for step in range(phase.n_steps):
         dev.conductance_array(old, params, factor, g)
-        v_dev, v_probe, _, power = model.solve(g)
+        v_dev, v_probe, power = model.solve(g)
         dev.step_array(old, v_dev, dt, params, kind, out=new, scratch=scratch)
         if phase.is_read:
             probe_sum += v_probe
@@ -397,18 +399,18 @@ def _step_arrays(cell, cfg, phase, model, w, temperature, peak_power):
 _SELF_TERMS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 
 
-def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
+def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does,
     so the rows are stepped one after another, each step evaluating the
     model's polynomials and the device law as straight-line float code
     instead: row k's coefficients model.coef[k] and model.u[k] at row k's
-    temperature, the same residual check against model.tol, and the power
-    column in place of the source currents. Each row ends the phase at its
-    own quiescent step, which in the numpy kernel it would repeat bit for
-    bit. The branch polynomials leave out the four coefficients per branch
-    that the model zeroes, which is checked once per phase.
+    temperature factor, with the same residual check against model.tol.
+    Each row ends the phase at its own quiescent step, which in the numpy
+    kernel it would repeat bit for bit. The branch polynomials leave out the
+    four coefficients per branch that the model zeroes, which is checked
+    once per phase.
 
     The device law is written out for each device with the float operations
     `device.conductance_array` and `device.step_array` apply elementwise,
@@ -439,13 +441,11 @@ def _step_floats(cell, cfg, phase, model, w, temperature, peak_power):
     else:
         th_neg = th_pos = 0.0  # an empty band: no voltage freezes a state
     probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
-    temps = np.broadcast_to(np.ravel(temperature), len(w)).tolist()
-    for k, temp in enumerate(temps):
-        factor = float(dev.temperature_factor(params, temp))
-        columns = model.coef[k].T.tolist()
-        (a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _) = columns[:2]
-        (c0, c1, c2, c3, *_), (p0, p1, p2, p3, p4, p5, p6, p7) = columns[2:4]
-        (q0, q1, q2, q3, q4, q5, q6, q7), (d0, d1, d2, d3, d4, d5, d6, d7) = columns[-2:]
+    factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
+    for k, factor in enumerate(factors):
+        ((a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _), (c0, c1, c2, c3, *_),
+         (p0, p1, p2, p3, p4, p5, p6, p7), (q0, q1, q2, q3, q4, q5, q6, q7),
+         (d0, d1, d2, d3, d4, d5, d6, d7)) = model.coef[k].T.tolist()
         u0, u1, u2 = model.u[k].tolist()
         wa, wb, wc = sa, sb, sc = w[k].tolist()
         peak = float(peak_power[k])

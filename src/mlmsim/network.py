@@ -5,16 +5,17 @@ analysis with voltage sources handled as extra current unknowns and solved
 by direct factorization. Memristor elements are placeholders whose
 resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
 re-stamp and re-factor the whole system on each call and stay the
-reference. For a transient, `PortModel` reduces the system onto the device
-branches and writes every output as a ratio of two polynomials in the
-device conductances, with 2^n_devices coefficients each. It keeps those
-coefficients per batch row, 8 x (6 + n_sources) doubles for three devices,
-so a timestep costs one polynomial evaluation plus a residual check of the
-reduced system. The part of the reduction that does not depend on the
-source values (`PortReduction`) is built once per template and kept on it,
-so a model for new source values costs one solve against A0 and a few
-small products, and `MnaTemplate.port_model` keeps the last model built,
-for a right-hand side that repeats.
+reference; a template holds only its assembly. For a transient,
+`PortModel` reduces the system onto the device branches and writes every
+output as a ratio of two polynomials in the device conductances, with
+2^n_devices coefficients each. It keeps those coefficients per batch row,
+8 x 6 doubles for three devices, so a timestep costs one polynomial
+evaluation plus a residual check of the reduced system. The part of the
+reduction that does not depend on the source values (`PortReduction`) is
+built once per source set and kept by its owner, so a model for new
+source values costs one solve against A0 and a few small products, and
+the reduction keeps the last model built, for a right-hand side that
+repeats.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -38,8 +39,8 @@ import numpy as np
 # Sub-cells per cell: one per trit of the 3-trit write code.
 N_SUBCELLS = 3
 
-# Calibrated default for the ground (probe) resistor; 100 ohm is the
-# uncalibrated starting value.
+# Default ground (probe) resistor, raised from the original 100 ohm; neither
+# value is fitted to the reference levels (level 000 reads high at 200 ohm).
 DEFAULT_R_GROUND = 200.0
 UNCALIBRATED_R_GROUND = 100.0
 
@@ -178,32 +179,6 @@ class MnaTemplate:
         self.a_base = a_mat
         self.z_base = z
         self.device_stamps = tuple(stamps)
-        self._reduction = None
-        self._model = self._model_key = None
-
-    def port_reduction(self, g0, probe_node):
-        """The source-independent half of a PortModel, built on first use and kept.
-
-        One reduction is kept, for the last (g0, probe_node) asked for.
-        """
-        if self._reduction is None or self._reduction.key != (g0, probe_node):
-            self._reduction = PortReduction(self, g0, probe_node)
-        return self._reduction
-
-    def port_model(self, z, g0, probe_node):
-        """The PortModel for right-hand sides z, built when they change and kept.
-
-        One model is kept, for the last (g0, probe_node, z) asked for; z is
-        compared by its shape and bits, so a phase that repeats its source
-        values exactly, as in a noise-free chain of cycles, reuses it, and
-        a noisy one builds its own. A kept model is shared by every caller
-        that asks for it again, so its arrays are read, never changed.
-        """
-        key = (g0, probe_node, z.shape, z.tobytes())
-        if self._model_key != key:
-            self._model = PortModel(self, z, g0, probe_node)
-            self._model_key = key
-        return self._model
 
     @staticmethod
     def _stamp_conductance(a_mat, na, nb, g):
@@ -285,8 +260,8 @@ class PortReduction:
     A template fixes which sources are engaged, so A0, Y = A0^-1 B,
     K = B^T Y, the subset determinants and adjugates, and the reduced
     system's rows depend only on the template, g0 and the probe node.
-    `MnaTemplate.port_reduction` builds this once and keeps it; every array
-    here is read-only, because the template shares it with each model.
+    Every array here is read-only, because each model shares it. `model`
+    keeps the last model built, for a right-hand side that repeats.
     """
 
     def __init__(self, template, g0, probe_node):
@@ -324,7 +299,7 @@ class PortReduction:
         adjugate = np.linalg.det(replaced)
         per_u = np.concatenate([adjugate, -(coupling @ adjugate)], axis=1)
 
-        self.key = (g0, probe_node)
+        self.template = template
         self.n = n
         self.subsets = subsets
         self.keep = np.array(keep)
@@ -337,6 +312,22 @@ class PortReduction:
         for array in (b_mat, a0, self.keep, self.per_u, denominator, self.no_self_term,
                       self.system_t):
             array.flags.writeable = False
+        self._model = self._model_key = None
+
+    def model(self, z):
+        """The PortModel for right-hand sides z, built when they change and kept.
+
+        z is compared by its shape and bits, so a phase that repeats its
+        source values exactly, as in a noise-free chain of cycles, reuses
+        the last model, and a noisy one builds its own. A kept model is
+        shared by every caller that asks for it again, so its arrays are
+        read, never changed.
+        """
+        key = (z.shape, z.tobytes())
+        if self._model_key != key:
+            self._model = PortModel(self, z)
+            self._model_key = key
+        return self._model
 
 
 class PortModel:
@@ -364,34 +355,36 @@ class PortModel:
     batched determinants of the column-mixed system. One more numerator,
     the source currents' numerators weighted by each source's -V from z,
     gives the total source power -V*I over the same denominator, so a solve
-    never sums the currents. The model keeps 2^n coefficients per batch row
-    for each branch, the probe, each source, the power and the denominator,
-    in that column order: 8 x (6 + n_sources) doubles per row for three
-    devices. A solve is then the monomials of g, one batched matrix product
-    and one division. The expansion is in g, not in g - g0: the determinant
-    of a passive network has terms of one sign in g (the matrix-tree
-    theorem), so its sum does not cancel. Every solve still checks the residual of
-    the reduced system against a fixed tolerance, and raises
-    SingularNetwork on NaN, inf or an ill-conditioned system.
+    never sums the currents, and the currents' own numerators are not kept.
+    The model keeps 2^n coefficients per batch row for each branch, the
+    probe, the power and the denominator, in that column order: 8 x 6
+    doubles per row for three devices, in every phase. A solve is then the
+    monomials of g, one batched matrix product and one division. The
+    expansion is in g, not in g - g0: the determinant of a passive network
+    has terms of one sign in g (the matrix-tree theorem), so its sum does
+    not cancel. Every solve still checks the residual of the reduced system
+    against a fixed tolerance, and raises SingularNetwork on NaN, inf or an
+    ill-conditioned system.
 
     Everything but x0 depends only on the template, g0 and the probe node:
     A0, Y, K, the subset determinants and adjugates, and the reduced
-    system's rows. That half is a `PortReduction`, which the template
-    builds on first use and keeps (`MnaTemplate.port_reduction`), read-only.
-    The constructor computes only the source-dependent half: x0, u = B^T x0,
-    the numerators, the power column and the tolerance. Every array a model
-    exposes is its own, so changing one leaves the template's half and the
-    next model unchanged.
+    system's rows. That half is the `PortReduction` the model is built
+    from, read-only. The constructor computes only the source-dependent
+    half: x0, u = B^T x0, the numerators, the power column and the
+    tolerance. Every array a model exposes is its own, so changing one
+    leaves the reduction and the next model unchanged. A model keeps no
+    reference to its reduction: the reduction keeps its last model, and a
+    cycle between them would leave a dropped cell to the cyclic GC.
 
     z has trailing dimension template.m and may carry batch rows; each
     device appears once in the netlist, and its column is its device index.
     """
 
-    def __init__(self, template, z, g0, probe_node):
-        red = template.port_reduction(g0, probe_node)
+    def __init__(self, reduction, z):
+        red, tmpl = reduction, reduction.template
         n = red.n
         z = np.asarray(z, dtype=float)
-        x0 = _solve_checked(red.a0, z.reshape(-1, template.m).T).T.reshape(z.shape)
+        x0 = _solve_checked(red.a0, z.reshape(-1, tmpl.m).T).T.reshape(z.shape)
         u = x0 @ red.b_mat
         # numerators[..., s, r]: branches adjugate u, kept rows x0_keep D - coupling adjugate u
         numerators = np.dot(u, red.per_u).reshape(u.shape[:-1] + (red.subsets, -1))
@@ -399,11 +392,10 @@ class PortModel:
         # a branch voltage has no term in its own device's conductance
         numerators[..., :n] *= red.no_self_term
         # total source power -V.I: the source currents' numerators weighted by -V
-        power = -(numerators[..., n + 1:] * z[..., None, template.nv:]).sum(axis=-1)
+        power = -(numerators[..., n + 1:] * z[..., None, tmpl.nv:]).sum(axis=-1)
         self.coef = np.concatenate(
-            [numerators, power[..., None],
-             np.broadcast_to(red.denominator[:, None], numerators.shape[:-1] + (1,))],
-            axis=-1)
+            [numerators[..., :n + 1], power[..., None],
+             np.broadcast_to(red.denominator[:, None], power.shape + (1,))], axis=-1)
         self.n = n
         self.system_t = red.system_t.copy()
         self.u = u
@@ -427,19 +419,18 @@ class PortModel:
         self._x = np.empty(batch + (self.coef.shape[-1] - 1,))
         self._x_v = self._x[..., :n]
         self._v = np.empty(batch + (n,))  # contiguous: the device law reads it often
-        self._outputs = (self._v, self._x[..., n], self._x[..., n + 1:-1], self._x[..., -1])
+        self._outputs = (self._v, self._x[..., n], self._x[..., -1])
         self._stacked = np.empty(batch + (2 * n,))
         self._stacked_v = self._stacked[..., :n]
         self._stacked_gv = self._stacked[..., n:]
         self._residual = np.empty(batch + (n,))
 
     def solve(self, device_conductances):
-        """Returns (branch voltages, probe voltage, source currents, source power).
+        """Returns (branch voltages, probe voltage, source power).
 
-        Branch voltages are V(a) - V(b) per device; source currents follow
-        the template's active list, oriented a->b through the source; source
-        power is the total -V*I of the engaged sources. The four are arrays
-        of the model's, which the next solve overwrites.
+        Branch voltages are V(a) - V(b) per device; source power is the
+        total -V*I of the engaged sources. The three are arrays of the
+        model's, which the next solve overwrites.
         """
         g = np.asarray(device_conductances, dtype=float)
         if g.shape != self._shape:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -376,6 +377,26 @@ class TestTempStudyCommand:
                          "20,50", "--trials", "2",
                          "--out", str(tmp_path / "s.csv")]) == 0
         assert "1% bound" in capsys.readouterr().out
+
+    def test_drift_is_relative_to_the_mean_magnitude(self, tmp_path, capsys):
+        # a negative read gives negative levels, and their drift is still
+        # (max - min) / |mean|, not a negative number that reads as none
+        doc = {"cycle": {"dt": 4e-6, "v_read": -0.05}, "noise": {"source_noise_sigma": 1e-3}}
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert cli.main(["temp-study", "--config", str(cfg), "--temps", "20,50",
+                         "--trials", "2", "--out", str(out)]) == 0
+        printed = re.search(r"drift across temperatures: ([0-9.]+)%", capsys.readouterr().out)
+        means = {}
+        with open(out, newline="", encoding="utf-8") as handle:
+            for row in csv.DictReader(handle):
+                means.setdefault(row["code"], []).append(float(row["mean_V"]))
+        assert all(m < 0 for values in means.values() for m in values)
+        want = max((max(v) - min(v)) / abs(sum(v) / len(v)) for v in means.values())
+        assert want > 1e-3
+        # printed to 1e-6 of the mean, from means the CSV rounds to 10 digits
+        assert float(printed.group(1)) / 100 == pytest.approx(want, abs=1e-6)
 
     def test_one_temperature_gives_no_drift_verdict(self, tmp_path, fast_config, capsys):
         out = tmp_path / "s.csv"

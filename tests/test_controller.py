@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -370,6 +372,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ctl.CycleConfig(**{field: value})
 
+    @pytest.mark.parametrize("v_read", [0.0, -0.0])
+    def test_zero_read_rejected(self, v_read):
+        # a 0 V read reads every level as 0 V
+        with pytest.raises(ValueError, match="v_read"):
+            ctl.CycleConfig(v_read=v_read)
+
     @pytest.mark.parametrize("temperature", [0.0, -10.0])
     def test_temperature_must_be_above_absolute_zero(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
@@ -683,8 +691,8 @@ class TestRowDeduplication:
 class TestFailureParity:
     """A corrupted model raises SingularNetwork from either kernel.
 
-    Each test runs on a cell of its own: a cell's templates keep their last
-    model, which was built before the corruption.
+    Each test runs on a cell of its own: a cell keeps the last model of
+    each source set, which was built before the corruption.
     """
 
     @pytest.fixture(params=["zero denominator", "NaN numerator", "NaN right-hand side"])
@@ -789,12 +797,12 @@ class TestReductionReuse:
                                               ctl._no_noise),
             "read": lambda: ctl._read_phase(cell, cfg, ctl._no_noise),
         }[phase]().sources
-        tmpl = cell.template(sources)
-        z = np.broadcast_to(tmpl.rhs(sources), (2, tmpl.m))
-        g0 = 1.0 / cell.params.r_on
+        cell.model(sources, 2)
+        red = cell.reductions[frozenset(sources)]
+        z = np.broadcast_to(red.template.rhs(sources), (2, red.template.m))
 
         def model():
-            return net.PortModel(tmpl, z, g0, cell.ports.probe_node)
+            return net.PortModel(red, z)
 
         first = model()
         expected = [first.coef.copy(), first.u.copy(), first.system_t.copy(), first.tol]
@@ -802,7 +810,7 @@ class TestReductionReuse:
         first.u[...] = np.nan
         first.system_t[...] = np.nan
         second = model()
-        kept = vars(tmpl.port_reduction(g0, cell.ports.probe_node)).values()
+        kept = vars(red).values()
         assert not any(a.flags.writeable for a in kept if isinstance(a, np.ndarray))
         for got, want in zip([second.coef, second.u, second.system_t, second.tol],
                              expected):
@@ -811,8 +819,8 @@ class TestReductionReuse:
 
 
 class TestModelReuse:
-    """A template keeps its last port model and reuses it for a phase whose
-    right-hand side repeats bit for bit."""
+    """A cell keeps the last port model of each source set and reuses it for
+    a phase whose right-hand side repeats bit for bit."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -860,3 +868,25 @@ class TestModelReuse:
         assert builds[0] == 6 + 3 * len(codes)
         # equal floats, and the same bits: == would let 0.0 match -0.0
         assert repr(reused) == repr(fresh)
+
+    def test_dropped_cell_frees_its_reductions_and_models(self, monkeypatch):
+        # no reference cycle keeps them: without the cyclic GC, dropping the
+        # last reference to the cell frees them at once
+        models = []
+        build = net.PortModel.__init__
+
+        def tracked(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            models.append(weakref.ref(model))
+
+        monkeypatch.setattr(net.PortModel, "__init__", tracked)
+        cell = ctl.make_cell()
+        ctl.run_cycle(cell, pattern("012"), FAST)
+        refs = models + [weakref.ref(red) for red in cell.reductions.values()]
+        assert len(refs) == 3 + 3
+        gc.disable()
+        try:
+            del cell
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

@@ -192,10 +192,10 @@ class TestKernelAgainstReference:
                                 system_t=np.zeros((6, 3)), tol=0.0)
         phase = ctl.Phase({}, n_steps, is_read=bool(rng.integers(2)))
         got, peak = w.copy(), np.zeros(rows)
+        factor = dev.temperature_factor(params, temperature)
         probe, drift = ctl._step_floats(SimpleNamespace(params=params, kind=kind),
                                         SimpleNamespace(dt=dt), phase, model, got,
-                                        temperature, peak)
-        factor = dev.temperature_factor(params, temperature)
+                                        factor, peak)
         g, want = np.empty_like(w), w.copy()
         want_probe, want_peak, want_drift = np.zeros(rows), np.zeros(rows), np.zeros(rows)
         for _ in range(n_steps):
