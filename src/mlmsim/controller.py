@@ -15,10 +15,11 @@ write and read. A phase then costs one solve for its source values, and
 none when its right-hand side repeats the previous one of its source set
 bit for bit: the reduction keeps its last model, so a noise-free chain of
 cycles builds only the model of each new write. On every timestep one
-evaluation of those polynomials, with a residual check of the reduced 3x3
-system, then gives the exact branch voltages, probe voltage and total
-source power for the frozen device resistances, after which each device
-state advances one explicit Euler step under its own branch voltage.
+evaluation of those polynomials then gives the exact branch voltages,
+probe voltage and total source power for the frozen device resistances,
+after which each device state advances one explicit Euler step under its
+own branch voltage. Every step's voltages are checked against the reduced
+3x3 system before the phase returns.
 Devices therefore interact through the shared nodes during the write
 transient, which is the only mechanism that can make a device's final
 state depend on the whole pattern rather than its own port alone.
@@ -44,19 +45,25 @@ per-row running maximum, so each run reports its own peak source power.
 
 Two kernels step a phase, chosen by the number of rows simulated at once.
 A batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature
-study and the noisy sweep, runs numpy calls on whole arrays
-(`_step_arrays`), into arrays allocated once per phase. A smaller batch,
-as in `run_cycle`, the single-phase operations, the ten distinct rows of
-the sweep and the level scan, steps in Python floats (`_step_floats`): at
-three devices a numpy call costs more than the arithmetic it does, so the
-rows are stepped one after another, each step straight-line code over the
-three devices' floats with the device law written out inline, and each row
-ends a phase at its own quiescent step. A step there recomputes only what a
-moved device changed: that device's conductance and, while device c alone
-moves, none of the g_a/g_b partial sums of the polynomials. Both kernels
-use the same phase list, the same per-phase model and the same checks; the
-inline device law gives `device.step_array`'s bits, and the polynomial sums
-may differ from numpy's in the last bits.
+study and the noisy sweep, runs numpy calls on whole device-major arrays
+(`_step_arrays`). Each of its steps computes only what the next state
+needs, and writes its conductances and outputs into a trajectory buffer
+of at most BLOCK_DOUBLES doubles; when the buffer fills or the phase goes
+quiescent, one vectorised pass over the block checks every step's
+residual, folds its power into the peak and adds a read's probe voltages
+in step order. The buffer bounds the kernel's memory at any phase length.
+A smaller batch, as in `run_cycle`, the single-phase operations, the ten
+distinct rows of the sweep and the level scan, steps in Python floats
+(`_step_floats`): at three devices a numpy call costs more than the
+arithmetic it does, so the rows are stepped one after another, each step
+straight-line code over the three devices' floats with the device law
+written out inline, and each row ends a phase at its own quiescent step. A
+step there recomputes only what a moved device changed: that device's
+conductance and, while device c alone moves, none of the g_a/g_b partial
+sums of the polynomials. Both kernels use the same phase list, the same
+per-phase model and the same checks; the inline device law gives
+`device.step_array`'s bits, and the polynomial sums may differ from
+numpy's in the last bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -78,13 +85,13 @@ above takes one value per row of the first group from that group's
 substream, then one per row of the second group from its own, and so on,
 in group order. A group therefore sees exactly the numbers it would draw
 if it ran alone. Each row may also carry its own temperature. Every row is
-solved and stepped on its own, and a phase that runs on past a group's
-quiescent step repeats that step bit for bit, so a group of two or more
-rows gets the same results inside a batch as alone when both runs take the
-same kernel. A group of up to FLOAT_KERNEL_MAX_ROWS rows run alone takes
-the float kernel, and agrees with its rows of a larger batch to 1e-12
-relative; so does a one-row group, whose model is built by matrix-vector
-products rather than matrix products.
+solved and stepped on its own, its port model has the same bits in a
+batch of any size, and a phase that runs on past a group's quiescent step
+repeats that step bit for bit, so a group gets the same results inside a
+batch as alone when both runs take the same kernel, a one-row group
+included. A group of up to FLOAT_KERNEL_MAX_ROWS rows run alone takes the
+float kernel, and agrees with its rows of a larger batch to 1e-12
+relative.
 """
 
 import dataclasses
@@ -113,6 +120,11 @@ MAX_BATCH_ROWS = 10**5
 # kernel is 2.4x faster at 10 rows, 1.8x at 12, 1.4x at 16, 1.2x at 20,
 # 1.0x at 22-24 and 0.87x at 28.
 FLOAT_KERNEL_MAX_ROWS = 20
+
+# Most doubles the numpy kernel keeps for one block of a phase's timesteps,
+# which it checks and folds at once: about 100 steps at 40 rows. A
+# whole-phase buffer would grow with the phase and the batch.
+BLOCK_DOUBLES = 2**15
 
 
 class NonQuiescentRead(Exception):
@@ -360,38 +372,108 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
 
     factor is the device temperature factor, a scalar or a (B, 1) array. w
     and peak_power change in place; the probe sum and drift, one value per
-    batch row, stay zero unless the phase is the read. Every array the loop
-    writes is allocated once per phase, and the states alternate between w
-    and a second array: each step reads one and writes the other.
+    batch row, stay zero unless the phase is the read.
+
+    The loop runs device-major, on (n, B) states whose rows are devices,
+    and each step computes only what the next state needs: the
+    conductances, the model's polynomials, as the monomials times the
+    coefficients laid out (subsets, columns, B) summed over the monomials
+    in their order, and the device step. Its conductances and outputs (the
+    branch voltages, probe voltage and source power) go into one slab of a
+    preallocated (block, n + 5, B) trajectory buffer. When the buffer fills
+    or the phase goes quiescent, the block is settled at once: the model
+    checks the residual of every step and row, the block's largest power
+    folds into peak_power, and a read adds its probe voltages to the sum in
+    step order, so the sum has the bits of one add per step. The buffer
+    holds at most BLOCK_DOUBLES doubles (102 steps at 40 rows), or one step
+    when a step alone is larger, so the kernel's memory does not grow with
+    the phase length.
     """
-    batch = w.shape[0]
+    batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
-    g = np.empty_like(w)
-    scratch = dev.step_scratch(w.shape)
-    w_start = w.copy()
-    old, new = w, np.empty_like(w)
-    moved = np.empty_like(w)
+    is_read, n_steps = phase.is_read, phase.n_steps
+    old = np.ascontiguousarray(w.T)
+    new = np.empty_like(old)
+    scratch = dev.step_scratch(old.shape)
+    factor = np.transpose(factor)  # a scalar, or one value per batch column
+    coef = np.ascontiguousarray(np.moveaxis(model.coef, 0, -1))
+    subsets, columns = coef.shape[:2]
+    terms = np.empty_like(coef)
+    monomials = np.empty((subsets, 1, batch))
+    monomials[0] = 1.0
+    sums = np.empty((columns, batch))
+    numerators, denominator = sums[:-1], sums[-1]
+    # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
+    halves = [(monomials[:2 ** j], monomials[2 ** j:2 ** (j + 1)]) for j in range(n)]
+    width = n + columns - 1
+    steps = np.empty((max(1, min(n_steps, BLOCK_DOUBLES // (width * batch))), width, batch))
+    # per slab, made when a step first reaches it (most phases go quiescent
+    # within a few steps): its conductances, each device's row of them, its
+    # outputs and its branch voltages
+    slabs = []
     probe_sum = np.zeros(batch)
     drift = np.zeros(batch)
-    for step in range(phase.n_steps):
-        dev.conductance_array(old, params, factor, g)
-        v_dev, v_probe, power = model.solve(g)
-        dev.step_array(old, v_dev, dt, params, kind, out=new, scratch=scratch)
-        if phase.is_read:
-            probe_sum += v_probe
-            np.subtract(new, w_start, out=moved)
-            np.maximum(drift, np.abs(moved, out=moved).max(axis=-1), out=drift)
-        np.maximum(peak_power, power, out=peak_power)
-        old, new = new, old
-        if (old == new).all():
-            # every later step of the phase would repeat this one exactly
-            if phase.is_read:
-                for _ in range(phase.n_steps - step - 1):
-                    probe_sum += v_probe
+    if is_read:
+        w_start, moved = old.copy(), np.empty_like(old)
+    done = 0
+    while done < n_steps:
+        for count in range(1, min(len(steps), n_steps - done) + 1):
+            if count > len(slabs):
+                slab = steps[count - 1]
+                slabs.append((slab[:n], tuple(slab[:n]), slab[n:], slab[n:2 * n]))
+            g, g_rows, outputs, v = slabs[count - 1]
+            dev.conductance_array(old, params, factor, g)
+            for (low, high), g_j in zip(halves, g_rows):
+                np.multiply(low, g_j, out=high)
+            np.multiply(monomials, coef, out=terms)
+            np.add.reduce(terms, axis=0, out=sums)
+            np.divide(numerators, denominator, out=outputs)
+            dev.step_array(old, v, dt, params, kind, out=new, scratch=scratch)
+            if is_read:
+                np.subtract(new, w_start, out=moved)
+                np.maximum(drift, np.abs(moved, out=moved).max(axis=0), out=drift)
+            old, new = new, old
+            # bytes, faster than ==: a state that only turns 0.0 into -0.0
+            # delays the stop by one step, which repeats exactly
+            quiescent = old.tobytes() == new.tobytes()
+            if quiescent:
+                break
+        block = steps[:count]
+        done += count
+        # the block is spent: its conductances become the products g v
+        # that, with the branch voltages after them, the check takes (one
+        # device at a time, so numpy's overlap copy stays a third as large)
+        for j in range(n):
+            np.multiply(block[:, j], block[:, n + j], out=block[:, j])
+        model.check(block[:, :2 * n])
+        np.maximum(peak_power, block[:, -1].max(axis=0), out=peak_power)
+        if is_read:
+            probes = block[:, -2]
+            last = probes[-1].copy()
+            _add_in_order(probe_sum, probes)
+            if quiescent:
+                # every later step of the phase would repeat this one exactly,
+                # so each adds the same probe voltage
+                for first in range(done, n_steps, len(steps)):
+                    probes = steps[:min(len(steps), n_steps - first), -2]
+                    probes[...] = last
+                    _add_in_order(probe_sum, probes)
+        if quiescent:
             break
-    if old is not w:
-        np.copyto(w, old)
+    w[...] = old.T
     return probe_sum, drift
+
+
+def _add_in_order(total, values):
+    """total + values[0] + values[1] + ..., one add at a time, into total.
+
+    values is a (k, B) scratch array, overwritten. np.add.accumulate adds
+    in order at any shape; np.sum pairs the terms along an array's
+    innermost axis, which a one-row batch would make the step axis.
+    """
+    values[0] += total
+    np.add.accumulate(values, axis=0, out=values)
+    total[...] = values[-1]
 
 
 # _SELF_TERMS[s, j]: device j is in subset s, so branch j's polynomial has

@@ -10,12 +10,12 @@ reference; a template holds only its assembly. For a transient,
 output as a ratio of two polynomials in the device conductances, with
 2^n_devices coefficients each. It keeps those coefficients per batch row,
 8 x 6 doubles for three devices, so a timestep costs one polynomial
-evaluation plus a residual check of the reduced system. The part of the
-reduction that does not depend on the source values (`PortReduction`) is
-built once per source set and kept by its owner, so a model for new
-source values costs one solve against A0 and a few small products, and
-the reduction keeps the last model built, for a right-hand side that
-repeats.
+evaluation, and the residual check of the reduced system can run on a
+whole block of timesteps at once. The part of the reduction that does not
+depend on the source values (`PortReduction`) is built once per source
+set and kept by its owner, so a model for new source values costs a few
+row-wise products, and the reduction keeps the last model built, for a
+right-hand side that repeats.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -247,19 +247,38 @@ def _solve_checked(a_mat, rhs):
         sol = np.linalg.solve(a_mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(f"nodal system is singular: {exc}") from None
+    _check_solution(a_mat, sol, rhs)
+    return sol
+
+
+def _check_solution(a_mat, sol, rhs):
+    """SingularNetwork unless A sol = rhs to within 1e-6 of the scale of rhs."""
     residual = np.abs(a_mat @ sol - rhs).max()
     if not residual <= 1e-6 * max(1.0, float(np.abs(rhs).max())):
         raise SingularNetwork(f"nodal solve residual {residual:g} indicates "
                               "an ill-conditioned (floating?) network")
-    return sol
+
+
+def _rowwise_product(x, mat):
+    """x @ mat for the rows of x, summed one term at a time in order.
+
+    A matrix product takes one BLAS path for one row and another for
+    several, and the two can round differently; here each row's result has
+    the same bits in a batch of any size.
+    """
+    out = x[..., 0, None] * mat[0]
+    for k in range(1, len(mat)):
+        out += x[..., k, None] * mat[k]
+    return out
 
 
 class PortReduction:
     """The half of a `PortModel` that does not depend on the source values.
 
-    A template fixes which sources are engaged, so A0, Y = A0^-1 B,
-    K = B^T Y, the subset determinants and adjugates, and the reduced
-    system's rows depend only on the template, g0 and the probe node.
+    A template fixes which sources are engaged, so A0 and its inverse,
+    Y = A0^-1 B, K = B^T Y, the subset determinants and adjugates, and the
+    reduced system's rows depend only on the template, g0 and the probe
+    node.
     Every array here is read-only, because each model shares it. `model`
     keeps the last model built, for a right-hand side that repeats.
     """
@@ -276,6 +295,8 @@ class PortReduction:
                 b_mat[nb - 1, dev] = -1.0
         a0 = template.a_base + g0 * (b_mat @ b_mat.T)
         y = _solve_checked(a0, b_mat)
+        # row k is A0^-1's column k, so x0 = A0^-1 z sums them weighted by z
+        a0_inv_t = _solve_checked(a0, np.eye(template.m)).T.copy()
         keep = [probe_node - 1, *range(template.nv, template.m)]
         k_mat = b_mat.T @ y
 
@@ -305,12 +326,13 @@ class PortReduction:
         self.keep = np.array(keep)
         self.b_mat = b_mat
         self.a0 = a0
+        self.a0_inv_t = a0_inv_t
         self.per_u = per_u.reshape(-1, n).T
         self.denominator = denominator
         self.no_self_term = ~in_subset
         self.system_t = np.vstack([constant[:n].T, k_mat.T])
-        for array in (b_mat, a0, self.keep, self.per_u, denominator, self.no_self_term,
-                      self.system_t):
+        for array in (b_mat, a0, a0_inv_t, self.keep, self.per_u, denominator,
+                      self.no_self_term, self.system_t):
             array.flags.writeable = False
         self._model = self._model_key = None
 
@@ -364,17 +386,20 @@ class PortModel:
     has terms of one sign in g (the matrix-tree theorem), so its sum does
     not cancel. Every solve still checks the residual of the reduced system
     against a fixed tolerance, and raises SingularNetwork on NaN, inf or an
-    ill-conditioned system.
+    ill-conditioned system; `check` runs that test on its own, so a caller
+    that evaluates the polynomials itself can check many steps at once.
 
     Everything but x0 depends only on the template, g0 and the probe node:
-    A0, Y, K, the subset determinants and adjugates, and the reduced
-    system's rows. That half is the `PortReduction` the model is built
-    from, read-only. The constructor computes only the source-dependent
-    half: x0, u = B^T x0, the numerators, the power column and the
-    tolerance. Every array a model exposes is its own, so changing one
-    leaves the reduction and the next model unchanged. A model keeps no
-    reference to its reduction: the reduction keeps its last model, and a
-    cycle between them would leave a dropped cell to the cyclic GC.
+    A0 and its inverse, Y, K, the subset determinants and adjugates, and
+    the reduced system's rows. That half is the `PortReduction` the model
+    is built from, read-only. The constructor computes only the
+    source-dependent half: x0, u = B^T x0, the numerators, the power column
+    and the tolerance, each row by products summed in a fixed order, so a
+    row's model has the same bits in a batch of any size. Every array a
+    model exposes is its own, so changing one leaves the reduction and the
+    next model unchanged. A model keeps no reference to its reduction: the
+    reduction keeps its last model, and a cycle between them would leave a
+    dropped cell to the cyclic GC.
 
     z has trailing dimension template.m and may carry batch rows; each
     device appears once in the netlist, and its column is its device index.
@@ -384,10 +409,15 @@ class PortModel:
         red, tmpl = reduction, reduction.template
         n = red.n
         z = np.asarray(z, dtype=float)
-        x0 = _solve_checked(red.a0, z.reshape(-1, tmpl.m).T).T.reshape(z.shape)
+        # x0 and the numerators are row-wise products, so a row's model has
+        # the same bits in a batch of any size
+        x0 = _rowwise_product(z, red.a0_inv_t)
+        _check_solution(red.a0, x0.reshape(-1, tmpl.m).T, z.reshape(-1, tmpl.m).T)
+        # B's entries are 0 and +-1, at most two nonzero per column, so every
+        # summation order gives u the same bits
         u = x0 @ red.b_mat
         # numerators[..., s, r]: branches adjugate u, kept rows x0_keep D - coupling adjugate u
-        numerators = np.dot(u, red.per_u).reshape(u.shape[:-1] + (red.subsets, -1))
+        numerators = _rowwise_product(u, red.per_u).reshape(u.shape[:-1] + (red.subsets, -1))
         numerators[..., n:] += x0[..., None, red.keep] * red.denominator[:, None]
         # a branch voltage has no term in its own device's conductance
         numerators[..., :n] *= red.no_self_term
@@ -400,58 +430,46 @@ class PortModel:
         self.system_t = red.system_t.copy()
         self.u = u
         self.tol = 1e-6 * max(1.0, float(np.abs(u).max()))
-        self._shape = None
-
-    def _allocate(self, shape):
-        """Scratch arrays and views for solves whose conductances have this shape."""
-        batch = np.broadcast_shapes(shape[:-1], self.coef.shape[:-2])
-        n, subsets = self.n, self.coef.shape[-2]
-        self._shape = shape
-        self._g = np.empty(shape)
-        self._monomials = np.empty(shape[:-1] + (1, subsets))
-        self._monomials[..., 0, 0] = 1.0
-        # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
-        self._products = [(self._monomials[..., 0, :2 ** j], self._g[..., j, None],
-                           self._monomials[..., 0, 2 ** j:2 ** (j + 1)]) for j in range(n)]
-        self._poly = np.empty(batch + (1, self.coef.shape[-1]))
-        self._numerators = self._poly[..., 0, :-1]
-        self._denominator = self._poly[..., 0, -1:]
-        self._x = np.empty(batch + (self.coef.shape[-1] - 1,))
-        self._x_v = self._x[..., :n]
-        self._v = np.empty(batch + (n,))  # contiguous: the device law reads it often
-        self._outputs = (self._v, self._x[..., n], self._x[..., -1])
-        self._stacked = np.empty(batch + (2 * n,))
-        self._stacked_v = self._stacked[..., :n]
-        self._stacked_gv = self._stacked[..., n:]
-        self._residual = np.empty(batch + (n,))
 
     def solve(self, device_conductances):
         """Returns (branch voltages, probe voltage, source power).
 
         Branch voltages are V(a) - V(b) per device; source power is the
-        total -V*I of the engaged sources. The three are arrays of the
-        model's, which the next solve overwrites.
+        total -V*I of the engaged sources. The conductances have the devices
+        on the last axis; each result is checked with `check`.
         """
         g = np.asarray(device_conductances, dtype=float)
-        if g.shape != self._shape:
-            self._allocate(g.shape)
-        np.copyto(self._g, g)
-        for low, factor, high in self._products:
-            np.multiply(low, factor, out=high)
-        np.matmul(self._monomials, self.coef, out=self._poly)
-        np.divide(self._numerators, self._denominator, out=self._x)
-        v = self._v
-        np.copyto(v, self._x_v)
-        # the reduced system's residual: [v, g v] @ [(I - g0 K)^T; K^T] - u
-        np.copyto(self._stacked_v, v)
-        np.multiply(self._g, v, out=self._stacked_gv)
-        residual = np.dot(self._stacked, self.system_t, out=self._residual)
-        residual -= self.u
+        n, subsets = self.n, self.coef.shape[-2]
+        monomials = np.ones(g.shape[:-1] + (1, subsets))
+        for j in range(n):
+            # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
+            np.multiply(monomials[..., :2 ** j], g[..., j, None, None],
+                        out=monomials[..., 2 ** j:2 ** (j + 1)])
+        poly = (monomials @ self.coef)[..., 0, :]
+        x = poly[..., :-1] / poly[..., -1:]
+        v = x[..., :n]
+        stacked = np.concatenate([g * v, v], axis=-1)
+        self.check(np.swapaxes(np.atleast_2d(stacked), -1, -2))
+        return v, x[..., n], x[..., -1]
+
+    def check(self, stacked):
+        """Raise SingularNetwork unless branch voltages solve the reduced
+        system to within tol.
+
+        stacked holds, on its second-to-last axis, the products g_j v_j of
+        each device's conductance and branch voltage and then the branch
+        voltages v_j; its last axis is the model's batch rows, and any
+        leading axes, such as a block of timesteps, are checked alike. A
+        NaN or infinite residual fails.
+        """
+        n = self.n
+        # the reduced system's residual: K (g v) + (I - g0 K) v - u
+        residual = np.concatenate([self.system_t[n:], self.system_t[:n]]).T @ stacked
+        residual -= np.atleast_2d(self.u).T
         worst = np.abs(residual, out=residual).max()
         if not worst <= self.tol:  # also catches NaN and inf
             raise SingularNetwork(f"reduced solve residual {worst:g} indicates "
                                   "a singular or ill-conditioned network")
-        return self._outputs
 
 
 @dataclass

@@ -615,7 +615,8 @@ class TestKernelParity:
         step_array = dev.step_array
 
         def counting(w, *args, **kwargs):
-            calls.append(len(w))
+            # the numpy kernel steps device-major (3, rows) states
+            calls.append(w.shape[-1])
             return step_array(w, *args, **kwargs)
 
         monkeypatch.setattr(dev, "step_array", counting)
@@ -628,10 +629,8 @@ class TestKernelParity:
 
     def test_float_rows_do_not_depend_on_their_batch(self, cell):
         # rows from programmed states: each has the same bits beside another
-        # row as in the full batch, and agrees with run_cycle on it alone to
-        # 1e-12 (the port model of one row takes a matrix-vector product
-        # where a batch takes a matrix product, and the two can differ in
-        # the last bit)
+        # row, in a 13-row batch, in the full batch and in run_cycle on it
+        # alone, whose port model is built from one row
         n = ctl.FLOAT_KERNEL_MAX_ROWS
         codes = np.resize([str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows], n)
         w0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, 3))
@@ -642,12 +641,62 @@ class TestKernelParity:
             return np.column_stack([v_out, w, peak])
 
         full = results(slice(None))
+        thirteen = results(slice(13))
+        np.testing.assert_array_equal(thirteen.view(np.int64), full[:13].view(np.int64))
         for k, code in enumerate(codes):
             pair = results([(k + 1) % n, k])
             np.testing.assert_array_equal(pair[1].view(np.int64), full[k].view(np.int64))
             m = ctl.run_cycle(cell, pattern(code), FAST, w0=w0[k])
-            np.testing.assert_allclose([m.v_out, *m.final_device_states, m.peak_power],
-                                       full[k], rtol=1e-12, atol=0.0)
+            alone = np.array([m.v_out, *m.final_device_states, m.peak_power])
+            np.testing.assert_array_equal(alone.view(np.int64), full[k].view(np.int64))
+
+
+class TestBlockSettle:
+    """The numpy kernel checks and folds each block of steps at once."""
+
+    ROWS = ctl.FLOAT_KERNEL_MAX_ROWS + 1
+
+    def test_nan_state_inside_a_block_raises(self, cell, monkeypatch):
+        calls = [0]
+        step_array = dev.step_array
+
+        def corrupting(*args, **kwargs):
+            out = step_array(*args, **kwargs)
+            calls[0] += 1
+            if calls[0] == 5:
+                out[1, 2] = np.nan  # device b of row 2
+            return out
+
+        monkeypatch.setattr(dev, "step_array", corrupting)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (self.ROWS, 3))
+        # the reset of a fresh cell is frozen after its first step, so the
+        # NaN lands on the fourth write step, and the 150-step write is one
+        # block
+        assert FAST.steps(FAST.t_write) <= ctl.BLOCK_DOUBLES // (8 * self.ROWS)
+        with pytest.raises(net.SingularNetwork):
+            ctl._run_batch(cell, volts, FAST)
+        # the kernel stepped on past the NaN: the block's check raised
+        assert calls[0] > 6
+
+    @pytest.mark.parametrize("kind", list(dev.DeviceModelKind))
+    def test_one_step_blocks_give_the_same_bits(self, kind, monkeypatch):
+        # threshold drift: a noisy write of several default-size blocks and
+        # a read that stops early; linear drift: a read that runs every step
+        cell = ctl.make_cell(kind=kind)
+        cfg = ctl.CycleConfig()
+        if kind is dev.DeviceModelKind.LINEAR_DRIFT:
+            cfg = replace(cfg, v_read=0.01, t_read=2e-5)
+        assert cfg.steps(cfg.t_write) > 2 * ctl.BLOCK_DOUBLES // (8 * self.ROWS)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (self.ROWS, 3))
+        w0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(self.ROWS, 3))
+
+        def run():
+            return ctl._run_batch(cell, volts, cfg, w0=w0, noise=ctl.NoiseConfig(1e-3, 2))
+
+        default = run()
+        monkeypatch.setattr(ctl, "BLOCK_DOUBLES", 1)
+        for got, want in zip(run(), default):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRowDeduplication:
