@@ -52,6 +52,10 @@ of at most BLOCK_DOUBLES doubles; when the buffer fills or the phase goes
 quiescent, one vectorised pass over the block checks every step's
 residual, folds its power into the peak and adds a read's probe voltages
 in step order. The buffer bounds the kernel's memory at any phase length.
+At a few rows a numpy call costs more in overhead than in arithmetic, so
+the kernel prepares the device law once per phase (`device.step_scratch`)
+and binds what a step calls; a step is then 28 numpy calls under the
+threshold law, each passed its output by position where numpy allows it.
 A smaller batch, as in `run_cycle`, the single-phase operations, the ten
 distinct rows of the sweep and the level scan, steps in Python floats
 (`_step_floats`): at three devices a numpy call costs more than the
@@ -116,10 +120,11 @@ MAX_CYCLE_STEPS = 10**6
 MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
-# another; a larger one steps in numpy. On noisy default-dt cycles the float
-# kernel is 2.4x faster at 10 rows, 1.8x at 12, 1.4x at 16, 1.2x at 20,
-# 1.0x at 22-24 and 0.87x at 28.
-FLOAT_KERNEL_MAX_ROWS = 20
+# another; a larger one steps in numpy. On noisy default-dt cycles of the
+# level codes (1 mV, interleaved medians), the float kernel is 1.5x faster
+# at 10 rows, 1.25x at 12, 1.07x at 14, even at 15, 0.9x at 16-17, 0.85x
+# at 18-20 and 0.6x at 28.
+FLOAT_KERNEL_MAX_ROWS = 15
 
 # Most doubles the numpy kernel keeps for one block of a phase's timesteps,
 # which it checks and folds at once: about 100 steps at 40 rows. A
@@ -388,13 +393,28 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     holds at most BLOCK_DOUBLES doubles (102 steps at 40 rows), or one step
     when a step alone is larger, so the kernel's memory does not grow with
     the phase length.
+
+    Once per phase the kernel prepares the device law for the cell's
+    parameters, dt and kind (`device.step_scratch`: its constants as 0-d
+    arrays, its window and kind branches decided), looks up
+    `device.conductance_array` and `device.step_array` through the module,
+    and binds each slab's operands. A step is then 28 numpy calls under
+    the threshold law, with each output passed by position where numpy
+    allows it: 4 for the conductances, 3 for the monomials, 3 for the
+    polynomials and 18 for the device step (14 under linear drift, one
+    more for a window exponent above 1); a read adds 4 for its drift.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
     is_read, n_steps = phase.is_read, phase.n_steps
     old = np.ascontiguousarray(w.T)
     new = np.empty_like(old)
-    scratch = dev.step_scratch(old.shape)
+    # the device law prepared for this phase, and every function and slice a
+    # step uses bound once: the two device functions through the module, so
+    # a wrapper installed on them sees every step
+    scratch = dev.step_scratch(old.shape, params, dt, kind)
+    conductance, step = dev.conductance_array, dev.step_array
+    multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
     factor = np.transpose(factor)  # a scalar, or one value per batch column
     coef = np.ascontiguousarray(np.moveaxis(model.coef, 0, -1))
     subsets, columns = coef.shape[:2]
@@ -408,7 +428,8 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     width = n + columns - 1
     steps = np.empty((max(1, min(n_steps, BLOCK_DOUBLES // (width * batch))), width, batch))
     # per slab, made when a step first reaches it (most phases go quiescent
-    # within a few steps): its conductances, each device's row of them, its
+    # within a few steps): its conductances, the operands of each device's
+    # monomial products (the lower monomials, g_j, the upper monomials), its
     # outputs and its branch voltages
     slabs = []
     probe_sum = np.zeros(batch)
@@ -420,18 +441,20 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
         for count in range(1, min(len(steps), n_steps - done) + 1):
             if count > len(slabs):
                 slab = steps[count - 1]
-                slabs.append((slab[:n], tuple(slab[:n]), slab[n:], slab[n:2 * n]))
-            g, g_rows, outputs, v = slabs[count - 1]
-            dev.conductance_array(old, params, factor, g)
-            for (low, high), g_j in zip(halves, g_rows):
-                np.multiply(low, g_j, out=high)
-            np.multiply(monomials, coef, out=terms)
-            np.add.reduce(terms, axis=0, out=sums)
-            np.divide(numerators, denominator, out=outputs)
-            dev.step_array(old, v, dt, params, kind, out=new, scratch=scratch)
+                slabs.append((slab[:n], [(low, g_j, high) for (low, high), g_j
+                                         in zip(halves, slab[:n])],
+                              slab[n:], slab[n:2 * n]))
+            g, products, outputs, v = slabs[count - 1]
+            conductance(old, params, factor, g, scratch)
+            for low, g_j, high in products:
+                multiply(low, g_j, high)
+            multiply(monomials, coef, terms)
+            add_reduce(terms, 0, None, sums)
+            divide(numerators, denominator, outputs)
+            step(old, v, dt, params, kind, new, scratch)
             if is_read:
-                np.subtract(new, w_start, out=moved)
-                np.maximum(drift, np.abs(moved, out=moved).max(axis=0), out=drift)
+                np.subtract(new, w_start, moved)
+                np.maximum(drift, np.abs(moved, moved).max(axis=0), out=drift)
             old, new = new, old
             # bytes, faster than ==: a state that only turns 0.0 into -0.0
             # delays the stop by one step, which repeats exactly
@@ -488,7 +511,8 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     so the rows are stepped one after another, each step evaluating the
     model's polynomials and the device law as straight-line float code
     instead: row k's coefficients model.coef[k] and model.u[k] at row k's
-    temperature factor, with the same residual check against model.tol.
+    temperature factor, with the same residual check against row k's
+    tolerance model.tol[k].
     Each row ends the phase at its own quiescent step, which in the numpy
     kernel it would repeat bit for bit. The branch polynomials leave out the
     four coefficients per branch that the model zeroes, which is checked
@@ -511,7 +535,7 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     # residual i: [v, g v] . row i of the reduced system, less u[i]
     ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
      (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
-    tol, is_read, n_steps = model.tol, phase.is_read, phase.n_steps
+    is_read, n_steps = phase.is_read, phase.n_steps
     # the device law's constants; float() keeps the loop in Python floats
     # when a parameter is a numpy scalar
     params = cell.params
@@ -524,7 +548,8 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
         th_neg = th_pos = 0.0  # an empty band: no voltage freezes a state
     probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
-    for k, factor in enumerate(factors):
+    tols = np.broadcast_to(model.tol, len(w)).tolist()
+    for k, (factor, tol) in enumerate(zip(factors, tols)):
         ((a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _), (c0, c1, c2, c3, *_),
          (p0, p1, p2, p3, p4, p5, p6, p7), (q0, q1, q2, q3, q4, q5, q6, q7),
          (d0, d1, d2, d3, d4, d5, d6, d7)) = model.coef[k].T.tolist()

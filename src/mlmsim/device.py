@@ -94,22 +94,52 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * temperature_factor(params, temperature)
 
 
-def conductance_array(w, params: MemristorParams, factor, out):
+def conductance_array(w, params: MemristorParams, factor, out, scratch=None):
     """1.0 / resistance_array(w, params, T), with the same bits, into out.
 
     factor is temperature_factor(params, T), a scalar or an array that
     broadcasts against w, so a caller stepping many times at one
-    temperature computes it once.
+    temperature computes it once. A scratch prepared for params by
+    `step_scratch` supplies r_off - r_on and r_on.
     """
-    np.multiply(w, params.r_off - params.r_on, out=out)
-    out += params.r_on
-    out *= factor
-    return np.divide(_ONE, out, out=out)
+    law = scratch[4] if scratch else None
+    span, r_on = law[:2] if law else (params.r_off - params.r_on, params.r_on)
+    np.multiply(w, span, out)
+    np.add(out, r_on, out)
+    np.multiply(out, factor, out)
+    return np.divide(_ONE, out, out)
 
 
-def step_scratch(shape):
-    """Work arrays for `step_array` over states of this shape."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+def _law(params: MemristorParams, dt, kind: DeviceModelKind):
+    """The device law's constants for these parameters, step and kind.
+
+    r_off - r_on, r_on, drift_rate, dt, v_th_pos and v_th_neg; then the
+    window exponent beyond the square, None for window_p 1; then whether
+    the threshold band freezes states.
+    """
+    p = params.window_p
+    return (params.r_off - params.r_on, params.r_on, params.drift_rate, dt,
+            params.v_th_pos, params.v_th_neg, None if p == 1 else p,
+            kind is DeviceModelKind.THRESHOLD_DRIFT)
+
+
+def step_scratch(shape, params: MemristorParams = None, dt=None,
+                 kind: DeviceModelKind = None):
+    """Work arrays for `step_array` over states of this shape.
+
+    Given params, dt and kind as well, the scratch also holds the device
+    law prepared for them: its numeric constants (`_law`) as 0-d arrays,
+    since numpy converts a Python float argument again on every call, and
+    its window and kind branches decided. `conductance_array` and
+    `step_array` then read the law from the scratch, so a caller must pass
+    them the same params, dt and kind.
+    """
+    arrays = (np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool))
+    if params is None:
+        return arrays + (None,)
+    *constants, power, gated = _law(params, dt, kind)
+    return arrays + ((*(np.array(c) for c in constants),
+                      None if power is None else np.array(power), gated),)
 
 
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
@@ -120,30 +150,34 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
     then the state is clamped to [0, 1]. The new states go to out, which
     is w itself unless given (an in-place update), and are returned.
     scratch, from `step_scratch` for the shape of the states, holds the
-    temporaries, so a caller stepping many times allocates them once.
+    temporaries, so a caller stepping many times allocates them once, and
+    the prepared law when `step_scratch` was given params, dt and kind.
     """
     if out is None:
         out = w
-    f, dw, mask, band = scratch or step_scratch(np.broadcast_shapes(w.shape, v.shape))
-    # window evaluated off the boundary when the drive points inward
+    f, dw, mask, band, law = scratch or step_scratch(np.broadcast_shapes(w.shape, v.shape))
+    _, _, rate, dt, th_pos, th_neg, power, gated = law or _law(params, dt, kind)
+    # window evaluated off the boundary when the drive points inward (a
+    # masked copy costs less than a masked ufunc loop); numpy deprecates a
+    # positional out for np.minimum and np.maximum only
     np.minimum(w, _HIGH, out=f)
-    np.maximum(w, _LOW, out=f, where=np.greater(v, _ZERO, out=mask))
-    np.add(f, f, out=f)  # 2 * arg, exactly
-    np.subtract(f, _ONE, out=f)
-    np.square(f, out=f)
-    if params.window_p != 1:
-        f **= params.window_p
-    np.subtract(_ONE, f, out=f)
-    np.multiply(params.drift_rate, v, out=dw)
-    dw *= f
-    dw *= dt
-    if kind is DeviceModelKind.THRESHOLD_DRIFT:
+    np.maximum(w, _LOW, out=dw)
+    np.putmask(f, np.greater(v, _ZERO, mask), dw)
+    np.add(f, f, f)  # 2 * arg, exactly
+    np.subtract(f, _ONE, f)
+    np.square(f, f)
+    if power is not None:
+        np.power(f, power, f)
+    np.subtract(_ONE, f, f)
+    np.multiply(rate, v, dw)
+    np.multiply(dw, f, dw)
+    np.multiply(dw, dt, dw)
+    if gated:
         # inside the threshold band the state stays put
-        np.less(v, params.v_th_pos, out=band)
-        band &= np.greater(v, params.v_th_neg, out=mask)
-        np.copyto(dw, _ZERO, where=band)
-    np.add(w, dw, out=out)
+        np.less(v, th_pos, band)
+        np.bitwise_and(band, np.greater(v, th_neg, mask), band)
+        np.putmask(dw, band, _ZERO)
+    np.add(w, dw, out)
     np.minimum(out, _ONE, out=out)
     np.maximum(out, _ZERO, out=out)
     return out
-

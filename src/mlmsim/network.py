@@ -381,25 +381,26 @@ class PortModel:
     The model keeps 2^n coefficients per batch row for each branch, the
     probe, the power and the denominator, in that column order: 8 x 6
     doubles per row for three devices, in every phase. A solve is then the
-    monomials of g, one batched matrix product and one division. The
-    expansion is in g, not in g - g0: the determinant of a passive network
-    has terms of one sign in g (the matrix-tree theorem), so its sum does
-    not cancel. Every solve still checks the residual of the reduced system
-    against a fixed tolerance, and raises SingularNetwork on NaN, inf or an
-    ill-conditioned system; `check` runs that test on its own, so a caller
-    that evaluates the polynomials itself can check many steps at once.
+    monomials of g, their products with the coefficients summed in monomial
+    order, and one division; the controller's kernels evaluate it
+    themselves. The expansion is in g, not in g - g0: the determinant of a
+    passive network has terms of one sign in g (the matrix-tree theorem),
+    so its sum does not cancel. `check` tests the residual of the reduced
+    system against each row's tolerance, 1e-6 times the larger of 1 and
+    the row's largest |u|, and raises SingularNetwork on NaN, inf or an
+    ill-conditioned system, for many steps at once.
 
     Everything but x0 depends only on the template, g0 and the probe node:
     A0 and its inverse, Y, K, the subset determinants and adjugates, and
     the reduced system's rows. That half is the `PortReduction` the model
     is built from, read-only. The constructor computes only the
     source-dependent half: x0, u = B^T x0, the numerators, the power column
-    and the tolerance, each row by products summed in a fixed order, so a
-    row's model has the same bits in a batch of any size. Every array a
-    model exposes is its own, so changing one leaves the reduction and the
-    next model unchanged. A model keeps no reference to its reduction: the
-    reduction keeps its last model, and a cycle between them would leave a
-    dropped cell to the cyclic GC.
+    and the tolerances, each row by products summed in a fixed order, so a
+    row's model, and so its checks, have the same bits in a batch of any
+    size. Every array a model exposes is its own, so changing one leaves
+    the reduction and the next model unchanged. A model keeps no reference
+    to its reduction: the reduction keeps its last model, and a cycle
+    between them would leave a dropped cell to the cyclic GC.
 
     z has trailing dimension template.m and may carry batch rows; each
     device appears once in the netlist, and its column is its device index.
@@ -429,32 +430,12 @@ class PortModel:
         self.n = n
         self.system_t = red.system_t.copy()
         self.u = u
-        self.tol = 1e-6 * max(1.0, float(np.abs(u).max()))
-
-    def solve(self, device_conductances):
-        """Returns (branch voltages, probe voltage, source power).
-
-        Branch voltages are V(a) - V(b) per device; source power is the
-        total -V*I of the engaged sources. The conductances have the devices
-        on the last axis; each result is checked with `check`.
-        """
-        g = np.asarray(device_conductances, dtype=float)
-        n, subsets = self.n, self.coef.shape[-2]
-        monomials = np.ones(g.shape[:-1] + (1, subsets))
-        for j in range(n):
-            # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
-            np.multiply(monomials[..., :2 ** j], g[..., j, None, None],
-                        out=monomials[..., 2 ** j:2 ** (j + 1)])
-        poly = (monomials @ self.coef)[..., 0, :]
-        x = poly[..., :-1] / poly[..., -1:]
-        v = x[..., :n]
-        stacked = np.concatenate([g * v, v], axis=-1)
-        self.check(np.swapaxes(np.atleast_2d(stacked), -1, -2))
-        return v, x[..., n], x[..., -1]
+        # each row's own tolerance, so its checks do not depend on its batch
+        self.tol = 1e-6 * np.maximum(1.0, np.abs(u).max(axis=-1))
 
     def check(self, stacked):
         """Raise SingularNetwork unless branch voltages solve the reduced
-        system to within tol.
+        system to within each row's tol.
 
         stacked holds, on its second-to-last axis, the products g_j v_j of
         each device's conductance and branch voltage and then the branch
@@ -466,10 +447,11 @@ class PortModel:
         # the reduced system's residual: K (g v) + (I - g0 K) v - u
         residual = np.concatenate([self.system_t[n:], self.system_t[:n]]).T @ stacked
         residual -= np.atleast_2d(self.u).T
-        worst = np.abs(residual, out=residual).max()
-        if not worst <= self.tol:  # also catches NaN and inf
-            raise SingularNetwork(f"reduced solve residual {worst:g} indicates "
-                                  "a singular or ill-conditioned network")
+        np.abs(residual, out=residual)
+        failed = ~(residual <= np.atleast_1d(self.tol))  # also true for NaN and inf
+        if failed.any():
+            raise SingularNetwork(f"reduced solve residual {residual[failed].max():g} "
+                                  "indicates a singular or ill-conditioned network")
 
 
 @dataclass

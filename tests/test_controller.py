@@ -777,6 +777,37 @@ class TestFailureParity:
                 pytest.raises(net.SingularNetwork):
             ctl._run_batch(ctl.make_cell(), volts, FAST)
 
+    @pytest.mark.parametrize("offset", [0.95e-6, 1.05e-6])
+    def test_a_row_fails_alone_as_in_a_batch(self, offset, monkeypatch):
+        # the write of code 000 has u = 0, so its tolerance is 1e-6 and its
+        # residual is the offset added to u; a 222 row's tolerance is larger
+        build = net.PortModel.__init__
+        tols = []
+
+        def shifted(model, reduction, z):
+            build(model, reduction, z)
+            blank = (z[:, reduction.template.nv:] == 0.0).all(axis=1)
+            model.u[blank, 1] += offset
+            if blank.any():
+                tols.extend(model.tol[~blank])  # the 222 rows beside it
+
+        monkeypatch.setattr(net.PortModel, "__init__", shifted)
+
+        def fails(codes):
+            volts = [pattern(code).port_voltages for code in codes]
+            try:
+                ctl._run_batch(ctl.make_cell(), volts, FAST)
+            except net.SingularNetwork:
+                return True
+            return False
+
+        alone = fails(["000"])
+        assert alone is (offset > 1e-6)
+        # beside 222 rows, in floats and in numpy
+        assert fails(["000", "222"]) is alone
+        assert fails(["000"] + ["222"] * ctl.FLOAT_KERNEL_MAX_ROWS) is alone
+        assert tols and min(tols) > 1.05e-6
+
 
 class TestSelfTermCheck:
     """The float kernel leaves out the branch coefficients the model zeroes,

@@ -158,18 +158,23 @@ class TestKernelAgainstReference:
             got = w.copy()
             assert dev.step_array(got, v, dt, params, kind) is got
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-            # into another array, with scratch arrays: the same bits, w unchanged
-            before, out = w.copy(), np.empty_like(w)
-            assert dev.step_array(w, v, dt, params, kind, out=out,
-                                  scratch=dev.step_scratch(shape)) is out
-            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
-            np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
             temperature = rng.uniform(250.0, 400.0)
             g = 1.0 / dev.resistance_array(w, params, temperature)
             factor = dev.temperature_factor(params, temperature)
             np.testing.assert_array_equal(
                 dev.conductance_array(w, params, factor, np.empty_like(w)).view(np.int64),
                 g.view(np.int64))
+            # into another array, with scratch arrays and then with the law
+            # prepared for this phase as well: the same bits, w unchanged
+            for scratch in (dev.step_scratch(shape), dev.step_scratch(shape, params, dt, kind)):
+                before, out = w.copy(), np.empty_like(w)
+                got = dev.step_array(w, v, dt, params, kind, out=out, scratch=scratch)
+                assert got is out
+                np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+                np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
+                got = dev.conductance_array(w, params, factor, np.empty_like(w),
+                                            scratch=scratch)
+                np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # the float kernel's inline law, several steps on three devices
             self._check_float_kernel(rng, params, kind, dt)
 
