@@ -54,8 +54,8 @@ residual, folds its power into the peak and adds a read's probe voltages
 in step order. The buffer bounds the kernel's memory at any phase length.
 At a few rows a numpy call costs more in overhead than in arithmetic, so
 the kernel prepares the device law once per phase (`device.step_scratch`)
-and binds what a step calls; a step is then 28 numpy calls under the
-threshold law, each passed its output by position where numpy allows it.
+and binds what a step calls; a step is then 28 numpy calls, each passed
+its output by position where numpy allows it.
 A smaller batch, as in `run_cycle`, the single-phase operations, the ten
 distinct rows of the sweep and the level scan, steps in Python floats
 (`_step_floats`): at three devices a numpy call costs more than the
@@ -396,13 +396,13 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
-    arrays, its window and kind branches decided), looks up
+    arrays, its window exponent decided), looks up
     `device.conductance_array` and `device.step_array` through the module,
-    and binds each slab's operands. A step is then 28 numpy calls under
-    the threshold law, with each output passed by position where numpy
-    allows it: 4 for the conductances, 3 for the monomials, 3 for the
-    polynomials and 18 for the device step (14 under linear drift, one
-    more for a window exponent above 1); a read adds 4 for its drift.
+    and binds each slab's operands. A step is then 28 numpy calls, with
+    each output passed by position where numpy allows it: 4 for the
+    conductances, 3 for the monomials, 3 for the polynomials and 18 for
+    the device step (one more for a window exponent above 1); a read adds
+    4 for its drift.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
@@ -518,7 +518,9 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     four coefficients per branch that the model zeroes, which is checked
     once per phase.
 
-    The device law is written out for each device with the float operations
+    The device law is `device._law`'s, unpacked as Python floats: one
+    threshold law, whose band is empty under linear drift. It is written
+    out for each device with the float operations
     `device.conductance_array` and `device.step_array` apply elementwise,
     so it gives their bits for every kind and window_p. A device's
     conductance is recomputed only when its state moved. Every polynomial
@@ -536,16 +538,8 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
      (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
     is_read, n_steps = phase.is_read, phase.n_steps
-    # the device law's constants; float() keeps the loop in Python floats
-    # when a parameter is a numpy scalar
-    params = cell.params
-    r_on, span = float(params.r_on), float(params.r_off - params.r_on)
+    span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
-    rate, p, dt = float(params.drift_rate), params.window_p, float(cfg.dt)
-    if cell.kind is dev.DeviceModelKind.THRESHOLD_DRIFT:
-        th_neg, th_pos = float(params.v_th_neg), float(params.v_th_pos)
-    else:
-        th_neg = th_pos = 0.0  # an empty band: no voltage freezes a state
     probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
     tols = np.broadcast_to(model.tol, len(w)).tolist()
@@ -603,7 +597,7 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
                 x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
                 x = x + x - 1.0
                 x = x * x
-                if p != 1:
+                if p is not None:
                     x = x * x if p == 2 else _window_power(x, p)
                 na = wa + rate * va * (1.0 - x) * dt
                 na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
@@ -613,7 +607,7 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
                 x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
                 x = x + x - 1.0
                 x = x * x
-                if p != 1:
+                if p is not None:
                     x = x * x if p == 2 else _window_power(x, p)
                 nb = wb + rate * vb * (1.0 - x) * dt
                 nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
@@ -623,7 +617,7 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
                 x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
                 x = x + x - 1.0
                 x = x * x
-                if p != 1:
+                if p is not None:
                     x = x * x if p == 2 else _window_power(x, p)
                 nc = wc + rate * vc * (1.0 - x) * dt
                 nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
@@ -936,6 +930,8 @@ def calibrate(targets, base_params=None, base_topology=None,
     base_topology = base_topology or net.CellTopology()
     goal = {}
     for code, value in (targets.items() if isinstance(targets, dict) else targets):
+        if str(code) in goal:
+            raise ValueError(f"target code {code} is given more than once")
         goal[str(code)] = float(value)
     unusable = sorted(c for c, v in goal.items() if not math.isfinite(v) or v == 0)
     if unusable:

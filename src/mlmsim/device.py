@@ -8,9 +8,11 @@ polynomial window that pins the endpoints:
     dw/dt = drift_rate * v * f(w),   f(w) = 1 - (2w - 1)^(2p)
 
 Positive voltage (at the programming terminal) drives w up, i.e. toward high
-resistance; negative voltage erases toward w = 0. The threshold variant
-freezes the state whenever v_th_neg < v < v_th_pos, which is what makes the
-small read voltage non-destructive.
+resistance; negative voltage erases toward w = 0. The state is frozen
+whenever v_th_neg < v < v_th_pos, which is what makes the small read
+voltage non-destructive. Both model kinds are this one law, set up in one
+place (`_law`) for both of the controller's kernels: linear drift is the
+threshold law with an empty band, both thresholds 0.
 
 The window is zero at both endpoints, so a state sitting exactly on a bound
 would be stuck there for good. To keep the erased state programmable, the
@@ -99,11 +101,11 @@ def conductance_array(w, params: MemristorParams, factor, out, scratch=None):
 
     factor is temperature_factor(params, T), a scalar or an array that
     broadcasts against w, so a caller stepping many times at one
-    temperature computes it once. A scratch prepared for params by
-    `step_scratch` supplies r_off - r_on and r_on.
+    temperature computes it once. r_off - r_on and r_on come from a
+    scratch prepared for params by `step_scratch`, or else from `_law`.
     """
-    law = scratch[4] if scratch else None
-    span, r_on = law[:2] if law else (params.r_off - params.r_on, params.r_on)
+    # the resistance map alone: any dt and kind give the same two constants
+    span, r_on = (scratch[4] if scratch else _law(params, 0.0, DeviceModelKind.LINEAR_DRIFT))[:2]
     np.multiply(w, span, out)
     np.add(out, r_on, out)
     np.multiply(out, factor, out)
@@ -111,52 +113,51 @@ def conductance_array(w, params: MemristorParams, factor, out, scratch=None):
 
 
 def _law(params: MemristorParams, dt, kind: DeviceModelKind):
-    """The device law's constants for these parameters, step and kind.
+    """The device law for these parameters, step and kind; both kernels use it.
 
-    r_off - r_on, r_on, drift_rate, dt, v_th_pos and v_th_neg; then the
-    window exponent beyond the square, None for window_p 1; then whether
-    the threshold band freezes states.
+    r_off - r_on, r_on, drift_rate, dt, v_th_pos and v_th_neg as Python
+    floats, then the window exponent beyond the square as given, None for
+    window_p 1. Linear drift is the threshold law with an empty band: both
+    thresholds are 0, and no voltage lies strictly between them.
     """
+    if not isinstance(kind, DeviceModelKind):
+        raise ValueError(f"unknown device model kind {kind!r}")
+    band = ((params.v_th_pos, params.v_th_neg) if kind is DeviceModelKind.THRESHOLD_DRIFT
+            else (0.0, 0.0))
     p = params.window_p
-    return (params.r_off - params.r_on, params.r_on, params.drift_rate, dt,
-            params.v_th_pos, params.v_th_neg, None if p == 1 else p,
-            kind is DeviceModelKind.THRESHOLD_DRIFT)
+    return (*map(float, (params.r_off - params.r_on, params.r_on, params.drift_rate, dt,
+                         *band)), None if p == 1 else p)
 
 
-def step_scratch(shape, params: MemristorParams = None, dt=None,
-                 kind: DeviceModelKind = None):
-    """Work arrays for `step_array` over states of this shape.
+def step_scratch(shape, params: MemristorParams, dt, kind: DeviceModelKind):
+    """Work arrays for `step_array` over states of this shape, and the law.
 
-    Given params, dt and kind as well, the scratch also holds the device
-    law prepared for them: its numeric constants (`_law`) as 0-d arrays,
-    since numpy converts a Python float argument again on every call, and
-    its window and kind branches decided. `conductance_array` and
-    `step_array` then read the law from the scratch, so a caller must pass
-    them the same params, dt and kind.
+    The law (`_law`) is prepared for params, dt and kind: its constants as
+    0-d arrays, since numpy converts a Python float argument again on every
+    call. `conductance_array` and `step_array` read it from the scratch, so
+    a caller must pass them the same params, dt and kind.
     """
-    arrays = (np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool))
-    if params is None:
-        return arrays + (None,)
-    *constants, power, gated = _law(params, dt, kind)
-    return arrays + ((*(np.array(c) for c in constants),
-                      None if power is None else np.array(power), gated),)
+    *constants, power = _law(params, dt, kind)
+    return (np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool),
+            (*(np.array(c) for c in constants), None if power is None else np.array(power)))
 
 
 def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
                out=None, scratch=None):
     """One forward-Euler step of the states w under branch voltages v.
 
-    dw = drift_rate * v * f(w) * dt where the device is above threshold,
-    then the state is clamped to [0, 1]. The new states go to out, which
-    is w itself unless given (an in-place update), and are returned.
-    scratch, from `step_scratch` for the shape of the states, holds the
-    temporaries, so a caller stepping many times allocates them once, and
-    the prepared law when `step_scratch` was given params, dt and kind.
+    dw = drift_rate * v * f(w) * dt outside the threshold band, then the
+    state is clamped to [0, 1]. The new states go to out, which is w
+    itself unless given (an in-place update), and are returned. scratch,
+    from `step_scratch` for the shape of the states and these params, dt
+    and kind, holds the temporaries and the prepared law, so a caller
+    stepping many times makes them once.
     """
     if out is None:
         out = w
-    f, dw, mask, band, law = scratch or step_scratch(np.broadcast_shapes(w.shape, v.shape))
-    _, _, rate, dt, th_pos, th_neg, power, gated = law or _law(params, dt, kind)
+    f, dw, mask, band, law = scratch or step_scratch(np.broadcast_shapes(w.shape, v.shape),
+                                                     params, dt, kind)
+    _, _, rate, dt, th_pos, th_neg, power = law
     # window evaluated off the boundary when the drive points inward (a
     # masked copy costs less than a masked ufunc loop); numpy deprecates a
     # positional out for np.minimum and np.maximum only
@@ -172,11 +173,10 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
     np.multiply(rate, v, dw)
     np.multiply(dw, f, dw)
     np.multiply(dw, dt, dw)
-    if gated:
-        # inside the threshold band the state stays put
-        np.less(v, th_pos, band)
-        np.bitwise_and(band, np.greater(v, th_neg, mask), band)
-        np.putmask(dw, band, _ZERO)
+    # inside the threshold band the state stays put
+    np.less(v, th_pos, band)
+    np.bitwise_and(band, np.greater(v, th_neg, mask), band)
+    np.putmask(dw, band, _ZERO)
     np.add(w, dw, out)
     np.minimum(out, _ONE, out=out)
     np.maximum(out, _ZERO, out=out)

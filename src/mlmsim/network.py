@@ -226,16 +226,7 @@ class MnaTemplate:
         for dev, na, nb in self.device_stamps:
             self._stamp_conductance(a_mat, na, nb, g_dev[..., dev])
         z = np.broadcast_to(z, batch + (self.m,))
-        try:
-            x = np.linalg.solve(a_mat, z[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetwork(f"nodal system is singular: {exc}") from None
-        if not np.isfinite(x).all():
-            raise SingularNetwork("nodal solve produced non-finite voltages")
-        residual = np.abs(a_mat @ x[..., None] - z[..., None]).max()
-        if residual > 1e-6 * max(1.0, float(np.abs(z).max())):
-            raise SingularNetwork(f"nodal solve residual {residual:g} indicates "
-                                  "an ill-conditioned (floating?) network")
+        x = _solve_checked(a_mat, z[..., None])[..., 0]
         volts = np.zeros(batch + (self.netlist.node_count,))
         volts[..., 1:] = x[..., :self.nv]
         return volts, x[..., self.nv:]

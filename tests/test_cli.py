@@ -490,6 +490,15 @@ class TestCalibrateCommand:
         assert "finite and nonzero" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_duplicate_target_code_rejected(self, tmp_path, fast_config, capsys):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("code,v_out\n222,4e-4\n222,0.02\n000,0.014\n")
+        out = tmp_path / "fit.json"
+        assert cli.main(["calibrate", "--config", fast_config, "--targets",
+                         str(targets), "--out", str(out), "--restarts", "1"]) == 1
+        assert "target code 222 is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("maxiter", ["0", "-3"])
     def test_maxiter_below_one_rejected(self, tmp_path, fast_config, capsys, maxiter):
         targets = tmp_path / "targets.csv"

@@ -1,4 +1,6 @@
+import enum
 import gc
+import re
 import weakref
 from dataclasses import replace
 from itertools import product
@@ -16,6 +18,11 @@ from oracles import dense_cycle, inversion_count
 # Coarser-than-default timing keeps unit tests quick; correctness at the
 # default resolution is covered by the acceptance suite.
 FAST = ctl.CycleConfig(dt=4e-6)
+
+# a model kind with the name and value of a real one, from another enum, as
+# a second import of the package would give
+FOREIGN_KIND = enum.Enum("DeviceModelKind",
+                         {"THRESHOLD_DRIFT": "threshold_drift"}).THRESHOLD_DRIFT
 
 # FLOAT_KERNEL_MAX_ROWS values that put every batch on one kernel, numpy or
 # floats, so that runs of different row counts compare bit for bit
@@ -330,6 +337,8 @@ class TestCalibration:
             ([("222", 3e-4)], {"n_restarts": -2}, "n_restarts"),
             ([("222", 3e-4)], {"maxiter": 0}, "maxiter"),
             ([("222", 3e-4)], {"maxiter": -3}, "maxiter"),
+            ([("222", 4e-4), ("222", 0.02), ("000", 0.014)], {},
+             "target code 222 is given more than once"),
         ]:
             with pytest.raises(ValueError, match=match):
                 ctl.calibrate(targets, cfg=FAST, **kwargs)
@@ -649,6 +658,35 @@ class TestKernelParity:
             m = ctl.run_cycle(cell, pattern(code), FAST, w0=w0[k])
             alone = np.array([m.v_out, *m.final_device_states, m.peak_power])
             np.testing.assert_array_equal(alone.view(np.int64), full[k].view(np.int64))
+
+
+class TestModelKind:
+    """Linear drift is the threshold law with an empty band, on both kernels."""
+
+    @pytest.mark.parametrize("rows", [1, ctl.FLOAT_KERNEL_MAX_ROWS + 1],
+                             ids=["floats", "numpy"])
+    def test_linear_drift_is_a_zero_threshold_cell(self, rows):
+        linear = ctl.make_cell(kind=dev.DeviceModelKind.LINEAR_DRIFT)
+        zero_band = ctl.make_cell(params=dev.MemristorParams(v_th_pos=0.0, v_th_neg=0.0))
+        # a small read keeps a cell without thresholds inside the tolerance
+        cfg = ctl.CycleConfig(v_read=1e-4)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        noise = ctl.NoiseConfig(1e-3, 4)
+        v_lin, w_lin, _, peak_lin = ctl._run_batch(linear, volts, cfg, noise=noise)
+        v_zero, w_zero, _, peak_zero = ctl._run_batch(zero_band, volts, cfg, noise=noise)
+        for got, want in ((v_lin, v_zero), (w_lin, w_zero), (peak_lin, peak_zero)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["threshold_drift", None, FOREIGN_KIND],
+                             ids=["string", "none", "foreign-enum"])
+    def test_unknown_kind_rejected(self, kind):
+        # run_cycle steps in floats, the larger batch in numpy
+        cell = ctl.make_cell(kind=kind)
+        with pytest.raises(ValueError, match=re.escape(repr(kind))):
+            ctl.run_cycle(cell, pattern("012"), FAST)
+        volts = [pattern("012").port_voltages] * (ctl.FLOAT_KERNEL_MAX_ROWS + 1)
+        with pytest.raises(ValueError, match=re.escape(repr(kind))):
+            ctl._run_batch(cell, volts, FAST)
 
 
 class TestBlockSettle:

@@ -1,3 +1,5 @@
+import enum
+import re
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -164,17 +166,16 @@ class TestKernelAgainstReference:
             np.testing.assert_array_equal(
                 dev.conductance_array(w, params, factor, np.empty_like(w)).view(np.int64),
                 g.view(np.int64))
-            # into another array, with scratch arrays and then with the law
-            # prepared for this phase as well: the same bits, w unchanged
-            for scratch in (dev.step_scratch(shape), dev.step_scratch(shape, params, dt, kind)):
-                before, out = w.copy(), np.empty_like(w)
-                got = dev.step_array(w, v, dt, params, kind, out=out, scratch=scratch)
-                assert got is out
-                np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
-                np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
-                got = dev.conductance_array(w, params, factor, np.empty_like(w),
-                                            scratch=scratch)
-                np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
+            # into another array, with the scratch arrays and the law prepared
+            # for this phase: the same bits, w unchanged
+            scratch = dev.step_scratch(shape, params, dt, kind)
+            before, out = w.copy(), np.empty_like(w)
+            got = dev.step_array(w, v, dt, params, kind, out=out, scratch=scratch)
+            assert got is out
+            np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
+            got = dev.conductance_array(w, params, factor, np.empty_like(w), scratch=scratch)
+            np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # the float kernel's inline law, several steps on three devices
             self._check_float_kernel(rng, params, kind, dt)
 
@@ -247,6 +248,19 @@ class TestValidation:
     def test_bad_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             dev.MemristorParams(**kwargs)
+
+    # the last, a kind's name and value from another enum, as a second
+    # import of the package would give
+    @pytest.mark.parametrize("kind", [
+        "threshold_drift", None,
+        enum.Enum("DeviceModelKind", {"THRESHOLD_DRIFT": "threshold_drift"}).THRESHOLD_DRIFT,
+    ], ids=["string", "none", "foreign-enum"])
+    def test_unknown_kind_rejected(self, kind):
+        w, v, p = np.zeros(3), np.array([1.0, 0.0, -3.0]), dev.MemristorParams()
+        with pytest.raises(ValueError, match=re.escape(repr(kind))):
+            dev.step_array(w, v, 1e-6, p, kind)
+        with pytest.raises(ValueError, match=re.escape(repr(kind))):
+            dev.step_scratch(w.shape, p, 1e-6, kind)
 
     @pytest.mark.parametrize("field", [f.name for f in fields(dev.MemristorParams)])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
