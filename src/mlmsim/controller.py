@@ -13,8 +13,8 @@ does not depend on the source values (`network.PortReduction`) per source
 set, so a chain of cycles on one cell builds it three times in all: reset,
 write and read. A phase then costs one solve for its source values, and
 none when its right-hand side repeats the previous one of its source set
-bit for bit: the reduction keeps its last model, so a noise-free chain of
-cycles builds only the model of each new write. On every timestep one
+bit for bit: the cell keeps that model, so a noise-free chain of cycles
+builds only the model of each new write. On every timestep one
 evaluation of those polynomials then gives the exact branch voltages,
 probe voltage and total source power for the frozen device resistances,
 after which each device state advances one explicit Euler step under its
@@ -25,7 +25,8 @@ transient, which is the only mechanism that can make a device's final
 state depend on the whole pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
-itself for the rest of the phase, so the phase ends there. A read that ends
+itself for the rest of the phase, so the phase ends there. Both kernels add
+a read's probe voltage to its sum on every step, and a read that ends
 early adds its last probe voltage once per remaining step, so the mean
 rounds exactly as a full read's would; drift and peak power cannot change.
 
@@ -50,12 +51,12 @@ study and the noisy sweep, runs numpy calls on whole device-major arrays
 needs, and writes its conductances and outputs into a trajectory buffer
 of at most BLOCK_DOUBLES doubles; when the buffer fills or the phase goes
 quiescent, one vectorised pass over the block checks every step's
-residual, folds its power into the peak and adds a read's probe voltages
-in step order. The buffer bounds the kernel's memory at any phase length.
+residual and folds its power into the peak. The buffer bounds the
+kernel's memory at any phase length.
 At a few rows a numpy call costs more in overhead than in arithmetic, so
 the kernel prepares the device law once per phase (`device.step_scratch`)
 and binds what a step calls; a step is then 28 numpy calls, each passed
-its output by position where numpy allows it.
+its output by position where numpy allows it, and 5 more in a read.
 A smaller batch, as in `run_cycle`, the single-phase operations, the ten
 distinct rows of the sweep and the level scan, steps in Python floats
 (`_step_floats`): at three devices a numpy call costs more than the
@@ -65,9 +66,9 @@ written out inline, and each row ends a phase at its own quiescent step. A
 step there recomputes only what a moved device changed: that device's
 conductance and, while device c alone moves, none of the g_a/g_b partial
 sums of the polynomials. Both kernels use the same phase list, the same
-per-phase model and the same checks; the inline device law gives
-`device.step_array`'s bits, and the polynomial sums may differ from
-numpy's in the last bits.
+per-phase model, the same checks and the same read sum; the inline device
+law gives `device.step_array`'s bits, and the polynomial sums may differ
+from numpy's in the last bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -237,7 +238,8 @@ class Cell:
 
     reductions holds one `network.PortReduction` per set of engaged
     sources, built on first use by `model`, so a chain of cycles on one
-    cell reduces the network once per source set.
+    cell reduces the network once per source set, and models holds each
+    set's last `network.PortModel` with the right-hand side it was built for.
     """
 
     topology: net.CellTopology
@@ -246,11 +248,13 @@ class Cell:
     netlist: net.Netlist
     ports: net.CellPorts
     reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def model(self, sources, batch):
         """The `network.PortModel` of a phase's sources, with every device at
-        r_on as the reference, for batch rows; the last one again while the
-        right-hand side of the source set repeats bit for bit."""
+        r_on as the reference, for batch rows; the last one again, shared and
+        so only read, while the source set's right-hand side repeats its
+        shape and bits. Only this method builds or reuses a model."""
         key = frozenset(sources)
         red = self.reductions.get(key)
         if red is None:
@@ -258,7 +262,12 @@ class Cell:
             red = self.reductions[key] = net.PortReduction(tmpl, 1.0 / self.params.r_on,
                                                            self.ports.probe_node)
         tmpl = red.template
-        return red.model(np.broadcast_to(tmpl.rhs(sources), (batch, tmpl.m)))
+        z = np.broadcast_to(tmpl.rhs(sources), (batch, tmpl.m))
+        z_key = (z.shape, z.tobytes())
+        last = self.models.get(key)
+        if last is None or last[0] != z_key:
+            last = self.models[key] = (z_key, net.PortModel(red, z))
+        return last[1]
 
 
 def make_cell(topology=None, params=None,
@@ -385,14 +394,14 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     coefficients laid out (subsets, columns, B) summed over the monomials
     in their order, and the device step. Its conductances and outputs (the
     branch voltages, probe voltage and source power) go into one slab of a
-    preallocated (block, n + 5, B) trajectory buffer. When the buffer fills
-    or the phase goes quiescent, the block is settled at once: the model
-    checks the residual of every step and row, the block's largest power
-    folds into peak_power, and a read adds its probe voltages to the sum in
-    step order, so the sum has the bits of one add per step. The buffer
-    holds at most BLOCK_DOUBLES doubles (102 steps at 40 rows), or one step
-    when a step alone is larger, so the kernel's memory does not grow with
-    the phase length.
+    preallocated (block, n + 5, B) trajectory buffer, and a read adds its
+    probe voltage to the sum, as the float kernel does. When the buffer
+    fills or the phase goes quiescent, the block is settled at once: the
+    model checks the residual of every step and row, and the block's
+    largest power folds into peak_power. The buffer holds at most
+    BLOCK_DOUBLES doubles (102 steps at 40 rows), or one step when a step
+    alone is larger, so the kernel's memory does not grow with the phase
+    length.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
@@ -402,7 +411,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     each output passed by position where numpy allows it: 4 for the
     conductances, 3 for the monomials, 3 for the polynomials and 18 for
     the device step (one more for a window exponent above 1); a read adds
-    4 for its drift.
+    4 for its drift and 1 for its probe sum.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
@@ -414,7 +423,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     # a wrapper installed on them sees every step
     scratch = dev.step_scratch(old.shape, params, dt, kind)
     conductance, step = dev.conductance_array, dev.step_array
-    multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
+    add, multiply, divide, add_reduce = np.add, np.multiply, np.divide, np.add.reduce
     factor = np.transpose(factor)  # a scalar, or one value per batch column
     coef = np.ascontiguousarray(np.moveaxis(model.coef, 0, -1))
     subsets, columns = coef.shape[:2]
@@ -430,7 +439,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     # per slab, made when a step first reaches it (most phases go quiescent
     # within a few steps): its conductances, the operands of each device's
     # monomial products (the lower monomials, g_j, the upper monomials), its
-    # outputs and its branch voltages
+    # outputs, its branch voltages and its probe voltage
     slabs = []
     probe_sum = np.zeros(batch)
     drift = np.zeros(batch)
@@ -443,8 +452,8 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
                 slab = steps[count - 1]
                 slabs.append((slab[:n], [(low, g_j, high) for (low, high), g_j
                                          in zip(halves, slab[:n])],
-                              slab[n:], slab[n:2 * n]))
-            g, products, outputs, v = slabs[count - 1]
+                              slab[n:], slab[n:2 * n], slab[-2]))
+            g, products, outputs, v, probe = slabs[count - 1]
             conductance(old, params, factor, g, scratch)
             for low, g_j, high in products:
                 multiply(low, g_j, high)
@@ -453,6 +462,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             divide(numerators, denominator, outputs)
             step(old, v, dt, params, kind, new, scratch)
             if is_read:
+                add(probe_sum, probe, probe_sum)
                 np.subtract(new, w_start, moved)
                 np.maximum(drift, np.abs(moved, moved).max(axis=0), out=drift)
             old, new = new, old
@@ -470,38 +480,15 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             np.multiply(block[:, j], block[:, n + j], out=block[:, j])
         model.check(block[:, :2 * n])
         np.maximum(peak_power, block[:, -1].max(axis=0), out=peak_power)
-        if is_read:
-            probes = block[:, -2]
-            last = probes[-1].copy()
-            _add_in_order(probe_sum, probes)
-            if quiescent:
-                # every later step of the phase would repeat this one exactly,
-                # so each adds the same probe voltage
-                for first in range(done, n_steps, len(steps)):
-                    probes = steps[:min(len(steps), n_steps - first), -2]
-                    probes[...] = last
-                    _add_in_order(probe_sum, probes)
         if quiescent:
+            # every later step of the phase would repeat this one exactly,
+            # so each adds the same probe voltage
+            if is_read:
+                for _ in range(n_steps - done):
+                    add(probe_sum, probe, probe_sum)
             break
     w[...] = old.T
     return probe_sum, drift
-
-
-def _add_in_order(total, values):
-    """total + values[0] + values[1] + ..., one add at a time, into total.
-
-    values is a (k, B) scratch array, overwritten. np.add.accumulate adds
-    in order at any shape; np.sum pairs the terms along an array's
-    innermost axis, which a one-row batch would make the step axis.
-    """
-    values[0] += total
-    np.add.accumulate(values, axis=0, out=values)
-    total[...] = values[-1]
-
-
-# _SELF_TERMS[s, j]: device j is in subset s, so branch j's polynomial has
-# no g_j term there (`network.PortModel` zeroes it)
-_SELF_TERMS = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
 
 
 def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
@@ -515,8 +502,8 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     tolerance model.tol[k].
     Each row ends the phase at its own quiescent step, which in the numpy
     kernel it would repeat bit for bit. The branch polynomials leave out the
-    four coefficients per branch that the model zeroes, which is checked
-    once per phase.
+    four coefficients per branch in the branch's own conductance, which
+    `network.PortModel` zeroes.
 
     The device law is `device._law`'s, unpacked as Python floats: one
     threshold law, whose band is empty under linear drift. It is written
@@ -531,12 +518,9 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     with their conductance. The polynomial sums may differ from the batched
     matrix product in the last bits.
     """
-    if (model.coef[..., :3][..., _SELF_TERMS] != 0.0).any():
-        raise RuntimeError("a branch polynomial of the port model has a term in its "
-                           "own device's conductance; the float kernel assumes none")
-    # residual i: [v, g v] . row i of the reduced system, less u[i]
-    ((e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5),
-     (h0, h1, h2, h3, h4, h5)) = model.system_t.T.tolist()
+    # residual i: [g v, v] . row i of the reduced system, less u[i]
+    ((e3, e4, e5, e0, e1, e2), (f3, f4, f5, f0, f1, f2),
+     (h3, h4, h5, h0, h1, h2)) = model.system_t.T.tolist()
     is_read, n_steps = phase.is_read, phase.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
@@ -949,6 +933,9 @@ def calibrate(targets, base_params=None, base_topology=None,
     bad_names = set(free) - valid_names
     if bad_names:
         raise ValueError(f"unknown free parameter(s): {sorted(bad_names)}")
+    if not free or len(set(free)) != len(free):
+        raise ValueError(f"free parameters must be at least one, each named once; "
+                         f"got {list(free)}")
 
     evals = [0]
 

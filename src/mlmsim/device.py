@@ -96,16 +96,15 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * temperature_factor(params, temperature)
 
 
-def conductance_array(w, params: MemristorParams, factor, out, scratch=None):
+def conductance_array(w, params: MemristorParams, factor, out, scratch):
     """1.0 / resistance_array(w, params, T), with the same bits, into out.
 
     factor is temperature_factor(params, T), a scalar or an array that
     broadcasts against w, so a caller stepping many times at one
-    temperature computes it once. r_off - r_on and r_on come from a
-    scratch prepared for params by `step_scratch`, or else from `_law`.
+    temperature computes it once. r_off - r_on and r_on come from the
+    scratch, which `step_scratch` prepared for params (at any dt and kind).
     """
-    # the resistance map alone: any dt and kind give the same two constants
-    span, r_on = (scratch[4] if scratch else _law(params, 0.0, DeviceModelKind.LINEAR_DRIFT))[:2]
+    span, r_on = scratch[4][:2]
     np.multiply(w, span, out)
     np.add(out, r_on, out)
     np.multiply(out, factor, out)

@@ -160,7 +160,7 @@ def port_model_solve(model, device_conductances):
     last axis; each result is checked with `PortModel.check`.
     """
     g = np.asarray(device_conductances, dtype=float)
-    n, subsets = model.n, model.coef.shape[-2]
+    n, subsets = g.shape[-1], model.coef.shape[-2]
     monomials = np.ones(g.shape[:-1] + (1, subsets))
     for j in range(n):
         # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j

@@ -339,6 +339,8 @@ class TestCalibration:
             ([("222", 3e-4)], {"maxiter": -3}, "maxiter"),
             ([("222", 4e-4), ("222", 0.02), ("000", 0.014)], {},
              "target code 222 is given more than once"),
+            ([("222", 3e-4)], {"free": ()}, "free parameters"),
+            ([("222", 3e-4)], {"free": ("r_on", "r_on")}, "free parameters"),
         ]:
             with pytest.raises(ValueError, match=match):
                 ctl.calibrate(targets, cfg=FAST, **kwargs)
@@ -736,6 +738,21 @@ class TestBlockSettle:
         for got, want in zip(run(), default):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_early_stopped_read_is_a_per_step_sum(self, cell):
+        # the read freezes every state at its first step, so the phase ends
+        # there and the rest of the sum is its probe voltage again
+        cfg = ctl.CycleConfig()
+        w0 = np.random.default_rng(7).uniform(0.0, 1.0, size=(self.ROWS, 3))
+        read = ctl._read_phase(cell, cfg, ctl._no_noise)
+        probe, _, _ = ctl._run_phases(cell, cfg, [replace(read, n_steps=1)], w0.copy())
+        v_out, drift, _ = ctl._run_phases(cell, cfg, [read], w0.copy())
+        assert read.n_steps > 1 and (drift == 0.0).all()
+        total = np.zeros(self.ROWS)
+        for _ in range(read.n_steps):
+            total = total + probe
+        np.testing.assert_array_equal(v_out.view(np.int64),
+                                      (total / read.n_steps).view(np.int64))
+
 
 class TestRowDeduplication:
     """A noise-free fresh-cell sweep simulates each distinct write pattern once."""
@@ -847,20 +864,30 @@ class TestFailureParity:
         assert tols and min(tols) > 1.05e-6
 
 
-class TestSelfTermCheck:
+class TestSelfTerms:
     """The float kernel leaves out the branch coefficients the model zeroes,
-    so a model with a nonzero one must stop it, not be evaluated without it."""
+    so every model a cycle builds must have them zero."""
 
-    def test_nonzero_self_term_raises(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
+    def test_branch_columns_have_no_own_conductance_terms(self, rows, monkeypatch):
+        models = []
         build = net.PortModel.__init__
 
-        def with_self_term(model, *args, **kwargs):
+        def recording(model, *args, **kwargs):
             build(model, *args, **kwargs)
-            model.coef[..., 1, 0] = 1e-9  # branch a's g_a term
+            models.append(model)
 
-        monkeypatch.setattr(net.PortModel, "__init__", with_self_term)
-        with pytest.raises(RuntimeError, match="own device's conductance"):
-            ctl.run_cycle(ctl.make_cell(), pattern("012"), FAST)
+        monkeypatch.setattr(net.PortModel, "__init__", recording)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        ctl._run_batch(ctl.make_cell(), volts, FAST, noise=ctl.NoiseConfig(1e-3, 4))
+        assert len(models) == 3  # reset, write and read
+        # own[s, j]: device j is in monomial subset s
+        own = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
+        for model in models:
+            branches = model.coef[..., :3]
+            assert branches.shape == (rows, 8, 3)
+            assert (branches[..., own] == 0.0).all()
+            assert (branches[..., ~own] != 0.0).any()
 
 
 class TestReductionReuse:

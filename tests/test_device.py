@@ -163,12 +163,12 @@ class TestKernelAgainstReference:
             temperature = rng.uniform(250.0, 400.0)
             g = 1.0 / dev.resistance_array(w, params, temperature)
             factor = dev.temperature_factor(params, temperature)
-            np.testing.assert_array_equal(
-                dev.conductance_array(w, params, factor, np.empty_like(w)).view(np.int64),
-                g.view(np.int64))
-            # into another array, with the scratch arrays and the law prepared
-            # for this phase: the same bits, w unchanged
+            # the scratch arrays and the law prepared for this phase
             scratch = dev.step_scratch(shape, params, dt, kind)
+            got = dev.conductance_array(w, params, factor, np.empty_like(w), scratch)
+            np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
+            # into another array, with the prepared scratch: the same bits, w
+            # unchanged
             before, out = w.copy(), np.empty_like(w)
             got = dev.step_array(w, v, dt, params, kind, out=out, scratch=scratch)
             assert got is out
@@ -203,9 +203,10 @@ class TestKernelAgainstReference:
                                         SimpleNamespace(dt=dt), phase, model, got,
                                         factor, peak)
         g, want = np.empty_like(w), w.copy()
+        scratch = dev.step_scratch(w.shape, params, dt, kind)
         want_probe, want_peak, want_drift = np.zeros(rows), np.zeros(rows), np.zeros(rows)
         for _ in range(n_steps):
-            dev.conductance_array(want, params, factor, g)
+            dev.conductance_array(want, params, factor, g, scratch)
             want_probe += g[:, 0]
             np.maximum(want_peak, g[:, 1] + g[:, 2], out=want_peak)
             dev.step_array(want, v, dt, params, kind)

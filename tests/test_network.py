@@ -158,6 +158,21 @@ class TestSingularDetection:
         with pytest.raises(net.SingularNetwork):
             net.solve_dc(nl)
 
+    def test_residual_tolerance_is_per_right_hand_side(self):
+        # the first right-hand side's solution is off by 2e-6, over its own
+        # tolerance of 1e-6; the second's scale of 4 must not excuse it
+        rhs = np.array([[1.0, 4.0], [0.0, 0.0]])
+        sol = rhs.copy()
+        sol[0, 0] += 2e-6
+        net._check_solution(np.eye(2), sol[:, 1:], rhs[:, 1:])
+        for a_mat, x, z in [(np.eye(2), sol[:, :1], rhs[:, :1]),
+                            (np.eye(2), sol, rhs),
+                            # the batched layout of MnaTemplate.solve
+                            (np.broadcast_to(np.eye(2), (2, 2, 2)), sol.T[..., None],
+                             rhs.T[..., None])]:
+            with pytest.raises(net.SingularNetwork):
+                net._check_solution(a_mat, x, z)
+
 
 class TestNetlistValidation:
     def test_rejects_out_of_range_nodes(self):
