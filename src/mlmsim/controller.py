@@ -28,7 +28,9 @@ A step that leaves every state of the batch bit-identical would repeat
 itself for the rest of the phase, so the phase ends there. Both kernels add
 a read's probe voltage to its sum on every step, and a read that ends
 early adds its last probe voltage once per remaining step, so the mean
-rounds exactly as a full read's would; drift and peak power cannot change.
+rounds exactly as a full read's would; peak power cannot change. The
+kernels only step: `_run_phases` measures a read's drift once, from the
+states before and after it.
 
 The full cycle is the list below; a zero-length reset or write is left out,
 and the single-phase operations run a one-element list through the same loop.
@@ -56,7 +58,7 @@ kernel's memory at any phase length.
 At a few rows a numpy call costs more in overhead than in arithmetic, so
 the kernel prepares the device law once per phase (`device.step_scratch`)
 and binds what a step calls; a step is then 28 numpy calls, each passed
-its output by position where numpy allows it, and 5 more in a read.
+its output by position where numpy allows it, and 1 more in a read.
 A smaller batch, as in `run_cycle`, the single-phase operations, the ten
 distinct rows of the sweep and the level scan, steps in Python floats
 (`_step_floats`): at three devices a numpy call costs more than the
@@ -370,9 +372,13 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     peak_power = np.zeros(batch)
     for phase in phases:
         model = cell.model(phase.sources, batch)
-        probe_sum, phase_drift = run_phase(cell, cfg, phase, model, w, factor, peak_power)
+        w_start = w.copy() if phase.is_read else None
+        probe_sum = run_phase(cell, cfg, phase, model, w, factor, peak_power)
         if phase.is_read:
-            drift = phase_drift
+            # a read engages only the read sources, at the row's one amplitude,
+            # so every branch voltage has its sign at every step: each state
+            # moves one way, and its largest |w_t - w_0| is its last, bit for bit
+            drift = np.abs(w - w_start).max(axis=1)
             if (drift >= READ_DISTURB_TOLERANCE).any():
                 raise NonQuiescentRead(
                     f"read moved device state by {drift.max():.3e} of full scale "
@@ -382,11 +388,11 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
 
 
 def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
-    """Step the states w through one phase; returns (probe sum, read drift).
+    """Step the states w through one phase; returns the probe sum.
 
     factor is the device temperature factor, a scalar or a (B, 1) array. w
-    and peak_power change in place; the probe sum and drift, one value per
-    batch row, stay zero unless the phase is the read.
+    and peak_power change in place; the probe sum, one value per batch row,
+    stays zero unless the phase is the read.
 
     The loop runs device-major, on (n, B) states whose rows are devices,
     and each step computes only what the next state needs: the
@@ -411,7 +417,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     each output passed by position where numpy allows it: 4 for the
     conductances, 3 for the monomials, 3 for the polynomials and 18 for
     the device step (one more for a window exponent above 1); a read adds
-    4 for its drift and 1 for its probe sum.
+    1 for its probe sum.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
@@ -442,9 +448,6 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     # outputs, its branch voltages and its probe voltage
     slabs = []
     probe_sum = np.zeros(batch)
-    drift = np.zeros(batch)
-    if is_read:
-        w_start, moved = old.copy(), np.empty_like(old)
     done = 0
     while done < n_steps:
         for count in range(1, min(len(steps), n_steps - done) + 1):
@@ -454,7 +457,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
                                          in zip(halves, slab[:n])],
                               slab[n:], slab[n:2 * n], slab[-2]))
             g, products, outputs, v, probe = slabs[count - 1]
-            conductance(old, params, factor, g, scratch)
+            conductance(old, factor, g, scratch)
             for low, g_j, high in products:
                 multiply(low, g_j, high)
             multiply(monomials, coef, terms)
@@ -463,8 +466,6 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             step(old, v, dt, params, kind, new, scratch)
             if is_read:
                 add(probe_sum, probe, probe_sum)
-                np.subtract(new, w_start, moved)
-                np.maximum(drift, np.abs(moved, moved).max(axis=0), out=drift)
             old, new = new, old
             # bytes, faster than ==: a state that only turns 0.0 into -0.0
             # delays the stop by one step, which repeats exactly
@@ -488,7 +489,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
                     add(probe_sum, probe, probe_sum)
             break
     w[...] = old.T
-    return probe_sum, drift
+    return probe_sum
 
 
 def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
@@ -524,7 +525,7 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     is_read, n_steps = phase.is_read, phase.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
-    probe_sums, drifts = np.zeros(len(w)), np.zeros(len(w))
+    probe_sums = np.zeros(len(w))
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
     tols = np.broadcast_to(model.tol, len(w)).tolist()
     for k, (factor, tol) in enumerate(zip(factors, tols)):
@@ -532,9 +533,9 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
          (p0, p1, p2, p3, p4, p5, p6, p7), (q0, q1, q2, q3, q4, q5, q6, q7),
          (d0, d1, d2, d3, d4, d5, d6, d7)) = model.coef[k].T.tolist()
         u0, u1, u2 = model.u[k].tolist()
-        wa, wb, wc = sa, sb, sc = w[k].tolist()
+        wa, wb, wc = w[k].tolist()
         peak = float(peak_power[k])
-        probe_sum = drift = 0.0
+        probe_sum = 0.0
         ga = 1.0 / ((r_on + wa * span) * factor)
         gb = 1.0 / ((r_on + wb * span) * factor)
         gc = 1.0 / ((r_on + wc * span) * factor)
@@ -608,9 +609,6 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
             if is_read:
                 probe = (probe0 + gc * probe1) / den
                 probe_sum += probe
-                for moved in (abs(na - sa), abs(nb - sb), abs(nc - sc)):
-                    if moved > drift:
-                        drift = moved
             power = (power0 + gc * power1) / den
             if power > peak or power != power:  # a NaN stays, as in np.maximum
                 peak = power
@@ -637,8 +635,8 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
             wa, wb, wc = na, nb, nc
         w[k] = wa, wb, wc
         peak_power[k] = peak
-        probe_sums[k], drifts[k] = probe_sum, drift
-    return probe_sums, drifts
+        probe_sums[k] = probe_sum
+    return probe_sums
 
 
 def _window_power(x, p):
@@ -730,7 +728,7 @@ def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
 
 
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
-    """Apply only the read phase; returns (v_out, new states, max state drift)."""
+    """Apply only the read phase; returns (v_out, new states, largest state change)."""
     w = _initial_states(cell, w0, 1)
     v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _no_noise)], w)
     return float(v_out[0]), w[0], float(drift[0])
@@ -823,6 +821,8 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
     so its numbers are those it would draw alone. The batch holds
     len(temps_c) * trials * len(table.rows) rows, at most MAX_BATCH_ROWS.
     """
+    if len(temps_c) == 0:
+        raise ValueError("need at least one temperature")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard deviation")
     if len(set(temps_c)) != len(temps_c):
@@ -929,10 +929,10 @@ def calibrate(targets, base_params=None, base_topology=None,
     unknown = set(goal) - set(table_codes)
     if unknown:
         raise ValueError(f"target codes not in the bin table: {sorted(unknown)}")
-    valid_names = {f.name for f in dataclasses.fields(dev.MemristorParams)} | {"r_ground"}
-    bad_names = set(free) - valid_names
+    bad_names = set(free) - set(CALIBRATION_FREE_PARAMS)
     if bad_names:
-        raise ValueError(f"unknown free parameter(s): {sorted(bad_names)}")
+        raise ValueError(f"free parameter(s) {sorted(bad_names)} cannot be fitted; "
+                         f"choose from {list(CALIBRATION_FREE_PARAMS)}")
     if not free or len(set(free)) != len(free):
         raise ValueError(f"free parameters must be at least one, each named once; "
                          f"got {list(free)}")

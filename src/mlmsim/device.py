@@ -96,13 +96,13 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * temperature_factor(params, temperature)
 
 
-def conductance_array(w, params: MemristorParams, factor, out, scratch):
+def conductance_array(w, factor, out, scratch):
     """1.0 / resistance_array(w, params, T), with the same bits, into out.
 
     factor is temperature_factor(params, T), a scalar or an array that
     broadcasts against w, so a caller stepping many times at one
     temperature computes it once. r_off - r_on and r_on come from the
-    scratch, which `step_scratch` prepared for params (at any dt and kind).
+    scratch alone, which `step_scratch` prepared for params (any dt, kind).
     """
     span, r_on = scratch[4][:2]
     np.multiply(w, span, out)
@@ -134,7 +134,7 @@ def step_scratch(shape, params: MemristorParams, dt, kind: DeviceModelKind):
     The law (`_law`) is prepared for params, dt and kind: its constants as
     0-d arrays, since numpy converts a Python float argument again on every
     call. `conductance_array` and `step_array` read it from the scratch, so
-    a caller must pass them the same params, dt and kind.
+    a caller must pass `step_array` the same params, dt and kind.
     """
     *constants, power = _law(params, dt, kind)
     return (np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool),

@@ -182,35 +182,27 @@ def _selector_blocks(table, port):
     return blocks
 
 
-def _block_active(v_in, low, high, cfg):
-    """Comparator pair plus AND gate for one block: low <= x < high."""
+def _fired_levels(v_in, table, cfg):
+    """Per port, the write levels of the selector blocks whose comparator
+    pair and AND gate fire, low <= v_in + offset < high; domain-checked."""
+    if not table.v_min <= v_in <= table.v_max:
+        raise OutOfRange(f"input {v_in} V outside [{table.v_min}, {table.v_max}] V")
     x = v_in + cfg.comparator_offset
-    return x >= low and (high is None or x < high)
+    return [[target for low, high, target in _selector_blocks(table, port)
+             if x >= low and (high is None or x < high)] for port in range(3)]
 
 
 def encode_structural(v_in, table: BinTable = DEFAULT_BIN_TABLE,
                       cfg: EncoderConfig = EncoderConfig()) -> WritePattern:
     """Simulated code-selector ladder output; analog, possibly nonideal."""
-    if not table.v_min <= v_in <= table.v_max:
-        raise OutOfRange(f"input {v_in} V outside [{table.v_min}, {table.v_max}] V")
-    volts = []
-    for port in range(3):
-        total = 0.0
-        for low, high, target in _selector_blocks(table, port):
-            if _block_active(v_in, low, high, cfg):
-                total += target
-        volts.append(cfg.sum_gain * total)
-    return WritePattern(tuple(volts))
+    return WritePattern(tuple(cfg.sum_gain * sum(levels)
+                              for levels in _fired_levels(v_in, table, cfg)))
 
 
 def structural_activations(v_in, table: BinTable = DEFAULT_BIN_TABLE,
                            cfg: EncoderConfig = EncoderConfig()):
     """How many selector blocks fire per port; at most one in a sane config."""
-    counts = []
-    for port in range(3):
-        counts.append(sum(1 for low, high, target in _selector_blocks(table, port)
-                          if _block_active(v_in, low, high, cfg)))
-    return tuple(counts)
+    return tuple(len(levels) for levels in _fired_levels(v_in, table, cfg))
 
 
 def quantize_write_voltage(v):

@@ -408,7 +408,7 @@ class TestTempStudyCommand:
         assert "bound" not in printed and "%" not in printed
         assert len(out.read_text().strip().splitlines()) == 11
 
-    @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20", "20,20"])
+    @pytest.mark.parametrize("temps", ["inf,20", "nan,20", "-300,20", "20,20", ""])
     def test_invalid_temperature_rejected(self, tmp_path, fast_config, capsys, temps):
         out = tmp_path / "s.csv"
         assert cli.main(["temp-study", "--config", fast_config, f"--temps={temps}",

@@ -233,6 +233,8 @@ class TestTemperatureStudy:
     def test_needs_two_trials(self, cell):
         with pytest.raises(ValueError):
             ctl.run_temperature_study(cell, trials=1, cfg=FAST)
+        with pytest.raises(ValueError, match="at least one temperature"):
+            ctl.run_temperature_study(cell, temps_c=(), cfg=FAST)
 
     def test_batched_study_equals_serial_groups(self, monkeypatch):
         # the serial study ran one 10-row simulation per (temperature, trial)
@@ -341,6 +343,9 @@ class TestCalibration:
              "target code 222 is given more than once"),
             ([("222", 3e-4)], {"free": ()}, "free parameters"),
             ([("222", 3e-4)], {"free": ("r_on", "r_on")}, "free parameters"),
+            # parameters of the device that calibration does not fit
+            ([("222", 3e-4)], {"free": ("v_th_neg",)}, "cannot be fitted"),
+            ([("222", 3e-4)], {"free": ("window_p",)}, "cannot be fitted"),
         ]:
             with pytest.raises(ValueError, match=match):
                 ctl.calibrate(targets, cfg=FAST, **kwargs)
@@ -752,6 +757,32 @@ class TestBlockSettle:
             total = total + probe
         np.testing.assert_array_equal(v_out.view(np.int64),
                                       (total / read.n_steps).view(np.int64))
+
+
+class TestReadDrift:
+    """`_run_phases` measures a read's drift from its first and last states."""
+
+    @pytest.mark.parametrize("rows", [1, 10, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
+    def test_drift_is_the_largest_step_motion(self, rows):
+        # thresholds inside the read's branch voltages, so every step moves
+        # the states, up on the rows read at +50 mV and down on those at -50
+        cell = ctl.make_cell(
+            net.CellTopology(r_series=(300.0, 900.0, 2700.0), read_series_ohms=300.0),
+            dev.MemristorParams(v_th_pos=0.01, v_th_neg=-0.01, drift_rate=20.0))
+        w0 = np.random.default_rng(rows).uniform(0.1, 0.9, size=(rows, 3))
+        amplitudes = np.where(np.arange(rows) % 2 == 0, 0.05, -0.05)
+        read = ctl.Phase(dict.fromkeys(cell.ports.read, amplitudes),
+                         FAST.steps(FAST.t_read), is_read=True)
+        w = w0.copy()
+        _, drift, _ = ctl._run_phases(cell, FAST, [read], w)
+        # the same read one step at a time, chained through the states
+        w_t, want = w0.copy(), np.zeros(rows)
+        for _ in range(read.n_steps):
+            ctl._run_phases(cell, FAST, [replace(read, n_steps=1)], w_t)
+            np.maximum(want, np.abs(w_t - w0).max(axis=1), out=want)
+        assert (drift > 0.0).all()
+        np.testing.assert_array_equal(drift.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(w.view(np.int64), w_t.view(np.int64))
 
 
 class TestRowDeduplication:

@@ -165,7 +165,7 @@ class TestKernelAgainstReference:
             factor = dev.temperature_factor(params, temperature)
             # the scratch arrays and the law prepared for this phase
             scratch = dev.step_scratch(shape, params, dt, kind)
-            got = dev.conductance_array(w, params, factor, np.empty_like(w), scratch)
+            got = dev.conductance_array(w, factor, np.empty_like(w), scratch)
             np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # into another array, with the prepared scratch: the same bits, w
             # unchanged
@@ -174,7 +174,7 @@ class TestKernelAgainstReference:
             assert got is out
             np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
             np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
-            got = dev.conductance_array(w, params, factor, np.empty_like(w), scratch=scratch)
+            got = dev.conductance_array(w, factor, np.empty_like(w), scratch=scratch)
             np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # the float kernel's inline law, several steps on three devices
             self._check_float_kernel(rng, params, kind, dt)
@@ -199,22 +199,19 @@ class TestKernelAgainstReference:
         phase = ctl.Phase({}, n_steps, is_read=bool(rng.integers(2)))
         got, peak = w.copy(), np.zeros(rows)
         factor = dev.temperature_factor(params, temperature)
-        probe, drift = ctl._step_floats(SimpleNamespace(params=params, kind=kind),
-                                        SimpleNamespace(dt=dt), phase, model, got,
-                                        factor, peak)
+        probe = ctl._step_floats(SimpleNamespace(params=params, kind=kind),
+                                 SimpleNamespace(dt=dt), phase, model, got, factor, peak)
         g, want = np.empty_like(w), w.copy()
         scratch = dev.step_scratch(w.shape, params, dt, kind)
-        want_probe, want_peak, want_drift = np.zeros(rows), np.zeros(rows), np.zeros(rows)
+        want_probe, want_peak = np.zeros(rows), np.zeros(rows)
         for _ in range(n_steps):
-            dev.conductance_array(want, params, factor, g, scratch)
+            dev.conductance_array(want, factor, g, scratch)
             want_probe += g[:, 0]
             np.maximum(want_peak, g[:, 1] + g[:, 2], out=want_peak)
             dev.step_array(want, v, dt, params, kind)
-            np.maximum(want_drift, np.abs(want - w).max(axis=1), out=want_drift)
         if not phase.is_read:
-            want_probe[:] = want_drift[:] = 0.0
-        for result, expected in ((got, want), (peak, want_peak), (probe, want_probe),
-                                 (drift, want_drift)):
+            want_probe[:] = 0.0
+        for result, expected in ((got, want), (peak, want_peak), (probe, want_probe)):
             np.testing.assert_array_equal(result.view(np.int64), expected.view(np.int64))
 
 

@@ -125,6 +125,8 @@ class TestStructuralPath:
     def test_out_of_range_rejected(self):
         with pytest.raises(enc.OutOfRange):
             enc.encode_structural(3.2)
+        with pytest.raises(enc.OutOfRange):
+            enc.structural_activations(3.2)
 
     def test_detuned_summing_gain_scales_levels(self):
         cfg = enc.EncoderConfig(sum_r2=10_000.0)  # half the unity ratio
