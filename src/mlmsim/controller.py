@@ -15,11 +15,9 @@ write and read. A phase then costs one solve for its source values, and
 none when its right-hand side repeats the previous one of its source set
 bit for bit: the cell keeps that model, so a noise-free chain of cycles
 builds only the model of each new write. On every timestep one
-evaluation of those polynomials then gives the exact branch voltages,
-probe voltage and total source power for the frozen device resistances,
-after which each device state advances one explicit Euler step under its
-own branch voltage. Every step's voltages are checked against the reduced
-3x3 system before the phase returns.
+evaluation of the branch and denominator polynomials then gives the exact
+branch voltages for the frozen device resistances, after which each
+device state advances one explicit Euler step under its own branch voltage.
 Devices therefore interact through the shared nodes during the write
 transient, which is the only mechanism that can make a device's final
 state depend on the whole pattern rather than its own port alone.
@@ -42,35 +40,31 @@ and the single-phase operations run a one-element list through the same loop.
            voltage over the window, and any state motion beyond tolerance
            raises NonQuiescentRead.
 
-Every step also folds the total source power -V*I of the phase's engaged
-sources, which the model gives as one more ratio of polynomials, into a
-per-row running maximum, so each run reports its own peak source power.
+Both kernels hand each step's conductances and branch voltages, a block at
+a time, to the model (`network.PortModel.settle`), the only code that
+checks a step or takes its power: it checks each step against the reduced
+3x3 system and folds the largest total source power -V*I of the engaged
+sources, a ratio of polynomials in the conductances, into its row's peak.
 
-Two kernels step a phase, chosen by the number of rows simulated at once.
-A batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature
-study and the noisy sweep, runs numpy calls on whole device-major arrays
-(`_step_arrays`). Each of its steps computes only what the next state
-needs, and writes its conductances and outputs into a trajectory buffer
-of at most BLOCK_DOUBLES doubles; when the buffer fills or the phase goes
-quiescent, one vectorised pass over the block checks every step's
-residual and folds its power into the peak. The buffer bounds the
-kernel's memory at any phase length.
-At a few rows a numpy call costs more in overhead than in arithmetic, so
-the kernel prepares the device law once per phase (`device.step_scratch`)
-and binds what a step calls; a step is then 28 numpy calls, each passed
-its output by position where numpy allows it, and 1 more in a read.
-A smaller batch, as in `run_cycle`, the single-phase operations, the ten
-distinct rows of the sweep and the level scan, steps in Python floats
-(`_step_floats`): at three devices a numpy call costs more than the
-arithmetic it does, so the rows are stepped one after another, each step
-straight-line code over the three devices' floats with the device law
-written out inline, and each row ends a phase at its own quiescent step. A
-step there recomputes only what a moved device changed: that device's
-conductance and, while device c alone moves, none of the g_a/g_b partial
-sums of the polynomials. Both kernels use the same phase list, the same
-per-phase model, the same checks and the same read sum; the inline device
-law gives `device.step_array`'s bits, and the polynomial sums may differ
-from numpy's in the last bits.
+Two kernels step a phase, chosen by the number of rows simulated at once. A
+batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
+and the noisy sweep, runs numpy calls on whole device-major arrays
+(`_step_arrays`), each step into a buffer of at most BLOCK_DOUBLES doubles
+that is settled when it fills or the phase goes quiescent. At a few rows a
+numpy call costs more in overhead than in arithmetic, so the kernel
+prepares the device law once per phase (`device.step_scratch`) and binds
+what a step calls: 28 numpy calls, and 1 more in a read. A smaller batch,
+as in `run_cycle`, the single-phase operations, the ten distinct rows of
+the sweep and the level scan, steps in Python floats (`_step_floats`): one
+row after another, each step straight-line code over the three devices'
+floats with the device law inline, and each row ends a phase at its own
+quiescent step. A step there computes only the denominator, the three
+branch voltages, the law and a read's probe, and recomputes only what a
+moved device changed: that device's conductance and, while device c alone
+moves, none of the g_a/g_b partial sums. Both kernels use the same phase
+list, model, settle and read sum; the inline law gives
+`device.step_array`'s bits, and the polynomial sums may differ from numpy's
+in the last bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -104,6 +98,7 @@ relative.
 import dataclasses
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,15 +118,14 @@ MAX_CYCLE_STEPS = 10**6
 MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
-# another; a larger one steps in numpy. On noisy default-dt cycles of the
-# level codes (1 mV, interleaved medians), the float kernel is 1.5x faster
-# at 10 rows, 1.25x at 12, 1.07x at 14, even at 15, 0.9x at 16-17, 0.85x
-# at 18-20 and 0.6x at 28.
-FLOAT_KERNEL_MAX_ROWS = 15
+# another; a larger one steps in numpy. On noisy (1 mV) default-dt level-code
+# cycles (interleaved CPU-time medians), floats are 1.75x faster at 10 rows,
+# 1.5x at 12, 1.25x at 14, 1.1x at 15-16, 1.05x at 17, even at 18, 0.7x at 28.
+FLOAT_KERNEL_MAX_ROWS = 17
 
-# Most doubles the numpy kernel keeps for one block of a phase's timesteps,
-# which it checks and folds at once: about 100 steps at 40 rows. A
-# whole-phase buffer would grow with the phase and the batch.
+# Most doubles a kernel keeps for one block of a phase's timesteps before
+# the model settles it (`_block_length`): 117 steps at 40 rows, 4681 of one
+# row. A whole-phase buffer would grow with the phase and the batch.
 BLOCK_DOUBLES = 2**15
 
 
@@ -387,6 +381,11 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     return v_out, drift, peak_power
 
 
+def _block_length(n_steps, n, batch):
+    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
+    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
+
+
 def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     """Step the states w through one phase; returns the probe sum.
 
@@ -396,18 +395,15 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
 
     The loop runs device-major, on (n, B) states whose rows are devices,
     and each step computes only what the next state needs: the
-    conductances, the model's polynomials, as the monomials times the
-    coefficients laid out (subsets, columns, B) summed over the monomials
-    in their order, and the device step. Its conductances and outputs (the
-    branch voltages, probe voltage and source power) go into one slab of a
-    preallocated (block, n + 5, B) trajectory buffer, and a read adds its
-    probe voltage to the sum, as the float kernel does. When the buffer
-    fills or the phase goes quiescent, the block is settled at once: the
-    model checks the residual of every step and row, and the block's
-    largest power folds into peak_power. The buffer holds at most
-    BLOCK_DOUBLES doubles (102 steps at 40 rows), or one step when a step
-    alone is larger, so the kernel's memory does not grow with the phase
-    length.
+    conductances, the branch and denominator polynomials (and a read's
+    probe), as the monomials times the coefficients laid out (subsets,
+    columns, B) summed over the monomials in their order, and the device
+    step. Its conductances, branch voltages and probe voltage go into one
+    slab of a (`_block_length`, 2n + 1, B) trajectory buffer, and a read
+    adds its probe voltage to the sum, as the float kernel does. When the
+    buffer fills or the phase goes quiescent, the model settles the block
+    (`network.PortModel.settle`), so the kernel's memory does not grow
+    with the phase length.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
@@ -431,7 +427,8 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     conductance, step = dev.conductance_array, dev.step_array
     add, multiply, divide, add_reduce = np.add, np.multiply, np.divide, np.add.reduce
     factor = np.transpose(factor)  # a scalar, or one value per batch column
-    coef = np.ascontiguousarray(np.moveaxis(model.coef, 0, -1))
+    # every column but the power, which is the settle's, and the probe's outside a read
+    coef = np.ascontiguousarray(np.moveaxis(model.coef[..., [*range(n + is_read), -1]], 0, -1))
     subsets, columns = coef.shape[:2]
     terms = np.empty_like(coef)
     monomials = np.empty((subsets, 1, batch))
@@ -440,8 +437,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     numerators, denominator = sums[:-1], sums[-1]
     # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
     halves = [(monomials[:2 ** j], monomials[2 ** j:2 ** (j + 1)]) for j in range(n)]
-    width = n + columns - 1
-    steps = np.empty((max(1, min(n_steps, BLOCK_DOUBLES // (width * batch))), width, batch))
+    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 1, batch))
     # per slab, made when a step first reaches it (most phases go quiescent
     # within a few steps): its conductances, the operands of each device's
     # monomial products (the lower monomials, g_j, the upper monomials), its
@@ -455,7 +451,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
                 slab = steps[count - 1]
                 slabs.append((slab[:n], [(low, g_j, high) for (low, high), g_j
                                          in zip(halves, slab[:n])],
-                              slab[n:], slab[n:2 * n], slab[-2]))
+                              slab[n:n + columns - 1], slab[n:2 * n], slab[-1]))
             g, products, outputs, v, probe = slabs[count - 1]
             conductance(old, factor, g, scratch)
             for low, g_j, high in products:
@@ -472,15 +468,8 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             quiescent = old.tobytes() == new.tobytes()
             if quiescent:
                 break
-        block = steps[:count]
         done += count
-        # the block is spent: its conductances become the products g v
-        # that, with the branch voltages after them, the check takes (one
-        # device at a time, so numpy's overlap copy stays a third as large)
-        for j in range(n):
-            np.multiply(block[:, j], block[:, n + j], out=block[:, j])
-        model.check(block[:, :2 * n])
-        np.maximum(peak_power, block[:, -1].max(axis=0), out=peak_power)
+        model.settle(steps[:count, :2 * n], peak_power)
         if quiescent:
             # every later step of the phase would repeat this one exactly,
             # so each adds the same probe voltage
@@ -495,16 +484,18 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
 def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
-    At three devices a numpy call costs more than the arithmetic it does,
-    so the rows are stepped one after another, each step evaluating the
-    model's polynomials and the device law as straight-line float code
-    instead: row k's coefficients model.coef[k] and model.u[k] at row k's
-    temperature factor, with the same residual check against row k's
-    tolerance model.tol[k].
-    Each row ends the phase at its own quiescent step, which in the numpy
-    kernel it would repeat bit for bit. The branch polynomials leave out the
-    four coefficients per branch in the branch's own conductance, which
-    `network.PortModel` zeroes.
+    At three devices a numpy call costs more than the arithmetic it does, so
+    the rows are stepped one after another in straight-line float code, with
+    row k's coefficients model.coef[k] at row k's temperature factor. A step
+    computes only the denominator, the three branch voltages, the device law
+    and a read's probe voltage, and packs its conductances and branch
+    voltages into the record, which the model settles for row k
+    (`network.PortModel.settle`) every `_block_length` steps and at the
+    row's last step. A zero denominator raises SingularNetwork at once, a
+    NaN one at the settle. Each row ends the phase at its own quiescent
+    step, which in the numpy kernel it would repeat bit for bit. The branch
+    polynomials leave out the four coefficients per branch in the branch's
+    own conductance, which `network.PortModel` zeroes.
 
     The device law is `device._law`'s, unpacked as Python floats: one
     threshold law, whose band is empty under linear drift. It is written
@@ -514,127 +505,110 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     conductance is recomputed only when its state moved. Every polynomial
     sum runs in the order of the monomials, which puts g_c outermost, so
     its g_a/g_b-only partial sums are kept until device a or b moves; the
-    results are those of the full sums, bit for bit. Residual row i is
-    summed per device as (e_i0 + e_i3 g_a) v_a + ..., its coefficients kept
-    with their conductance. The polynomial sums may differ from the batched
-    matrix product in the last bits.
+    results are those of the full sums, bit for bit. The polynomial sums
+    may differ from the batched matrix product in the last bits.
     """
-    # residual i: [g v, v] . row i of the reduced system, less u[i]
-    ((e3, e4, e5, e0, e1, e2), (f3, f4, f5, f0, f1, f2),
-     (h3, h4, h5, h0, h1, h2)) = model.system_t.T.tolist()
     is_read, n_steps = phase.is_read, phase.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
+    block = _block_length(n_steps, 3, 1)
+    # g_a, g_b, g_c, v_a, v_b, v_c of each step since the last settle, for every row
+    record, pack = bytearray(48 * block), struct.Struct("6d").pack_into
     probe_sums = np.zeros(len(w))
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
-    tols = np.broadcast_to(model.tol, len(w)).tolist()
-    for k, (factor, tol) in enumerate(zip(factors, tols)):
+    for k, factor in enumerate(factors):
         ((a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _), (c0, c1, c2, c3, *_),
-         (p0, p1, p2, p3, p4, p5, p6, p7), (q0, q1, q2, q3, q4, q5, q6, q7),
+         (p0, p1, p2, p3, p4, p5, p6, p7), _,
          (d0, d1, d2, d3, d4, d5, d6, d7)) = model.coef[k].T.tolist()
-        u0, u1, u2 = model.u[k].tolist()
         wa, wb, wc = w[k].tolist()
-        peak = float(peak_power[k])
         probe_sum = 0.0
         ga = 1.0 / ((r_on + wa * span) * factor)
         gb = 1.0 / ((r_on + wb * span) * factor)
         gc = 1.0 / ((r_on + wc * span) * factor)
-        ea, fa, ha = e0 + e3 * ga, f0 + f3 * ga, h0 + h3 * ga
-        eb, fb, hb = e1 + e4 * gb, f1 + f4 * gb, h1 + h4 * gb
-        ec, fc, hc = e2 + e5 * gc, f2 + f5 * gc, h2 + h5 * gc
         # branch a's numerator has no g_a term, branch b's no g_b term
         va0, va1 = a0 + gb * a2, a4 + gb * a6
         vb0, vb1 = b0 + ga * b1, b4 + ga * b5
-        ab_moved = True
-        for step in range(n_steps):
-            if ab_moved:
-                # the g_a/g_b sums: g_c^0 and g_c^1 terms of each polynomial
-                gab = ga * gb
-                den0 = d0 + ga * d1 + gb * d2 + gab * d3
-                den1 = d4 + ga * d5 + gb * d6 + gab * d7
-                vc0 = c0 + ga * c1 + gb * c2 + gab * c3
-                power0 = q0 + ga * q1 + gb * q2 + gab * q3
-                power1 = q4 + ga * q5 + gb * q6 + gab * q7
-                if is_read:
-                    probe0 = p0 + ga * p1 + gb * p2 + gab * p3
-                    probe1 = p4 + ga * p5 + gb * p6 + gab * p7
-                ab_moved = False
-            den = den0 + gc * den1
-            if den == 0.0:  # a NaN or infinite one fails the residual check, as in numpy
-                raise net.SingularNetwork("reduced system has a zero determinant")
-            va = (va0 + gc * va1) / den
-            vb = (vb0 + gc * vb1) / den
-            vc = vc0 / den
-            r0 = ea * va + eb * vb + ec * vc - u0
-            r1 = fa * va + fb * vb + fc * vc - u1
-            r2 = ha * va + hb * vb + hc * vc - u2
-            # one component at a time: max() can drop a NaN
-            if not (-tol <= r0 <= tol and -tol <= r1 <= tol and -tol <= r2 <= tol):
-                worst = next(abs(r) for r in (r0, r1, r2) if not -tol <= r <= tol)
-                raise net.SingularNetwork(f"reduced solve residual {worst:g} indicates "
-                                          "a singular or ill-conditioned network")
-            # the device law, once per device: frozen inside the threshold
-            # band, else an Euler step of the window law; each conditional
-            # picks what np.maximum / np.minimum would
-            if th_neg < va < th_pos:
-                na = wa if wa > 0.0 else 0.0
-            else:
-                x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
-                x = x + x - 1.0
-                x = x * x
-                if p is not None:
-                    x = x * x if p == 2 else _window_power(x, p)
-                na = wa + rate * va * (1.0 - x) * dt
-                na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
-            if th_neg < vb < th_pos:
-                nb = wb if wb > 0.0 else 0.0
-            else:
-                x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
-                x = x + x - 1.0
-                x = x * x
-                if p is not None:
-                    x = x * x if p == 2 else _window_power(x, p)
-                nb = wb + rate * vb * (1.0 - x) * dt
-                nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
-            if th_neg < vc < th_pos:
-                nc = wc if wc > 0.0 else 0.0
-            else:
-                x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
-                x = x + x - 1.0
-                x = x * x
-                if p is not None:
-                    x = x * x if p == 2 else _window_power(x, p)
-                nc = wc + rate * vc * (1.0 - x) * dt
-                nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
-            if is_read:
-                probe = (probe0 + gc * probe1) / den
-                probe_sum += probe
-            power = (power0 + gc * power1) / den
-            if power > peak or power != power:  # a NaN stays, as in np.maximum
-                peak = power
-            # equal states, 0.0 and -0.0 included, have equal conductances
-            if na != wa:
-                ga = 1.0 / ((r_on + na * span) * factor)
-                ea, fa, ha = e0 + e3 * ga, f0 + f3 * ga, h0 + h3 * ga
-                vb0, vb1 = b0 + ga * b1, b4 + ga * b5
-                ab_moved = True
-            if nb != wb:
-                gb = 1.0 / ((r_on + nb * span) * factor)
-                eb, fb, hb = e1 + e4 * gb, f1 + f4 * gb, h1 + h4 * gb
-                va0, va1 = a0 + gb * a2, a4 + gb * a6
-                ab_moved = True
-            if nc != wc:
-                gc = 1.0 / ((r_on + nc * span) * factor)
-                ec, fc, hc = e2 + e5 * gc, f2 + f5 * gc, h2 + h5 * gc
-            elif not ab_moved:
-                # every later step of the phase would repeat this one exactly
-                if is_read:
-                    for _ in range(n_steps - step - 1):
+        ab_moved, quiescent = True, False
+        try:
+            for start in range(0, n_steps, block):
+                for step in range(start, min(start + block, n_steps)):
+                    if ab_moved:
+                        # the g_a/g_b sums: g_c^0 and g_c^1 terms of each polynomial
+                        gab = ga * gb
+                        den0 = d0 + ga * d1 + gb * d2 + gab * d3
+                        den1 = d4 + ga * d5 + gb * d6 + gab * d7
+                        vc0 = c0 + ga * c1 + gb * c2 + gab * c3
+                        if is_read:
+                            probe0 = p0 + ga * p1 + gb * p2 + gab * p3
+                            probe1 = p4 + ga * p5 + gb * p6 + gab * p7
+                        ab_moved = False
+                    den = den0 + gc * den1
+                    va = (va0 + gc * va1) / den
+                    vb = (vb0 + gc * vb1) / den
+                    vc = vc0 / den
+                    pack(record, 48 * (step - start), ga, gb, gc, va, vb, vc)
+                    # the device law, once per device: frozen inside the
+                    # threshold band, else an Euler step of the window law;
+                    # each conditional picks what np.maximum / np.minimum would
+                    if th_neg < va < th_pos:
+                        na = wa if wa > 0.0 else 0.0
+                    else:
+                        x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
+                        x = x + x - 1.0
+                        x = x * x
+                        if p is not None:
+                            x = x * x if p == 2 else _window_power(x, p)
+                        na = wa + rate * va * (1.0 - x) * dt
+                        na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
+                    if th_neg < vb < th_pos:
+                        nb = wb if wb > 0.0 else 0.0
+                    else:
+                        x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
+                        x = x + x - 1.0
+                        x = x * x
+                        if p is not None:
+                            x = x * x if p == 2 else _window_power(x, p)
+                        nb = wb + rate * vb * (1.0 - x) * dt
+                        nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
+                    if th_neg < vc < th_pos:
+                        nc = wc if wc > 0.0 else 0.0
+                    else:
+                        x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
+                        x = x + x - 1.0
+                        x = x * x
+                        if p is not None:
+                            x = x * x if p == 2 else _window_power(x, p)
+                        nc = wc + rate * vc * (1.0 - x) * dt
+                        nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
+                    if is_read:
+                        probe = (probe0 + gc * probe1) / den
                         probe_sum += probe
-                break
-            wa, wb, wc = na, nb, nc
+                    # equal states, 0.0 and -0.0 included, have equal conductances
+                    if na != wa:
+                        ga = 1.0 / ((r_on + na * span) * factor)
+                        vb0, vb1 = b0 + ga * b1, b4 + ga * b5
+                        ab_moved = True
+                    if nb != wb:
+                        gb = 1.0 / ((r_on + nb * span) * factor)
+                        va0, va1 = a0 + gb * a2, a4 + gb * a6
+                        ab_moved = True
+                    if nc != wc:
+                        gc = 1.0 / ((r_on + nc * span) * factor)
+                    elif not ab_moved:
+                        # every later step of the phase would repeat this one exactly
+                        if is_read:
+                            for _ in range(n_steps - step - 1):
+                                probe_sum += probe
+                        quiescent = True
+                        break
+                    wa, wb, wc = na, nb, nc
+                steps = np.frombuffer(record, count=6 * (step + 1 - start)).reshape(-1, 6, 1)
+                model.settle(steps, peak_power, slice(k, k + 1))
+                if quiescent:
+                    break
+        except ZeroDivisionError:
+            raise net.SingularNetwork("reduced system has a zero determinant") from None
         w[k] = wa, wb, wc
-        peak_power[k] = peak
         probe_sums[k] = probe_sum
     return probe_sums
 

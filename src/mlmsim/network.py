@@ -10,8 +10,8 @@ reference; a template holds only its assembly. For a transient,
 output as a ratio of two polynomials in the device conductances, with
 2^n_devices coefficients each. It keeps those coefficients per batch row,
 8 x 6 doubles for three devices, so a timestep costs one polynomial
-evaluation, and the residual check of the reduced system can run on a
-whole block of timesteps at once. The part of the reduction that does not
+evaluation, and `PortModel.settle` checks a whole block of timesteps and
+takes its source power at once. The part of the reduction that does not
 depend on the source values (`PortReduction`) is built once per source
 set and kept by its owner, so a model for new source values costs a few
 row-wise products. Neither keeps any model; the caller keeps what it reuses.
@@ -368,7 +368,8 @@ class PortModel:
     so its sum does not cancel. `check` tests the residual of the reduced
     system against each row's tolerance, 1e-6 times the larger of 1 and
     the row's largest |u|, and raises SingularNetwork on NaN, inf or an
-    ill-conditioned system, for many steps at once.
+    ill-conditioned system, for many steps at once. `settle` checks a
+    kernel's block of steps and folds each row's largest power into its peak.
 
     Everything but x0 depends only on the template, g0 and the probe node:
     A0 and its inverse, Y, K, the subset determinants and adjugates, and
@@ -410,24 +411,44 @@ class PortModel:
         # each row's own tolerance, so its checks do not depend on its batch
         self.tol = 1e-6 * np.maximum(1.0, np.abs(u).max(axis=-1))
 
-    def check(self, stacked):
+    def check(self, stacked, rows=slice(None)):
         """Raise SingularNetwork unless branch voltages solve the reduced
         system to within each row's tol.
 
         stacked holds, on its second-to-last axis, the products g_j v_j of
-        each device's conductance and branch voltage and then the branch
-        voltages v_j; its last axis is the model's batch rows, and any
-        leading axes, such as a block of timesteps, are checked alike. A
-        NaN or infinite residual fails.
+        each device's conductance and branch voltage, then the branch
+        voltages v_j; its last axis is the batch rows selected by rows, all
+        by default, and leading axes, such as a block of timesteps, are
+        checked alike. A NaN or infinite residual fails.
         """
         # the reduced system's residual: K (g v) + (I - g0 K) v - u
         residual = self.system_t.T @ stacked
-        residual -= np.atleast_2d(self.u).T
+        residual -= np.atleast_2d(self.u[rows]).T
         np.abs(residual, out=residual)
-        failed = ~(residual <= np.atleast_1d(self.tol))  # also true for NaN and inf
+        failed = ~(residual <= np.atleast_1d(self.tol)[rows])  # also true for NaN and inf
         if failed.any():
             raise SingularNetwork(f"reduced solve residual {residual[failed].max():g} "
                                   "indicates a singular or ill-conditioned network")
+
+    def settle(self, block, peak, rows=slice(None)):
+        """Check a block of timesteps and fold its largest source power into peak.
+
+        block is (steps, 2n, rows): each step's conductances g, then branch
+        voltages v, for the rows selected by rows; g becomes g v. Once every
+        step passes `check`, each row's largest power, the power polynomial
+        over the denominator's at g, goes into peak[rows], a NaN too.
+        """
+        n = block.shape[-2] // 2
+        # fold each g_j, steps last, into the power and denominator columns,
+        # (subsets, 2, rows, 1): the same operations at any block length
+        g = np.ascontiguousarray(block[:, :n].transpose(1, 2, 0))
+        poly = np.ascontiguousarray(self.coef[rows, :, -2:].transpose(1, 2, 0))[..., None]
+        for j in reversed(range(n)):
+            upper = poly[2 ** j:] * g[j]
+            poly = np.add(upper, poly[:2 ** j], out=upper)
+        np.multiply(g.transpose(2, 0, 1), block[:, n:], out=block[:, :n])
+        self.check(block, rows)
+        np.maximum(peak[rows], (poly[0, 0] / poly[0, 1]).max(axis=-1), out=peak[rows])
 
 
 @dataclass

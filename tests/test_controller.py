@@ -697,7 +697,7 @@ class TestModelKind:
 
 
 class TestBlockSettle:
-    """The numpy kernel checks and folds each block of steps at once."""
+    """Both kernels check and fold each block of steps at once (`PortModel.settle`)."""
 
     ROWS = ctl.FLOAT_KERNEL_MAX_ROWS + 1
 
@@ -717,23 +717,28 @@ class TestBlockSettle:
         # the reset of a fresh cell is frozen after its first step, so the
         # NaN lands on the fourth write step, and the 150-step write is one
         # block
-        assert FAST.steps(FAST.t_write) <= ctl.BLOCK_DOUBLES // (8 * self.ROWS)
+        n_write = FAST.steps(FAST.t_write)
+        assert ctl._block_length(n_write, 3, self.ROWS) == n_write
         with pytest.raises(net.SingularNetwork):
             ctl._run_batch(cell, volts, FAST)
         # the kernel stepped on past the NaN: the block's check raised
         assert calls[0] > 6
 
+    @pytest.mark.parametrize("rows", [ctl.FLOAT_KERNEL_MAX_ROWS, ROWS],
+                             ids=["floats", "numpy"])
     @pytest.mark.parametrize("kind", list(dev.DeviceModelKind))
-    def test_one_step_blocks_give_the_same_bits(self, kind, monkeypatch):
-        # threshold drift: a noisy write of several default-size blocks and
-        # a read that stops early; linear drift: a read that runs every step
+    def test_one_step_blocks_give_the_same_bits(self, kind, rows, monkeypatch):
+        # threshold drift: a noisy write that is several numpy-kernel blocks
+        # (one per float-kernel row) and a read that stops early; linear
+        # drift: a read that runs every step
         cell = ctl.make_cell(kind=kind)
         cfg = ctl.CycleConfig()
         if kind is dev.DeviceModelKind.LINEAR_DRIFT:
             cfg = replace(cfg, v_read=0.01, t_read=2e-5)
-        assert cfg.steps(cfg.t_write) > 2 * ctl.BLOCK_DOUBLES // (8 * self.ROWS)
-        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (self.ROWS, 3))
-        w0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(self.ROWS, 3))
+        n_write = cfg.steps(cfg.t_write)
+        assert n_write > 2 * ctl._block_length(n_write, 3, self.ROWS)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        w0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(rows, 3))
 
         def run():
             return ctl._run_batch(cell, volts, cfg, w0=w0, noise=ctl.NoiseConfig(1e-3, 2))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlmsim import controller as ctl
 from mlmsim import device as dev
+from mlmsim import network as net
 
 from oracles import logistic_drift, reference_step_array
 
@@ -182,8 +183,9 @@ class TestKernelAgainstReference:
     def _check_float_kernel(self, rng, params, kind, dt):
         """The float kernel's inline law against repeated array-law steps.
 
-        A stub port model with exact polynomials: denominator 1, constant
-        branch voltages, the probe g_a, the power g_b + g_c and residual 0.
+        A port model with exact polynomials, set without a network:
+        denominator 1, constant branch voltages, the probe g_a, the power
+        g_b + g_c and residual 0, settled by the real `PortModel.settle`.
         """
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
@@ -194,8 +196,9 @@ class TestKernelAgainstReference:
         coef[:, 1, 3] = 1.0         # probe: the g_a monomial
         coef[:, [2, 4], 4] = 1.0    # power: the g_b and g_c monomials
         coef[:, 0, 5] = 1.0         # denominator
-        model = SimpleNamespace(coef=coef, u=np.zeros((rows, 3)),
-                                system_t=np.zeros((6, 3)), tol=0.0)
+        model = net.PortModel.__new__(net.PortModel)
+        vars(model).update(coef=coef, u=np.zeros((rows, 3)), system_t=np.zeros((6, 3)),
+                           tol=np.zeros(rows))
         phase = ctl.Phase({}, n_steps, is_read=bool(rng.integers(2)))
         got, peak = w.copy(), np.zeros(rows)
         factor = dev.temperature_factor(params, temperature)
