@@ -40,11 +40,13 @@ and the single-phase operations run a one-element list through the same loop.
            voltage over the window, and any state motion beyond tolerance
            raises NonQuiescentRead.
 
-Both kernels hand each step's conductances and branch voltages, a block at
-a time, to the model (`network.PortModel.settle`), the only code that
-checks a step or takes its power: it checks each step against the reduced
-3x3 system and folds the largest total source power -V*I of the engaged
-sources, a ratio of polynomials in the conductances, into its row's peak.
+Both kernels hand each step's conductances, branch voltages and total
+source power -V*I of the engaged sources, a block at a time, to the model
+(`network.PortModel.settle`), the only code that checks a step or folds a
+peak: it checks each step against the reduced 3x3 system and folds each
+row's largest power into its peak. The numpy kernel takes the power, a
+ratio of polynomials in the conductances, from each step's product; the
+float kernel has the model fold it from a row's record (`PortModel.power`).
 
 Two kernels step a phase, chosen by the number of rows simulated at once. A
 batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
@@ -53,7 +55,7 @@ and the noisy sweep, runs numpy calls on whole device-major arrays
 that is settled when it fills or the phase goes quiescent. At a few rows a
 numpy call costs more in overhead than in arithmetic, so the kernel
 prepares the device law once per phase (`device.step_scratch`) and binds
-what a step calls: 28 numpy calls, and 1 more in a read. A smaller batch,
+what a step calls: 32 numpy calls, and 1 more in a read. A smaller batch,
 as in `run_cycle`, the single-phase operations, the ten distinct rows of
 the sweep and the level scan, steps in Python floats (`_step_floats`): one
 row after another, each step straight-line code over the three devices'
@@ -119,12 +121,12 @@ MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
 # another; a larger one steps in numpy. On noisy (1 mV) default-dt level-code
-# cycles (interleaved CPU-time medians), floats are 1.75x faster at 10 rows,
-# 1.5x at 12, 1.25x at 14, 1.1x at 15-16, 1.05x at 17, even at 18, 0.7x at 28.
+# cycles (medians of interleaved CPU-time ratios), floats are 1.4-1.5x faster at
+# 12 rows, 1.2-1.25x at 14, 1.05-1.1x at 16-17, 0.96-1.01x at 18, 0.91-0.99x at 20.
 FLOAT_KERNEL_MAX_ROWS = 17
 
 # Most doubles a kernel keeps for one block of a phase's timesteps before
-# the model settles it (`_block_length`): 117 steps at 40 rows, 4681 of one
+# the model settles it (`_block_length`): 102 steps at 40 rows, 4096 of one
 # row. A whole-phase buffer would grow with the phase and the batch.
 BLOCK_DOUBLES = 2**15
 
@@ -382,8 +384,8 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
 
 
 def _block_length(n_steps, n, batch):
-    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
-    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
+    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 2 per row, or one."""
+    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 2) * batch)))
 
 
 def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
@@ -394,26 +396,28 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     stays zero unless the phase is the read.
 
     The loop runs device-major, on (n, B) states whose rows are devices,
-    and each step computes only what the next state needs: the
-    conductances, the branch and denominator polynomials (and a read's
-    probe), as the monomials times the coefficients laid out (subsets,
-    columns, B) summed over the monomials in their order, and the device
-    step. Its conductances, branch voltages and probe voltage go into one
-    slab of a (`_block_length`, 2n + 1, B) trajectory buffer, and a read
-    adds its probe voltage to the sum, as the float kernel does. When the
-    buffer fills or the phase goes quiescent, the model settles the block
-    (`network.PortModel.settle`), so the kernel's memory does not grow
-    with the phase length.
+    and each step computes the conductances, the branch, power and
+    denominator polynomials (and a read's probe), as the monomials times
+    the coefficients laid out (subsets, columns, B) summed over the
+    monomials in their order, and the device step. Its conductances,
+    branch voltages, power and probe voltage go into one slab of a
+    (`_block_length`, 2n + 2, B) trajectory buffer, and a read adds its
+    probe voltage to the sum, as the float kernel does. When the buffer
+    fills or the phase goes quiescent, the model settles the block and its
+    power (`network.PortModel.settle`), so the kernel's memory does not
+    grow with the phase length.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
-    arrays, its window exponent decided), looks up
-    `device.conductance_array` and `device.step_array` through the module,
-    and binds each slab's operands. A step is then 28 numpy calls, with
-    each output passed by position where numpy allows it: 4 for the
-    conductances, 3 for the monomials, 3 for the polynomials and 18 for
-    the device step (one more for a window exponent above 1); a read adds
-    1 for its probe sum.
+    arrays, its window exponent decided), broadcasts the temperature
+    factor to the states' shape, looks up `device.conductance_array` and
+    `device.step_array` through the module, and binds each slab's
+    operands: a numpy call costs about twice as much when it broadcasts an
+    operand, so each monomial row is an earlier one times one conductance
+    row. A step is then 32 numpy calls, with each output passed by
+    position where numpy allows it: 4 for the conductances, 7 for the
+    monomials, 3 for the polynomials and 18 for the device step (one more
+    for a window exponent above 1); a read adds 1 for its probe sum.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
@@ -426,22 +430,24 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
     scratch = dev.step_scratch(old.shape, params, dt, kind)
     conductance, step = dev.conductance_array, dev.step_array
     add, multiply, divide, add_reduce = np.add, np.multiply, np.divide, np.add.reduce
-    factor = np.transpose(factor)  # a scalar, or one value per batch column
-    # every column but the power, which is the settle's, and the probe's outside a read
-    coef = np.ascontiguousarray(np.moveaxis(model.coef[..., [*range(n + is_read), -1]], 0, -1))
+    # the temperature factor at the states' shape, so no step broadcasts it
+    factor = np.broadcast_to(np.transpose(factor), old.shape).copy()
+    # the branch, power, read probe and denominator columns, in the slab's order
+    order = [*range(n), n + 1] + [n] * is_read + [-1]
+    coef = np.ascontiguousarray(np.moveaxis(model.coef[..., order], 0, -1))
     subsets, columns = coef.shape[:2]
     terms = np.empty_like(coef)
     monomials = np.empty((subsets, 1, batch))
     monomials[0] = 1.0
     sums = np.empty((columns, batch))
     numerators, denominator = sums[:-1], sums[-1]
-    # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
-    halves = [(monomials[:2 ** j], monomials[2 ** j:2 ** (j + 1)]) for j in range(n)]
-    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 1, batch))
+    # monomial 2^j + i is monomial i times g_j, one row at a time
+    monomial_rows = [(s - 2 ** j, j, s) for j in range(n) for s in range(2 ** j, 2 ** (j + 1))]
+    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 2, batch))
     # per slab, made when a step first reaches it (most phases go quiescent
-    # within a few steps): its conductances, the operands of each device's
-    # monomial products (the lower monomials, g_j, the upper monomials), its
-    # outputs, its branch voltages and its probe voltage
+    # within a few steps): its conductances, the operands of each monomial
+    # product (a lower monomial, g_j, the new monomial), its outputs, its
+    # branch voltages and its probe voltage
     slabs = []
     probe_sum = np.zeros(batch)
     done = 0
@@ -449,8 +455,8 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
         for count in range(1, min(len(steps), n_steps - done) + 1):
             if count > len(slabs):
                 slab = steps[count - 1]
-                slabs.append((slab[:n], [(low, g_j, high) for (low, high), g_j
-                                         in zip(halves, slab[:n])],
+                slabs.append((slab[:n], [(monomials[i, 0], slab[j], monomials[s, 0])
+                                         for i, j, s in monomial_rows],
                               slab[n:n + columns - 1], slab[n:2 * n], slab[-1]))
             g, products, outputs, v, probe = slabs[count - 1]
             conductance(old, factor, g, scratch)
@@ -469,7 +475,7 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             if quiescent:
                 break
         done += count
-        model.settle(steps[:count, :2 * n], peak_power)
+        model.settle(steps[:count, :2 * n], steps[:count, 2 * n], peak_power)
         if quiescent:
             # every later step of the phase would repeat this one exactly,
             # so each adds the same probe voltage
@@ -489,9 +495,11 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
     row k's coefficients model.coef[k] at row k's temperature factor. A step
     computes only the denominator, the three branch voltages, the device law
     and a read's probe voltage, and packs its conductances and branch
-    voltages into the record, which the model settles for row k
-    (`network.PortModel.settle`) every `_block_length` steps and at the
-    row's last step. A zero denominator raises SingularNetwork at once, a
+    voltages into the record. Every `_block_length` steps and at the
+    row's last step, the model folds the record's power from its
+    conductances (`network.PortModel.power`) and settles it for row k with
+    its steps last (`network.PortModel.settle`), so the check is one
+    matrix product. A zero denominator raises SingularNetwork at once, a
     NaN one at the settle. Each row ends the phase at its own quiescent
     step, which in the numpy kernel it would repeat bit for bit. The branch
     polynomials leave out the four coefficients per branch in the branch's
@@ -602,8 +610,9 @@ def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
                         quiescent = True
                         break
                     wa, wb, wc = na, nb, nc
-                steps = np.frombuffer(record, count=6 * (step + 1 - start)).reshape(-1, 6, 1)
-                model.settle(steps, peak_power, slice(k, k + 1))
+                steps = np.frombuffer(record, count=6 * (step + 1 - start)).reshape(-1, 6).T
+                model.settle(steps[None], model.power(steps[:3], k), peak_power,
+                             slice(k, k + 1))
                 if quiescent:
                     break
         except ZeroDivisionError:

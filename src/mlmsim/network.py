@@ -11,10 +11,11 @@ output as a ratio of two polynomials in the device conductances, with
 2^n_devices coefficients each. It keeps those coefficients per batch row,
 8 x 6 doubles for three devices, so a timestep costs one polynomial
 evaluation, and `PortModel.settle` checks a whole block of timesteps and
-takes its source power at once. The part of the reduction that does not
-depend on the source values (`PortReduction`) is built once per source
-set and kept by its owner, so a model for new source values costs a few
-row-wise products. Neither keeps any model; the caller keeps what it reuses.
+folds its per-step source power into each row's peak. The part of the
+reduction that does not depend on the source values (`PortReduction`) is
+built once per source set and kept by its owner, so a model for new
+source values costs a few row-wise products. Neither keeps any model; the
+caller keeps what it reuses.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -195,9 +196,7 @@ class MnaTemplate:
         source_volts maps element index -> value (may be batched arrays);
         only sources already active in this template can be re-valued.
         """
-        batch = ()
-        for value in source_volts.values():
-            batch = np.broadcast_shapes(batch, np.shape(value))
+        batch = np.broadcast_shapes(*map(np.shape, source_volts.values()))
         z = np.broadcast_to(self.z_base, batch + (self.m,)).copy()
         for idx, value in source_volts.items():
             z[..., self.source_row[idx]] = value
@@ -369,7 +368,8 @@ class PortModel:
     system against each row's tolerance, 1e-6 times the larger of 1 and
     the row's largest |u|, and raises SingularNetwork on NaN, inf or an
     ill-conditioned system, for many steps at once. `settle` checks a
-    kernel's block of steps and folds each row's largest power into its peak.
+    kernel's block of steps and folds each row's largest power into its
+    peak; `power` gives that power from a float-kernel row's conductances.
 
     Everything but x0 depends only on the template, g0 and the probe node:
     A0 and its inverse, Y, K, the subset determinants and adjugates, and
@@ -419,7 +419,8 @@ class PortModel:
         each device's conductance and branch voltage, then the branch
         voltages v_j; its last axis is the batch rows selected by rows, all
         by default, and leading axes, such as a block of timesteps, are
-        checked alike. A NaN or infinite residual fails.
+        checked alike; so is one row with its steps on the last axis. A
+        NaN or infinite residual fails.
         """
         # the reduced system's residual: K (g v) + (I - g0 K) v - u
         residual = self.system_t.T @ stacked
@@ -430,25 +431,29 @@ class PortModel:
             raise SingularNetwork(f"reduced solve residual {residual[failed].max():g} "
                                   "indicates a singular or ill-conditioned network")
 
-    def settle(self, block, peak, rows=slice(None)):
-        """Check a block of timesteps and fold its largest source power into peak.
-
-        block is (steps, 2n, rows): each step's conductances g, then branch
-        voltages v, for the rows selected by rows; g becomes g v. Once every
-        step passes `check`, each row's largest power, the power polynomial
-        over the denominator's at g, goes into peak[rows], a NaN too.
-        """
-        n = block.shape[-2] // 2
-        # fold each g_j, steps last, into the power and denominator columns,
-        # (subsets, 2, rows, 1): the same operations at any block length
-        g = np.ascontiguousarray(block[:, :n].transpose(1, 2, 0))
-        poly = np.ascontiguousarray(self.coef[rows, :, -2:].transpose(1, 2, 0))[..., None]
-        for j in reversed(range(n)):
+    def power(self, g, row):
+        """Row row's total source power at each step of a record, from the
+        step's conductances g, (n, steps): the power polynomial over the
+        denominator's, each g_j folded in, the same operations at any length."""
+        poly = self.coef[row, :, -2:, None]
+        for j in reversed(range(len(g))):
             upper = poly[2 ** j:] * g[j]
             poly = np.add(upper, poly[:2 ** j], out=upper)
-        np.multiply(g.transpose(2, 0, 1), block[:, n:], out=block[:, :n])
+        return poly[0, 0] / poly[0, 1]
+
+    def settle(self, block, power, peak, rows=slice(None)):
+        """Check a block of timesteps and fold its largest source power into peak.
+
+        block is (steps, 2n, rows), or one row's (1, 2n, steps): each
+        step's conductances g, then branch voltages v, for the rows selected
+        by rows; g becomes g v. power is each step's source power, (steps,
+        rows) or (steps,). Once every step passes `check`, each row's
+        largest power goes into peak[rows], a NaN too.
+        """
+        n = block.shape[-2] // 2
+        np.multiply(block[:, :n], block[:, n:], out=block[:, :n])
         self.check(block, rows)
-        np.maximum(peak[rows], (poly[0, 0] / poly[0, 1]).max(axis=-1), out=peak[rows])
+        np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
 
 
 @dataclass

@@ -626,6 +626,20 @@ class TestKernelParity:
                 np.testing.assert_allclose(one, two[:1], rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(two[:1], many[:1], rtol=1e-12, atol=0.0)
 
+    def test_numpy_read_matches_each_float_row(self, cell):
+        # a read alone, from programmed states, so the peak is the read's
+        # own power and neither it nor v_out comes from another phase
+        cfg = ctl.CycleConfig()
+        n = ctl.FLOAT_KERNEL_MAX_ROWS + 1
+        w0 = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, 3))
+        read = ctl._read_phase(cell, cfg, ctl._no_noise)
+        v_out, _, peak = ctl._run_phases(cell, cfg, [read], w0.copy())
+        for k in range(n):
+            v_one, _, peak_one = ctl._run_phases(cell, cfg, [read], w0[k:k + 1].copy())
+            # the kernels sum the probe polynomial in different orders
+            np.testing.assert_allclose(v_out[k:k + 1], v_one, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(peak[k:k + 1], peak_one, rtol=1e-12, atol=0.0)
+
     def test_kernel_chosen_by_row_count(self, cell, monkeypatch):
         calls = []
         step_array = dev.step_array

@@ -185,7 +185,8 @@ class TestKernelAgainstReference:
 
         A port model with exact polynomials, set without a network:
         denominator 1, constant branch voltages, the probe g_a, the power
-        g_b + g_c and residual 0, settled by the real `PortModel.settle`.
+        g_b + g_c and residual 0, folded and settled by the real
+        `PortModel.power` and `PortModel.settle`.
         """
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
