@@ -817,9 +817,9 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
                          f"codes is {n_rows} rows, over the {MAX_BATCH_ROWS}-row limit")
     # every temperature is validated before the simulation, and named as given
     for t in temps_c:
-        if celsius_to_kelvin(t) <= 0:
-            raise ValueError(f"temperature must be above -273.15 C, got {t!r} C")
-    kelvins = [replace(cfg, temperature=celsius_to_kelvin(t)).temperature for t in temps_c]
+        if not (math.isfinite(t) and celsius_to_kelvin(t) > 0):
+            raise ValueError(f"temperature must be finite and above -273.15 C, got {t!r} C")
+    kelvins = [celsius_to_kelvin(t) for t in temps_c]
     groups = [(t_idx, trial) for t_idx in range(len(temps_c)) for trial in range(trials)]
     v_out, _, _, _ = _run_batch(cell, np.tile(_level_volts(table), (len(groups), 1)), cfg,
                                 noise=noise, spawn_keys=groups,
@@ -866,16 +866,13 @@ class CalibrationResult:
 
 
 def _apply_free_params(base_params, base_topology, free, vector):
-    """Candidate (params, topology) from a log10 parameter vector, or Nones
-    when the vector violates a parameter invariant (r_off <= r_on etc.)."""
+    """Candidate (params, topology) from a log10 parameter vector; raises
+    ValueError or InvalidTopology when it violates an invariant (r_off <= r_on etc.)."""
     values = dict(zip(free, 10.0 ** np.asarray(vector)))
     r_ground = values.pop("r_ground", None)
-    try:
-        params = replace(base_params, **values) if values else base_params
-        topology = (base_topology if r_ground is None
-                    else replace(base_topology, r_ground=r_ground))
-    except (ValueError, net.InvalidTopology):
-        return None, None
+    params = replace(base_params, **values) if values else base_params
+    topology = (base_topology if r_ground is None
+                else replace(base_topology, r_ground=r_ground))
     return params, topology
 
 
@@ -924,8 +921,6 @@ def calibrate(targets, base_params=None, base_topology=None,
 
     def levels_for(vector):
         params, topology = _apply_free_params(base_params, base_topology, free, vector)
-        if params is None:
-            return None
         cell = make_cell(topology, params)
         v_out, _ = simulate_levels(cell, cfg, table)
         return dict(zip(table_codes, v_out))
@@ -935,8 +930,6 @@ def calibrate(targets, base_params=None, base_topology=None,
         try:
             levels = levels_for(vector)
         except (net.SingularNetwork, ValueError, net.InvalidTopology, NonQuiescentRead):
-            return 1e9
-        if levels is None:
             return 1e9
         return sum(((levels[c] - goal[c]) / goal[c]) ** 2 for c in goal)
 

@@ -185,8 +185,7 @@ def _selector_blocks(table, port):
 def _fired_levels(v_in, table, cfg):
     """Per port, the write levels of the selector blocks whose comparator
     pair and AND gate fire, low <= v_in + offset < high; domain-checked."""
-    if not table.v_min <= v_in <= table.v_max:
-        raise OutOfRange(f"input {v_in} V outside [{table.v_min}, {table.v_max}] V")
+    table.row_index(v_in)  # raises OutOfRange outside the domain
     x = v_in + cfg.comparator_offset
     return [[target for low, high, target in _selector_blocks(table, port)
              if x >= low and (high is None or x < high)] for port in range(3)]
@@ -197,12 +196,6 @@ def encode_structural(v_in, table: BinTable = DEFAULT_BIN_TABLE,
     """Simulated code-selector ladder output; analog, possibly nonideal."""
     return WritePattern(tuple(cfg.sum_gain * sum(levels)
                               for levels in _fired_levels(v_in, table, cfg)))
-
-
-def structural_activations(v_in, table: BinTable = DEFAULT_BIN_TABLE,
-                           cfg: EncoderConfig = EncoderConfig()):
-    """How many selector blocks fire per port; at most one in a sane config."""
-    return tuple(len(levels) for levels in _fired_levels(v_in, table, cfg))
 
 
 def quantize_write_voltage(v):

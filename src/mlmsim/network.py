@@ -5,7 +5,8 @@ analysis with voltage sources handled as extra current unknowns and solved
 by direct factorization. Memristor elements are placeholders whose
 resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
 re-stamp and re-factor the whole system on each call and stay the
-reference; a template holds only its assembly. For a transient,
+reference; a template holds only its assembly. `solve_dc` reports node
+voltages, per-element currents and the total source power. For a transient,
 `PortModel` reduces the system onto the device branches and writes every
 output as a ratio of two polynomials in the device conductances, with
 2^n_devices coefficients each. It keeps those coefficients per batch row,
@@ -31,6 +32,7 @@ The reset always drives the write ports at 0 V as well, because the erase
 current needs a return path to ground through them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +44,6 @@ N_SUBCELLS = 3
 # Default ground (probe) resistor, raised from the original 100 ohm; neither
 # value is fitted to the reference levels (level 000 reads high at 200 ohm).
 DEFAULT_R_GROUND = 200.0
-UNCALIBRATED_R_GROUND = 100.0
 
 
 class SingularNetwork(Exception):
@@ -86,10 +87,9 @@ class VoltageSource:
 class Netlist:
     """Immutable element list over nodes 0..node_count-1, node 0 = ground."""
 
-    def __init__(self, node_count, elements, node_names=None):
+    def __init__(self, node_count, elements):
         self.node_count = int(node_count)
         self.elements = tuple(elements)
-        self.node_names = dict(node_names or {})
         if self.node_count < 1:
             raise ValueError("netlist needs at least the ground node")
         devices = set()
@@ -105,23 +105,6 @@ class Netlist:
                     raise ValueError(f"element {idx}: negative device index")
                 devices.add(el.device)
         self.device_count = max(devices) + 1 if devices else 0
-
-    def _node_label(self, n):
-        return self.node_names.get(n, f"n{n}")
-
-    def describe(self):
-        """Human-readable element list for debugging."""
-        lines = [f"netlist: {self.node_count} nodes, {len(self.elements)} elements"]
-        for idx, el in enumerate(self.elements):
-            a, b = self._node_label(el.a), self._node_label(el.b)
-            if isinstance(el, Resistor):
-                lines.append(f"[{idx:2d}] R {a}-{b} {el.ohms:g} ohm")
-            elif isinstance(el, MemristorRef):
-                lines.append(f"[{idx:2d}] M {a}(+)-{b}(-) device {el.device}")
-            elif isinstance(el, VoltageSource):
-                state = "on" if el.active else "off"
-                lines.append(f"[{idx:2d}] V {a}-{b} {el.volts:g} V ({state})")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +479,6 @@ def solve_dc(netlist, device_resistances=(), source_values=None):
     return SolveResult(volts, currents, source_power, netlist)
 
 
-def network_power(result: SolveResult):
-    """Total power dissipated in the passive elements (I squared R)."""
-    total = 0.0
-    volts = result.node_voltages
-    for idx, el in enumerate(result.netlist.elements):
-        if isinstance(el, (Resistor, MemristorRef)):
-            total += result.element_currents[idx] * (volts[el.a] - volts[el.b])
-    return total
-
-
-def kcl_residual(result: SolveResult):
-    """Largest absolute net current into any non-ground node."""
-    sums = np.zeros(result.netlist.node_count)
-    for idx, el in enumerate(result.netlist.elements):
-        i = result.element_currents[idx]
-        sums[el.a] -= i
-        sums[el.b] += i
-    return float(np.abs(sums[1:]).max()) if result.netlist.node_count > 1 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Multi-level cell topology
 # ---------------------------------------------------------------------------
@@ -582,16 +545,7 @@ def build_mlm_cell(topology: CellTopology):
     r_series = topology.per_subcell("r_series")
     r_write = topology.per_subcell("r_write")
 
-    names = {0: "gnd", 1: "mem"}
-    next_node = 2
-
-    def new_node(label):
-        nonlocal next_node
-        node = next_node
-        names[node] = label
-        next_node += 1
-        return node
-
+    nodes = itertools.count(2)  # node 0 is ground, node 1 the membrane
     membrane = 1
     elements = []
     dev_elems = []
@@ -599,9 +553,7 @@ def build_mlm_cell(topology: CellTopology):
     n_nodes = []
     sw_nodes = []
     for i in range(n):
-        p = new_node(f"p{i + 1}")
-        nneg = new_node(f"q{i + 1}")
-        sw = new_node(f"w{i + 1}")
+        p, nneg, sw = next(nodes), next(nodes), next(nodes)
         p_nodes.append(p)
         n_nodes.append(nneg)
         sw_nodes.append(sw)
@@ -625,13 +577,13 @@ def build_mlm_cell(topology: CellTopology):
     for i in range(n):
         attach = p_nodes[i]
         if topology.read_series_ohms > 0:
-            tap = new_node(f"r{i + 1}")
+            tap = next(nodes)
             elements.append(Resistor(tap, p_nodes[i], topology.read_series_ohms))
             attach = tap
         read_srcs.append(len(elements))
         elements.append(VoltageSource(attach, 0, 0.0, active=False))
 
-    netlist = Netlist(next_node, elements, names)
+    netlist = Netlist(next(nodes), elements)
     ports = CellPorts(
         write=tuple(write_srcs),
         reset=tuple(reset_srcs),

@@ -3,10 +3,12 @@
 Almost everything in here is deliberately written without importing the
 package under test: closed-form ODE solutions, hand-rolled series-parallel
 ladder reduction, and a brute-force inversion counter. The exceptions are
-the dense cycle integrator, which reuses the dense nodal solver and the
-device kernel but none of the controller, the reference device step, the
-kernel in whole-array form, and a port model's outputs evaluated by one
-matrix product. Tests compare simulator output against these.
+the dense solve's KCL residual and dissipated power, summed from the
+currents it reports; the dense cycle integrator, which reuses the dense
+nodal solver and the device kernel but none of the controller; the
+reference device step, the kernel in whole-array form; and a port model's
+outputs evaluated by one matrix product. Tests compare simulator output
+against these.
 """
 
 import math
@@ -86,6 +88,33 @@ def ladder_input_resistance(r_series, r_shunt):
 def divider_vout(v_src, r_top, r_bottom):
     """Two-resistor divider probe voltage, the simplest read-out oracle."""
     return v_src * r_bottom / (r_top + r_bottom)
+
+
+# ---------------------------------------------------------------------------
+# Dense solve checks
+#
+# Conservation laws a DC operating point must satisfy, summed element by
+# element from the currents solve_dc reports.
+# ---------------------------------------------------------------------------
+
+def network_power(result):
+    """Total power dissipated in the passive elements (I squared R)."""
+    total = 0.0
+    volts = result.node_voltages
+    for idx, el in enumerate(result.netlist.elements):
+        if isinstance(el, (net.Resistor, net.MemristorRef)):
+            total += result.element_currents[idx] * (volts[el.a] - volts[el.b])
+    return total
+
+
+def kcl_residual(result):
+    """Largest absolute net current into any non-ground node."""
+    sums = np.zeros(result.netlist.node_count)
+    for idx, el in enumerate(result.netlist.elements):
+        i = result.element_currents[idx]
+        sums[el.a] -= i
+        sums[el.b] += i
+    return float(np.abs(sums[1:]).max()) if result.netlist.node_count > 1 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from mlmsim import device as dev
 from mlmsim import encoder as enc
 from mlmsim import network as net
 
-from oracles import inversion_count, ladder_node_voltages, logistic_drift, random_ladder
+from oracles import (inversion_count, kcl_residual, ladder_node_voltages, logistic_drift,
+                     random_ladder)
 from test_network import build_ladder_netlist
 
 # Reference 20 C mean read-out levels of the 10-level cell, in ascending
@@ -33,6 +34,10 @@ REFERENCE_LEVELS_20C = [
     ("001", 8.513e-03),
     ("000", 8.598e-03),
 ]
+
+# Ground (probe) resistor of the uncalibrated cell, half of
+# network.DEFAULT_R_GROUND; criterion 8 fits the reference levels from it.
+UNCALIBRATED_R_GROUND = 100.0
 
 TABLE_ROWS = [
     (0.00, 0.30, "222"), (0.31, 0.60, "122"), (0.61, 0.90, "112"),
@@ -99,7 +104,7 @@ def test_criterion_3_solver_correctness():
         expected = ladder_node_voltages(v_src, rs, rp)
         np.testing.assert_allclose(result.node_voltages[1:len(rs) + 2], expected,
                                    rtol=1e-9, atol=1e-15)
-        assert net.kcl_residual(result) <= 1e-9
+        assert kcl_residual(result) <= 1e-9
 
     elements = [net.VoltageSource(1, 0, 2.0), net.VoltageSource(3, 0, -1.0),
                 net.Resistor(1, 2, 500.0), net.Resistor(2, 0, 1500.0),
@@ -233,7 +238,7 @@ def test_criterion_8_calibration():
 
     # reference targets from the uncalibrated starting point
     base = dev.MemristorParams(drift_rate=2500.0)
-    topo = net.CellTopology(r_ground=net.UNCALIBRATED_R_GROUND)
+    topo = net.CellTopology(r_ground=UNCALIBRATED_R_GROUND)
     fit = ctl.calibrate(REFERENCE_LEVELS_20C, base_params=base,
                         base_topology=topo, cfg=ctl.CycleConfig(dt=2e-6),
                         n_restarts=3, seed=7, maxiter=120)

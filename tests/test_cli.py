@@ -195,6 +195,15 @@ class TestImport:
                              text=True, check=True, env=env).stdout
         assert out.strip() == "False"
 
+    def test_readme_library_example_runs(self, capsys):
+        # a public name the README uses that moves or goes fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1, "README.md needs one python block"
+        exec(compile(blocks[0], "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
 
 class TestEncodeCommand:
     def test_reference_example(self, capsys):

@@ -327,6 +327,29 @@ class TestCalibration:
                                n_restarts=1, maxiter=20)
         assert result.residual_best < result.residual_initial
 
+    def test_invalid_parameter_candidate_scored_not_raised(self, monkeypatch):
+        # r_off = 1050 ohm lies within Nelder-Mead's 5% first step of
+        # r_on = 1000 ohm, so the first simplex has a vertex with r_on >= r_off;
+        # such a candidate must score as bad, not abort the fit
+        cell = ctl.make_cell(params=dev.MemristorParams(r_off=1100.0))
+        v_out, _ = ctl.simulate_levels(cell, FAST)
+        targets = list(zip([str(r.code) for r in enc.DEFAULT_BIN_TABLE.rows], v_out))
+        apply_free_params, invalid = ctl._apply_free_params, []
+
+        def counting(*args):
+            try:
+                return apply_free_params(*args)
+            except ValueError:
+                invalid.append(args)
+                raise
+
+        monkeypatch.setattr(ctl, "_apply_free_params", counting)
+        result = ctl.calibrate(targets, base_params=dev.MemristorParams(r_off=1050.0),
+                               free=("r_on", "r_off"), cfg=FAST, n_restarts=1, maxiter=20)
+        assert invalid
+        assert result.residual_best < result.residual_initial
+        assert result.params.r_on < result.params.r_off
+
     def test_unknown_target_code_rejected(self):
         with pytest.raises(ValueError):
             ctl.calibrate([("333", 1e-3)], cfg=FAST)

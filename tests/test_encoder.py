@@ -22,6 +22,11 @@ EXPECTED_ROWS = [
 SWEEP_GRID = np.linspace(0.0, 3.0, 61)
 
 
+def structural_activations(v_in, table=enc.DEFAULT_BIN_TABLE, cfg=enc.EncoderConfig()):
+    """How many selector blocks fire per port; at most one in a sane config."""
+    return tuple(len(levels) for levels in enc._fired_levels(v_in, table, cfg))
+
+
 class TestBehavioralTable:
     def test_all_thirty_port_assignments(self):
         for a1, a2, code in EXPECTED_ROWS:
@@ -42,7 +47,7 @@ class TestBehavioralTable:
         assert str(enc.encode_behavioral(0.31)) == "122"
 
     def test_out_of_range_rejected(self):
-        for bad in (-0.01, 3.01, 5.0):
+        for bad in (-0.01, 3.01, 5.0, float("nan")):
             with pytest.raises(enc.OutOfRange):
                 enc.encode_behavioral(bad)
 
@@ -118,15 +123,16 @@ class TestStructuralPath:
         probes = list(SWEEP_GRID) + enc.DEFAULT_BIN_TABLE.interior_edges()
         for v_in in probes:
             code = enc.encode_behavioral(float(v_in))
-            counts = enc.structural_activations(float(v_in))
+            counts = structural_activations(float(v_in))
             for trit, count in zip(code.trits, counts):
                 assert count == (1 if trit > 0 else 0), v_in
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(enc.OutOfRange):
-            enc.encode_structural(3.2)
-        with pytest.raises(enc.OutOfRange):
-            enc.structural_activations(3.2)
+        for bad in (3.2, float("nan")):
+            with pytest.raises(enc.OutOfRange):
+                enc.encode_structural(bad)
+            with pytest.raises(enc.OutOfRange):
+                structural_activations(bad)
 
     def test_detuned_summing_gain_scales_levels(self):
         cfg = enc.EncoderConfig(sum_r2=10_000.0)  # half the unity ratio

