@@ -1,9 +1,9 @@
 """Simulator configuration: one JSON document, every field defaulted.
 
-An empty document (or no file at all) resolves to the reference experiment:
-the three-sub-cell cell with the default device parameters (not fitted to
-the reference levels), the standard bin table, and the standard cycle
-timing. Sections mirror the module types:
+The empty document {} is the defaults; no file, or a blank one, reads as {}.
+It is the reference experiment: the three-sub-cell cell with the default
+device parameters (not fitted to the reference levels), the standard bin
+table, and the standard cycle timing. Sections mirror the module types:
 
     {
       "device":   {"r_on": ..., "v_th_pos": 0.3, ...},
@@ -67,17 +67,6 @@ class SimConfig:
             "noise": {f.name: getattr(self.noise, f.name)
                       for f in dataclasses.fields(self.noise)},
         }
-
-
-def default_config() -> SimConfig:
-    return SimConfig(
-        params=dev.MemristorParams(),
-        topology=net.CellTopology(),
-        table=enc.DEFAULT_BIN_TABLE,
-        enc_cfg=enc.EncoderConfig(),
-        cycle=ctl.CycleConfig(),
-        noise=ctl.NoiseConfig(),
-    )
 
 
 def _section(data, name):
@@ -144,18 +133,16 @@ def _reject_booleans(value, path):
 
 
 def load_config(path=None) -> SimConfig:
-    """Load a config file; None or an empty document yields the defaults."""
-    if path is None:
-        return default_config()
+    """Load a config file; None or a blank file reads as {}, the defaults."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not text.strip():
-        return default_config()
-    try:
-        data = json.loads(text, parse_constant=_reject_constant,
+        data = json.loads(text.strip() or "{}", parse_constant=_reject_constant,
                           parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None

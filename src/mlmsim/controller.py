@@ -112,6 +112,10 @@ from . import network as net
 # Maximum tolerated state motion during a read, as a fraction of full scale.
 READ_DISTURB_TOLERANCE = 1e-3
 
+# Smallest gap between adjacent read-out levels, as a fraction of their span,
+# that `write_then_read_all_codes` accepts.
+MIN_LEVEL_SEPARATION = 0.005
+
 # Longest cycle a CycleConfig may describe, in timesteps (the default is 2800).
 MAX_CYCLE_STEPS = 10**6
 
@@ -206,7 +210,7 @@ class Measurement:
     """One recorded cycle.
 
     v_in is the sweep input in V (None when no encoder drove the cycle),
-    code the recorded code, v_out the mean read-out in V, temperature in K,
+    code the recorded code, v_out the mean read-out in V,
     final_device_states the device states w after the read, pattern the
     WritePattern applied to the write ports (V), and peak_power the largest
     total source power at any step of the cycle, in W.
@@ -215,7 +219,6 @@ class Measurement:
     v_in: object
     code: enc.TernaryCode
     v_out: float
-    temperature: float
     final_device_states: tuple
     pattern: enc.WritePattern
     peak_power: float
@@ -227,12 +230,11 @@ class StudyStats:
     temp_c: float
     mean: float
     stdev: float
-    trials: int
 
 
 @dataclass(frozen=True)
 class Cell:
-    """A built cell: topology, device parameterization, netlist and ports.
+    """A built cell: device parameterization, netlist and ports.
 
     reductions holds one `network.PortReduction` per set of engaged
     sources, built on first use by `model`, so a chain of cycles on one
@@ -240,7 +242,6 @@ class Cell:
     set's last `network.PortModel` with the right-hand side it was built for.
     """
 
-    topology: net.CellTopology
     params: dev.MemristorParams
     kind: dev.DeviceModelKind
     netlist: net.Netlist
@@ -273,7 +274,7 @@ def make_cell(topology=None, params=None,
     topology = topology or net.CellTopology()
     params = params or dev.MemristorParams()
     netlist, ports = net.build_mlm_cell(topology)
-    return Cell(topology, params, kind, netlist, ports)
+    return Cell(params, kind, netlist, ports)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +678,7 @@ def _measure(cell, cfg, patterns, codes, v_ins, noise=None, w0=None):
         v_out, w, peak = v_out[inverse], w[inverse], peak[inverse]
     else:
         v_out, w, _, peak = _run_batch(cell, volts, cfg, w0=w0, noise=noise)
-    return [Measurement(v_in, code, float(vo), cfg.temperature, tuple(states), p,
-                        float(pk))
+    return [Measurement(v_in, code, float(vo), tuple(states), p, float(pk))
             for v_in, code, p, vo, states, pk in zip(v_ins, codes, patterns, v_out, w, peak)]
 
 
@@ -740,10 +740,9 @@ def run_input_sweep(cell, encoder_path="behavioral", cfg: CycleConfig = CycleCon
 
 
 def simulate_levels(cell: Cell, cfg: CycleConfig = CycleConfig(),
-                    table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
-                    noise: NoiseConfig = None):
+                    table: enc.BinTable = enc.DEFAULT_BIN_TABLE):
     """Read-out level per table code, one fresh cycle each, in table order."""
-    v_out, w, _, _ = _run_batch(cell, _level_volts(table), cfg, noise=noise)
+    v_out, w, _, _ = _run_batch(cell, _level_volts(table), cfg)
     return v_out, w
 
 
@@ -762,7 +761,6 @@ class LevelScan:
     permutation: tuple                 # table row index of each sorted entry
     inversions: int                    # pairwise inversions vs table order
     min_separation: float              # smallest gap as a fraction of the span
-    span: float
 
 
 def _count_inversions(seq):
@@ -770,26 +768,25 @@ def _count_inversions(seq):
                if seq[i] > seq[j])
 
 
-def write_then_read_all_codes(cell, cfg: CycleConfig = CycleConfig(),
-                              table: enc.BinTable = enc.DEFAULT_BIN_TABLE,
-                              noise: NoiseConfig = None,
-                              min_separation_frac=0.005) -> LevelScan:
-    """Program every table code on a fresh cell and sort codes by read-out."""
+def write_then_read_all_codes(cell, cfg: CycleConfig = CycleConfig()) -> LevelScan:
+    """Program every default-table code on a fresh cell and sort codes by
+    read-out; raises DegenerateLevels below MIN_LEVEL_SEPARATION."""
+    table = enc.DEFAULT_BIN_TABLE
     rows = _measure(cell, cfg, _level_patterns(table), [row.code for row in table.rows],
-                    [None] * len(table.rows), noise)
+                    [None] * len(table.rows))
     v_out = np.array([m.v_out for m in rows])
     order = np.argsort(v_out, kind="stable")
     measurements = [rows[i] for i in order]
     sorted_v = np.sort(v_out)
     span = float(sorted_v[-1] - sorted_v[0])
     gaps = np.diff(sorted_v)
-    min_sep = float(gaps.min() / span) if span > 0 and len(gaps) else 0.0
-    if span <= 0 or min_sep < min_separation_frac:
+    min_sep = float(gaps.min() / span) if span > 0 else 0.0
+    if span <= 0 or min_sep < MIN_LEVEL_SEPARATION:
         raise DegenerateLevels(
             f"minimum level separation {min_sep:.4%} of span is below "
-            f"{min_separation_frac:.2%}")
+            f"{MIN_LEVEL_SEPARATION:.2%}")
     return LevelScan(measurements, tuple(int(i) for i in order),
-                     _count_inversions(order), min_sep, span)
+                     _count_inversions(order), min_sep)
 
 
 def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
@@ -835,7 +832,6 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
                 temp_c=float(temp_c),
                 mean=float(values.mean()),
                 stdev=float(values.std(ddof=1)),
-                trials=trials,
             ))
     return stats
 
@@ -916,6 +912,12 @@ def calibrate(targets, base_params=None, base_topology=None,
     if not free or len(set(free)) != len(free):
         raise ValueError(f"free parameters must be at least one, each named once; "
                          f"got {list(free)}")
+    starts = [getattr(base_params, f) if f != "r_ground" else base_topology.r_ground
+              for f in free]
+    nonpositive = [f"{f}={v!r}" for f, v in zip(free, starts) if not v > 0]
+    if nonpositive:
+        raise ValueError("free parameters are fitted on a log scale and must start "
+                         "above 0: " + ", ".join(nonpositive))
 
     evals = [0]
 
@@ -933,8 +935,7 @@ def calibrate(targets, base_params=None, base_topology=None,
             return 1e9
         return sum(((levels[c] - goal[c]) / goal[c]) ** 2 for c in goal)
 
-    x0 = np.log10([getattr(base_params, f) if f != "r_ground"
-                   else base_topology.r_ground for f in free])
+    x0 = np.log10(starts)
     residual_initial = objective(x0)
 
     rng = np.random.default_rng(seed)

@@ -73,9 +73,16 @@ class BinRow:
 
 @dataclass(frozen=True)
 class BinTable:
-    """Ordered input ranges and their write codes, ascending target level."""
+    """Ordered input ranges and their write codes, ascending target level.
+
+    Built once per table: lower_bounds, each row's a1, and per port the
+    selector blocks (low, high, target volts) of the ranges that own a
+    nonzero trit on it; high is the next row's a1, None for the last row.
+    """
 
     rows: tuple
+    lower_bounds: tuple = field(init=False, compare=False, repr=False)
+    selector_blocks: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.rows:
@@ -91,6 +98,13 @@ class BinTable:
                 raise ValueError(f"duplicate code {row.code}")
             seen.add(row.code.trits)
             previous = row
+        lowers = tuple(row.a1 for row in self.rows)
+        highs = lowers[1:] + (None,)
+        object.__setattr__(self, "lower_bounds", lowers)
+        object.__setattr__(self, "selector_blocks", tuple(
+            tuple((row.a1, high, WRITE_LEVELS[row.code.trits[port]])
+                  for row, high in zip(self.rows, highs) if row.code.trits[port])
+            for port in range(3)))
 
     @property
     def v_min(self):
@@ -100,9 +114,6 @@ class BinTable:
     def v_max(self):
         return self.rows[-1].a2
 
-    def lower_bounds(self):
-        return [row.a1 for row in self.rows]
-
     def interior_edges(self):
         return [row.a1 for row in self.rows[1:]]
 
@@ -110,7 +121,7 @@ class BinTable:
         """Index of the half-open bin owning v_in; domain-checked."""
         if not self.v_min <= v_in <= self.v_max:
             raise OutOfRange(f"input {v_in} V outside [{self.v_min}, {self.v_max}] V")
-        idx = bisect.bisect_right(self.lower_bounds(), v_in) - 1
+        idx = bisect.bisect_right(self.lower_bounds, v_in) - 1
         return max(idx, 0)
 
 
@@ -169,26 +180,13 @@ def code_to_write_voltages(code: TernaryCode) -> WritePattern:
     return WritePattern(tuple(WRITE_LEVELS[t] for t in code.trits))
 
 
-def _selector_blocks(table, port):
-    """(low, high, target volts) per range that owns a nonzero trit on port."""
-    blocks = []
-    lowers = table.lower_bounds()
-    for i, row in enumerate(table.rows):
-        trit = row.code.trits[port]
-        if trit == 0:
-            continue
-        high = lowers[i + 1] if i + 1 < len(table.rows) else None
-        blocks.append((row.a1, high, WRITE_LEVELS[trit]))
-    return blocks
-
-
 def _fired_levels(v_in, table, cfg):
     """Per port, the write levels of the selector blocks whose comparator
     pair and AND gate fire, low <= v_in + offset < high; domain-checked."""
     table.row_index(v_in)  # raises OutOfRange outside the domain
     x = v_in + cfg.comparator_offset
-    return [[target for low, high, target in _selector_blocks(table, port)
-             if x >= low and (high is None or x < high)] for port in range(3)]
+    return [[target for low, high, target in blocks
+             if x >= low and (high is None or x < high)] for blocks in table.selector_blocks]
 
 
 def encode_structural(v_in, table: BinTable = DEFAULT_BIN_TABLE,
@@ -229,24 +227,23 @@ class EquivalenceReport:
         return not self.mismatches
 
 
-def check_equivalence(table: BinTable = DEFAULT_BIN_TABLE,
-                      cfg: EncoderConfig = EncoderConfig(),
-                      grid=(), guard_band=0.005) -> EquivalenceReport:
-    """Compare quantized structural output against the table on a grid.
+def check_equivalence(grid, cfg: EncoderConfig = EncoderConfig(),
+                      guard_band=0.005) -> EquivalenceReport:
+    """Quantized ladder output against the default table at each grid input.
 
     Points within guard_band of a bin edge are skipped (comparator offsets
     legitimately move decisions there); everywhere else the two paths must
     agree and any disagreement is recorded.
     """
     report = EquivalenceReport()
-    edges = table.interior_edges()
+    edges = DEFAULT_BIN_TABLE.interior_edges()
     for v_in in grid:
-        if edges and min(abs(v_in - e) for e in edges) < guard_band:
+        if min(abs(v_in - e) for e in edges) < guard_band:
             report.n_skipped += 1
             continue
         report.n_checked += 1
-        behavioral = encode_behavioral(v_in, table)
-        structural = quantize_pattern(encode_structural(v_in, table, cfg))
+        behavioral = encode_behavioral(v_in)
+        structural = quantize_pattern(encode_structural(v_in, cfg=cfg))
         if structural != behavioral:
             report.mismatches.append(EquivalenceMismatch(v_in, behavioral, structural))
     return report

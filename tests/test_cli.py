@@ -29,14 +29,17 @@ class TestConfigLoading:
     def test_none_and_empty_resolve_to_defaults(self, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("")
+        blank = tmp_path / "blank.json"
+        blank.write_text("  \n")
         a = cfgmod.load_config(None)
         b = cfgmod.load_config(str(empty))
         assert cfgmod.config_hash(a) == cfgmod.config_hash(b)
+        assert cfgmod.config_hash(cfgmod.load_config(str(blank))) == cfgmod.config_hash(a)
         assert a.cycle.dt == 5e-7
         assert a.topology.r_ground == 200.0
 
     def test_explicit_defaults_hash_like_empty(self, tmp_path):
-        base = cfgmod.default_config()
+        base = cfgmod.load_config()
         path = tmp_path / "full.json"
         path.write_text(json.dumps(base.resolved()))
         assert cfgmod.config_hash(cfgmod.load_config(str(path))) == cfgmod.config_hash(base)
@@ -45,7 +48,7 @@ class TestConfigLoading:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"device": {"drift_rate": 1234.0}}))
         assert (cfgmod.config_hash(cfgmod.load_config(str(path)))
-                != cfgmod.config_hash(cfgmod.default_config()))
+                != cfgmod.config_hash(cfgmod.load_config()))
 
     def test_syntax_error_is_line_anchored(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -132,6 +135,17 @@ class TestConfigLoading:
         assert len(sim.table.rows) == 2
         assert sim.topology.per_subcell("r_series") == (400.0, 500.0, 600.0)
         assert sim.topology.read_series_ohms == 50.0
+
+    def test_custom_bins_drive_the_structural_ladder(self, tmp_path):
+        # the two rows of test_custom_bins_and_wiring: 012 owns [0, 1.5), 210 [1.5, 3]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"encoder": {"bins": [[0.0, 1.4, "012"],
+                                                         [1.5, 3.0, "210"]]}}))
+        table = cfgmod.load_config(str(path)).table
+        for v_in, code in [(0.0, "012"), (0.7, "012"), (1.45, "012"),
+                           (1.5, "210"), (2.2, "210"), (3.0, "210")]:
+            pattern = enc.encode_structural(v_in, table)
+            assert str(enc.quantize_pattern(pattern)) == code, v_in
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, tmp_path, capsys, constant):
@@ -531,6 +545,18 @@ class TestCalibrateCommand:
         assert cli.main(["calibrate", "--config", fast_config, "--targets",
                          str(targets), "--out", str(out), "--restarts", "1"]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_free_parameter_starting_at_zero_rejected(self, tmp_path, capsys):
+        targets = tmp_path / "targets.csv"
+        targets.write_text("code,v_out\n222,0.01\n000,0.04\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"device": {"drift_rate": 0}}))
+        out = tmp_path / "fit.json"
+        assert cli.main(["calibrate", "--config", str(cfg), "--targets",
+                         str(targets), "--out", str(out), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "drift_rate=0" in err[0]
         assert not out.exists()
 
     def test_quick_calibration_writes_report(self, tmp_path, capsys):

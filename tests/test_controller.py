@@ -369,6 +369,11 @@ class TestCalibration:
             # parameters of the device that calibration does not fit
             ([("222", 3e-4)], {"free": ("v_th_neg",)}, "cannot be fitted"),
             ([("222", 3e-4)], {"free": ("window_p",)}, "cannot be fitted"),
+            # a free parameter fitted on a log scale from a start of 0
+            ([("222", 3e-4)], {"base_params": dev.MemristorParams(drift_rate=0.0)},
+             "drift_rate=0.0"),
+            ([("222", 3e-4)], {"base_params": dev.MemristorParams(v_th_pos=0.0),
+                               "free": ("v_th_pos",)}, "v_th_pos=0.0"),
         ]:
             with pytest.raises(ValueError, match=match):
                 ctl.calibrate(targets, cfg=FAST, **kwargs)
