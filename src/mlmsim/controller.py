@@ -2,25 +2,15 @@
 
 A cycle is a list of quasi-static phases, each a `Phase`: the amplitudes of
 its engaged sources by element index, its step count, and whether it is the
-read. One loop, `_run_phases`, runs any such list. In each phase the
-engaged sources are fixed, so the network is reduced once onto the three
-device branches (`network.PortModel`, with every device at r_on as the
-reference), and the branch voltages, the probe voltage and the total
-source power are each written as a ratio of two polynomials in the three
-device conductances: six columns of coefficients in every phase. The cell
-owns these models (`Cell.model`). It keeps the part of a reduction that
-does not depend on the source values (`network.PortReduction`) per source
-set, so a chain of cycles on one cell builds it three times in all: reset,
-write and read. A phase then costs one solve for its source values, and
-none when its right-hand side repeats the previous one of its source set
-bit for bit: the cell keeps that model, so a noise-free chain of cycles
-builds only the model of each new write. On every timestep one
-evaluation of the branch and denominator polynomials then gives the exact
-branch voltages for the frozen device resistances, after which each
-device state advances one explicit Euler step under its own branch voltage.
-Devices therefore interact through the shared nodes during the write
-transient, which is the only mechanism that can make a device's final
-state depend on the whole pattern rather than its own port alone.
+read. One loop, `_run_phases`, runs any such list. Every phase of the cell
+is a star around the membrane node M, which `network.Star` holds in closed
+form, built per phase from the cell's topology and the phase's sources. On
+every timestep Millman's theorem then gives the exact branch voltages for
+the frozen device resistances, after which each device state advances one
+explicit Euler step under its own branch voltage. Devices therefore
+interact through the shared node M during the write transient, which is
+the only mechanism that can make a device's final state depend on the
+whole pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
 itself for the rest of the phase, so the phase ends there. Both kernels add
@@ -40,13 +30,11 @@ and the single-phase operations run a one-element list through the same loop.
            voltage over the window, and any state motion beyond tolerance
            raises NonQuiescentRead.
 
-Both kernels hand each step's conductances, branch voltages and total
-source power -V*I of the engaged sources, a block at a time, to the model
-(`network.PortModel.settle`), the only code that checks a step or folds a
-peak: it checks each step against the reduced 3x3 system and folds each
-row's largest power into its peak. The numpy kernel takes the power, a
-ratio of polynomials in the conductances, from each step's product; the
-float kernel has the model fold it from a row's record (`PortModel.power`).
+Both kernels hand each step's branch admittances, branch voltages and V_M,
+a block at a time, to the phase's star (`network.Star.settle`), the only
+code that checks a step or takes the source power: it checks that every
+branch voltage and power is finite and that the currents balance at M,
+and folds each row's largest power into its peak.
 
 Two kernels step a phase, chosen by the number of rows simulated at once. A
 batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
@@ -55,18 +43,15 @@ and the noisy sweep, runs numpy calls on whole device-major arrays
 that is settled when it fills or the phase goes quiescent. At a few rows a
 numpy call costs more in overhead than in arithmetic, so the kernel
 prepares the device law once per phase (`device.step_scratch`) and binds
-what a step calls: 32 numpy calls, and 1 more in a read. A smaller batch,
-as in `run_cycle`, the single-phase operations, the ten distinct rows of
-the sweep and the level scan, steps in Python floats (`_step_floats`): one
-row after another, each step straight-line code over the three devices'
-floats with the device law inline, and each row ends a phase at its own
-quiescent step. A step there computes only the denominator, the three
-branch voltages, the law and a read's probe, and recomputes only what a
-moved device changed: that device's conductance and, while device c alone
-moves, none of the g_a/g_b partial sums. Both kernels use the same phase
-list, model, settle and read sum; the inline law gives
-`device.step_array`'s bits, and the polynomial sums may differ from numpy's
-in the last bits.
+what a step calls. A smaller batch, as in `run_cycle`, the single-phase
+operations, the ten distinct rows of the sweep and the level scan, steps
+in Python floats (`_step_floats`): one row after another, each step
+straight-line code over the three devices' floats with the device law
+inline, and each row ends a phase at its own quiescent step. A float step
+recomputes a device's resistance and admittance only when its state
+moved. Both kernels use the same phase list, star, settle and read sum,
+and the same operations in the same order, so a row gets the same bits
+from either; the inline law gives `device.step_array`'s bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -88,20 +73,16 @@ above takes one value per row of the first group from that group's
 substream, then one per row of the second group from its own, and so on,
 in group order. A group therefore sees exactly the numbers it would draw
 if it ran alone. Each row may also carry its own temperature. Every row is
-solved and stepped on its own, its port model has the same bits in a
-batch of any size, and a phase that runs on past a group's quiescent step
-repeats that step bit for bit, so a group gets the same results inside a
-batch as alone when both runs take the same kernel, a one-row group
-included. A group of up to FLOAT_KERNEL_MAX_ROWS rows run alone takes the
-float kernel, and agrees with its rows of a larger batch to 1e-12
-relative.
+solved and stepped on its own, elementwise, and a phase that runs on past
+a group's quiescent step repeats that step bit for bit, so a group gets
+the same results inside a batch of any size as alone, on either kernel.
 """
 
 import dataclasses
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,7 +111,7 @@ MAX_BATCH_ROWS = 10**5
 FLOAT_KERNEL_MAX_ROWS = 17
 
 # Most doubles a kernel keeps for one block of a phase's timesteps before
-# the model settles it (`_block_length`): 102 steps at 40 rows, 4096 of one
+# the star settles it (`_block_length`): 117 steps at 40 rows, 4681 of one
 # row. A whole-phase buffer would grow with the phase and the batch.
 BLOCK_DOUBLES = 2**15
 
@@ -234,39 +215,13 @@ class StudyStats:
 
 @dataclass(frozen=True)
 class Cell:
-    """A built cell: device parameterization, netlist and ports.
-
-    reductions holds one `network.PortReduction` per set of engaged
-    sources, built on first use by `model`, so a chain of cycles on one
-    cell reduces the network once per source set, and models holds each
-    set's last `network.PortModel` with the right-hand side it was built for.
-    """
+    """A built cell: device parameterization, topology, netlist and ports."""
 
     params: dev.MemristorParams
     kind: dev.DeviceModelKind
+    topology: net.CellTopology
     netlist: net.Netlist
     ports: net.CellPorts
-    reductions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def model(self, sources, batch):
-        """The `network.PortModel` of a phase's sources, with every device at
-        r_on as the reference, for batch rows; the last one again, shared and
-        so only read, while the source set's right-hand side repeats its
-        shape and bits. Only this method builds or reuses a model."""
-        key = frozenset(sources)
-        red = self.reductions.get(key)
-        if red is None:
-            tmpl = net.MnaTemplate(self.netlist, dict.fromkeys(key, 0.0))
-            red = self.reductions[key] = net.PortReduction(tmpl, 1.0 / self.params.r_on,
-                                                           self.ports.probe_node)
-        tmpl = red.template
-        z = np.broadcast_to(tmpl.rhs(sources), (batch, tmpl.m))
-        z_key = (z.shape, z.tobytes())
-        last = self.models.get(key)
-        if last is None or last[0] != z_key:
-            last = self.models[key] = (z_key, net.PortModel(red, z))
-        return last[1]
 
 
 def make_cell(topology=None, params=None,
@@ -274,7 +229,7 @@ def make_cell(topology=None, params=None,
     topology = topology or net.CellTopology()
     params = params or dev.MemristorParams()
     netlist, ports = net.build_mlm_cell(topology)
-    return Cell(params, kind, netlist, ports)
+    return Cell(params, kind, topology, netlist, ports)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +323,9 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     v_out = drift = None
     peak_power = np.zeros(batch)
     for phase in phases:
-        model = cell.model(phase.sources, batch)
+        star = net.Star(cell.topology, cell.ports, phase.sources, batch)
         w_start = w.copy() if phase.is_read else None
-        probe_sum = run_phase(cell, cfg, phase, model, w, factor, peak_power)
+        probe_sum = run_phase(cell, cfg, phase, star, w, factor, peak_power)
         if phase.is_read:
             # a read engages only the read sources, at the row's one amplitude,
             # so every branch voltage has its sign at every step: each state
@@ -385,70 +340,66 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
 
 
 def _block_length(n_steps, n, batch):
-    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 2 per row, or one."""
-    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 2) * batch)))
+    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
+    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
 
 
-def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
+def _step_arrays(cell, cfg, phase, star, w, factor, peak_power):
     """Step the states w through one phase; returns the probe sum.
 
     factor is the device temperature factor, a scalar or a (B, 1) array. w
     and peak_power change in place; the probe sum, one value per batch row,
     stays zero unless the phase is the read.
 
-    The loop runs device-major, on (n, B) states whose rows are devices,
-    and each step computes the conductances, the branch, power and
-    denominator polynomials (and a read's probe), as the monomials times
-    the coefficients laid out (subsets, columns, B) summed over the
-    monomials in their order, and the device step. Its conductances,
-    branch voltages, power and probe voltage go into one slab of a
-    (`_block_length`, 2n + 2, B) trajectory buffer, and a read adds its
-    probe voltage to the sum, as the float kernel does. When the buffer
-    fills or the phase goes quiescent, the model settles the block and its
-    power (`network.PortModel.settle`), so the kernel's memory does not
-    grow with the phase length.
+    The loop runs device-major, on (n, B) states whose rows are devices.
+    Each step computes the device resistances R, the branch admittances
+    y = 1/(R + F) and ratios R/(R + F), then the star's formulas
+    (`network.Star`): V_M, whose sums run over the devices in order, and
+    the branch voltages; the reset's branch voltages need no V_M. It then
+    steps the devices. Its admittances, branch voltages and V_M go into one
+    slab of a (`_block_length`, 2n + 1, B) trajectory buffer, and a read
+    adds V_M, its probe voltage, to the sum. When the buffer fills or the
+    phase goes quiescent, the star settles the block (`network.Star.settle`),
+    so the kernel's memory does not grow with the phase length.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
-    arrays, its window exponent decided), broadcasts the temperature
-    factor to the states' shape, looks up `device.conductance_array` and
-    `device.step_array` through the module, and binds each slab's
-    operands: a numpy call costs about twice as much when it broadcasts an
-    operand, so each monomial row is an earlier one times one conductance
-    row. A step is then 32 numpy calls, with each output passed by
-    position where numpy allows it: 4 for the conductances, 7 for the
-    monomials, 3 for the polynomials and 18 for the device step (one more
-    for a window exponent above 1); a read adds 1 for its probe sum.
+    arrays, its window exponent decided), broadcasts the temperature factor
+    and the fixed resistors to the states' shape, since a numpy call costs
+    about twice as much when it broadcasts an operand, looks up
+    `device.step_array` through the module, and binds each slab's views.
+    A step is then 31 numpy calls in a write or a read, with each output
+    passed by position where numpy allows it: 13 for the star and 18 for
+    the device step (one more for a window exponent above 1); a read adds 1
+    for its probe sum, and the reset needs 7 for its star. Every operation
+    is the float kernel's, in its order, so both give a row the same bits.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
     is_read, n_steps = phase.is_read, phase.n_steps
     old = np.ascontiguousarray(w.T)
     new = np.empty_like(old)
-    # the device law prepared for this phase, and every function and slice a
-    # step uses bound once: the two device functions through the module, so
-    # a wrapper installed on them sees every step
+    # the device law prepared for this phase, and every function a step uses
+    # bound once: step_array through the module, so a wrapper installed on
+    # it sees every step
     scratch = dev.step_scratch(old.shape, params, dt, kind)
-    conductance, step = dev.conductance_array, dev.step_array
-    add, multiply, divide, add_reduce = np.add, np.multiply, np.divide, np.add.reduce
-    # the temperature factor at the states' shape, so no step broadcasts it
+    span, r_on = scratch[4][:2]
+    step = dev.step_array
+    add, subtract, multiply, divide, add_reduce = (np.add, np.subtract, np.multiply,
+                                                   np.divide, np.add.reduce)
+    # every constant at the states' shape, so no step broadcasts it
     factor = np.broadcast_to(np.transpose(factor), old.shape).copy()
-    # the branch, power, read probe and denominator columns, in the slab's order
-    order = [*range(n), n + 1] + [n] * is_read + [-1]
-    coef = np.ascontiguousarray(np.moveaxis(model.coef[..., order], 0, -1))
-    subsets, columns = coef.shape[:2]
-    terms = np.empty_like(coef)
-    monomials = np.empty((subsets, 1, batch))
-    monomials[0] = 1.0
-    sums = np.empty((columns, batch))
-    numerators, denominator = sums[:-1], sums[-1]
-    # monomial 2^j + i is monomial i times g_j, one row at a time
-    monomial_rows = [(s - 2 ** j, j, s) for j in range(n) for s in range(2 ** j, 2 ** (j + 1))]
-    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 2, batch))
+    fixed = np.broadcast_to(np.array(star.fixed)[:, None], old.shape).copy()
+    pinned = star.v_m is not None
+    drive = np.ascontiguousarray(star.drive.T)
+    one, g_ground = np.array(1.0), np.array(star.g_ground)
+    r, z, ratio, work = (np.empty_like(old) for _ in range(4))
+    num, den = np.empty((2, batch))
+    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 1, batch))
+    if pinned:
+        steps[:, 2 * n] = star.v_m
     # per slab, made when a step first reaches it (most phases go quiescent
-    # within a few steps): its conductances, the operands of each monomial
-    # product (a lower monomial, g_j, the new monomial), its outputs, its
-    # branch voltages and its probe voltage
+    # within a few steps): its admittances, branch voltages and V_M
     slabs = []
     probe_sum = np.zeros(batch)
     done = 0
@@ -456,19 +407,27 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
         for count in range(1, min(len(steps), n_steps - done) + 1):
             if count > len(slabs):
                 slab = steps[count - 1]
-                slabs.append((slab[:n], [(monomials[i, 0], slab[j], monomials[s, 0])
-                                         for i, j, s in monomial_rows],
-                              slab[n:n + columns - 1], slab[n:2 * n], slab[-1]))
-            g, products, outputs, v, probe = slabs[count - 1]
-            conductance(old, factor, g, scratch)
-            for low, g_j, high in products:
-                multiply(low, g_j, high)
-            multiply(monomials, coef, terms)
-            add_reduce(terms, 0, None, sums)
-            divide(numerators, denominator, outputs)
+                slabs.append((slab[:n], slab[n:2 * n], slab[2 * n]))
+            y, v, v_m = slabs[count - 1]
+            multiply(old, span, r)
+            add(r, r_on, r)
+            multiply(r, factor, r)
+            add(r, fixed, z)
+            divide(one, z, y)
+            divide(r, z, ratio)
+            if pinned:
+                multiply(drive, ratio, v)
+            else:
+                multiply(drive, y, work)
+                add_reduce(work, 0, None, num)
+                add_reduce(y, 0, None, den)
+                add(den, g_ground, den)
+                divide(num, den, v_m)
+                subtract(drive, v_m, work)
+                multiply(work, ratio, v)
             step(old, v, dt, params, kind, new, scratch)
             if is_read:
-                add(probe_sum, probe, probe_sum)
+                add(probe_sum, v_m, probe_sum)
             old, new = new, old
             # bytes, faster than ==: a state that only turns 0.0 into -0.0
             # delays the stop by one step, which repeats exactly
@@ -476,148 +435,143 @@ def _step_arrays(cell, cfg, phase, model, w, factor, peak_power):
             if quiescent:
                 break
         done += count
-        model.settle(steps[:count, :2 * n], steps[:count, 2 * n], peak_power)
+        star.settle(steps[:count], peak_power)
         if quiescent:
             # every later step of the phase would repeat this one exactly,
             # so each adds the same probe voltage
             if is_read:
                 for _ in range(n_steps - done):
-                    add(probe_sum, probe, probe_sum)
+                    add(probe_sum, v_m, probe_sum)
             break
     w[...] = old.T
     return probe_sum
 
 
-def _step_floats(cell, cfg, phase, model, w, factor, peak_power):
+def _step_floats(cell, cfg, phase, star, w, factor, peak_power):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does, so
-    the rows are stepped one after another in straight-line float code, with
-    row k's coefficients model.coef[k] at row k's temperature factor. A step
-    computes only the denominator, the three branch voltages, the device law
-    and a read's probe voltage, and packs its conductances and branch
-    voltages into the record. Every `_block_length` steps and at the
-    row's last step, the model folds the record's power from its
-    conductances (`network.PortModel.power`) and settles it for row k with
-    its steps last (`network.PortModel.settle`), so the check is one
-    matrix product. A zero denominator raises SingularNetwork at once, a
-    NaN one at the settle. Each row ends the phase at its own quiescent
-    step, which in the numpy kernel it would repeat bit for bit. The branch
-    polynomials leave out the four coefficients per branch in the branch's
-    own conductance, which `network.PortModel` zeroes.
+    the rows are stepped one after another in straight-line float code, each
+    at its own temperature factor, with the star's constants (`network.Star`)
+    unpacked as Python floats. A step computes V_M and the three branch
+    voltages (the reset's stay fixed until their device moves), the device
+    law and a read's probe sum, and packs its admittances, branch voltages
+    and V_M into the record. Every `_block_length` steps and at the row's
+    last step, the star settles the record for row k with its steps first
+    (`network.Star.settle`). Each row ends the phase at its own quiescent
+    step, which in the numpy kernel it would repeat bit for bit.
 
     The device law is `device._law`'s, unpacked as Python floats: one
     threshold law, whose band is empty under linear drift. It is written
-    out for each device with the float operations
-    `device.conductance_array` and `device.step_array` apply elementwise,
-    so it gives their bits for every kind and window_p. A device's
-    conductance is recomputed only when its state moved. Every polynomial
-    sum runs in the order of the monomials, which puts g_c outermost, so
-    its g_a/g_b-only partial sums are kept until device a or b moves; the
-    results are those of the full sums, bit for bit. The polynomial sums
-    may differ from the batched matrix product in the last bits.
+    out for each device with the float operations `device.step_array`
+    applies elementwise, so it gives its bits for every kind and window_p.
+    A device's resistance, admittance and ratio are recomputed only when its
+    state moved. Every operation is the numpy kernel's, in its order, so a
+    row has the same bits in either kernel.
     """
     is_read, n_steps = phase.is_read, phase.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
+    fa, fb, fc = star.fixed
+    g_ground = star.g_ground
+    pinned = star.v_m is not None
+    drives = star.drive.tolist()
+    # the reset's V_M is fixed; a write or a read sets it every step
+    v_ms = star.v_m.tolist() if pinned else [0.0] * len(w)
     block = _block_length(n_steps, 3, 1)
-    # g_a, g_b, g_c, v_a, v_b, v_c of each step since the last settle, for every row
-    record, pack = bytearray(48 * block), struct.Struct("6d").pack_into
+    # y_a, y_b, y_c, v_a, v_b, v_c, V_M of each step since the last settle
+    record, pack = bytearray(56 * block), struct.Struct("7d").pack_into
     probe_sums = np.zeros(len(w))
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
     for k, factor in enumerate(factors):
-        ((a0, _, a2, _, a4, _, a6, _), (b0, b1, _, _, b4, b5, _, _), (c0, c1, c2, c3, *_),
-         (p0, p1, p2, p3, p4, p5, p6, p7), _,
-         (d0, d1, d2, d3, d4, d5, d6, d7)) = model.coef[k].T.tolist()
+        ua, ub, uc = drives[k]
+        vm = v_ms[k]
         wa, wb, wc = w[k].tolist()
+        ra = (r_on + wa * span) * factor
+        rb = (r_on + wb * span) * factor
+        rc = (r_on + wc * span) * factor
+        za, zb, zc = ra + fa, rb + fb, rc + fc
+        ya, yb, yc = 1.0 / za, 1.0 / zb, 1.0 / zc
+        ka, kb, kc = ra / za, rb / zb, rc / zc
+        # the reset's branch voltages; a write or a read sets them every step
+        va, vb, vc = ua * ka, ub * kb, uc * kc
         probe_sum = 0.0
-        ga = 1.0 / ((r_on + wa * span) * factor)
-        gb = 1.0 / ((r_on + wb * span) * factor)
-        gc = 1.0 / ((r_on + wc * span) * factor)
-        # branch a's numerator has no g_a term, branch b's no g_b term
-        va0, va1 = a0 + gb * a2, a4 + gb * a6
-        vb0, vb1 = b0 + ga * b1, b4 + ga * b5
-        ab_moved, quiescent = True, False
-        try:
-            for start in range(0, n_steps, block):
-                for step in range(start, min(start + block, n_steps)):
-                    if ab_moved:
-                        # the g_a/g_b sums: g_c^0 and g_c^1 terms of each polynomial
-                        gab = ga * gb
-                        den0 = d0 + ga * d1 + gb * d2 + gab * d3
-                        den1 = d4 + ga * d5 + gb * d6 + gab * d7
-                        vc0 = c0 + ga * c1 + gb * c2 + gab * c3
-                        if is_read:
-                            probe0 = p0 + ga * p1 + gb * p2 + gab * p3
-                            probe1 = p4 + ga * p5 + gb * p6 + gab * p7
-                        ab_moved = False
-                    den = den0 + gc * den1
-                    va = (va0 + gc * va1) / den
-                    vb = (vb0 + gc * vb1) / den
-                    vc = vc0 / den
-                    pack(record, 48 * (step - start), ga, gb, gc, va, vb, vc)
-                    # the device law, once per device: frozen inside the
-                    # threshold band, else an Euler step of the window law;
-                    # each conditional picks what np.maximum / np.minimum would
-                    if th_neg < va < th_pos:
-                        na = wa if wa > 0.0 else 0.0
-                    else:
-                        x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
-                        x = x + x - 1.0
-                        x = x * x
-                        if p is not None:
-                            x = x * x if p == 2 else _window_power(x, p)
-                        na = wa + rate * va * (1.0 - x) * dt
-                        na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
-                    if th_neg < vb < th_pos:
-                        nb = wb if wb > 0.0 else 0.0
-                    else:
-                        x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
-                        x = x + x - 1.0
-                        x = x * x
-                        if p is not None:
-                            x = x * x if p == 2 else _window_power(x, p)
-                        nb = wb + rate * vb * (1.0 - x) * dt
-                        nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
-                    if th_neg < vc < th_pos:
-                        nc = wc if wc > 0.0 else 0.0
-                    else:
-                        x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
-                        x = x + x - 1.0
-                        x = x * x
-                        if p is not None:
-                            x = x * x if p == 2 else _window_power(x, p)
-                        nc = wc + rate * vc * (1.0 - x) * dt
-                        nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
+        quiescent = False
+        for start in range(0, n_steps, block):
+            for step in range(start, min(start + block, n_steps)):
+                if not pinned:
+                    vm = (ua * ya + ub * yb + uc * yc) / (ya + yb + yc + g_ground)
+                    va = (ua - vm) * ka
+                    vb = (ub - vm) * kb
+                    vc = (uc - vm) * kc
+                pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc, vm)
+                # the device law, once per device: frozen inside the
+                # threshold band, else an Euler step of the window law;
+                # each conditional picks what np.maximum / np.minimum would
+                if th_neg < va < th_pos:
+                    na = wa if wa > 0.0 else 0.0
+                else:
+                    x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
+                    x = x + x - 1.0
+                    x = x * x
+                    if p is not None:
+                        x = x * x if p == 2 else _window_power(x, p)
+                    na = wa + rate * va * (1.0 - x) * dt
+                    na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
+                if th_neg < vb < th_pos:
+                    nb = wb if wb > 0.0 else 0.0
+                else:
+                    x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
+                    x = x + x - 1.0
+                    x = x * x
+                    if p is not None:
+                        x = x * x if p == 2 else _window_power(x, p)
+                    nb = wb + rate * vb * (1.0 - x) * dt
+                    nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
+                if th_neg < vc < th_pos:
+                    nc = wc if wc > 0.0 else 0.0
+                else:
+                    x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
+                    x = x + x - 1.0
+                    x = x * x
+                    if p is not None:
+                        x = x * x if p == 2 else _window_power(x, p)
+                    nc = wc + rate * vc * (1.0 - x) * dt
+                    nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
+                if is_read:
+                    probe_sum += vm
+                # equal states, 0.0 and -0.0 included, have equal resistances
+                moved = False
+                if na != wa:
+                    ra = (r_on + na * span) * factor
+                    za = ra + fa
+                    ya, ka = 1.0 / za, ra / za
+                    va = ua * ka
+                    moved = True
+                if nb != wb:
+                    rb = (r_on + nb * span) * factor
+                    zb = rb + fb
+                    yb, kb = 1.0 / zb, rb / zb
+                    vb = ub * kb
+                    moved = True
+                if nc != wc:
+                    rc = (r_on + nc * span) * factor
+                    zc = rc + fc
+                    yc, kc = 1.0 / zc, rc / zc
+                    vc = uc * kc
+                    moved = True
+                if not moved:
+                    # every later step of the phase would repeat this one exactly
                     if is_read:
-                        probe = (probe0 + gc * probe1) / den
-                        probe_sum += probe
-                    # equal states, 0.0 and -0.0 included, have equal conductances
-                    if na != wa:
-                        ga = 1.0 / ((r_on + na * span) * factor)
-                        vb0, vb1 = b0 + ga * b1, b4 + ga * b5
-                        ab_moved = True
-                    if nb != wb:
-                        gb = 1.0 / ((r_on + nb * span) * factor)
-                        va0, va1 = a0 + gb * a2, a4 + gb * a6
-                        ab_moved = True
-                    if nc != wc:
-                        gc = 1.0 / ((r_on + nc * span) * factor)
-                    elif not ab_moved:
-                        # every later step of the phase would repeat this one exactly
-                        if is_read:
-                            for _ in range(n_steps - step - 1):
-                                probe_sum += probe
-                        quiescent = True
-                        break
-                    wa, wb, wc = na, nb, nc
-                steps = np.frombuffer(record, count=6 * (step + 1 - start)).reshape(-1, 6).T
-                model.settle(steps[None], model.power(steps[:3], k), peak_power,
-                             slice(k, k + 1))
-                if quiescent:
+                        for _ in range(n_steps - step - 1):
+                            probe_sum += vm
+                    quiescent = True
                     break
-        except ZeroDivisionError:
-            raise net.SingularNetwork("reduced system has a zero determinant") from None
+                wa, wb, wc = na, nb, nc
+            steps = np.frombuffer(record, count=7 * (step + 1 - start)).reshape(-1, 7, 1)
+            star.settle(steps, peak_power, slice(k, k + 1))
+            if quiescent:
+                break
         w[k] = wa, wb, wc
         probe_sums[k] = probe_sum
     return probe_sums
@@ -655,6 +609,11 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
     batch, n = patterns.shape
     if n != cell.ports.n_devices:
         raise ValueError(f"pattern has {n} ports, cell has {cell.ports.n_devices}")
+    bad = np.argwhere(~np.isfinite(patterns))
+    if len(bad):
+        row, port = bad[0]
+        raise ValueError(f"write voltage {float(patterns[row, port])!r} at row {row}, port {port} "
+                         "is not finite")
     w = np.zeros((batch, n)) if w0 is None else _initial_states(cell, w0, batch)
     draw = _noise_draw(noise, spawn_keys, batch // len(spawn_keys))
     phases = _cycle_phases(cell, cfg, patterns, draw)

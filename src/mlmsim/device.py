@@ -96,21 +96,6 @@ def resistance_array(w, params: MemristorParams, temperature: float):
     return base * temperature_factor(params, temperature)
 
 
-def conductance_array(w, factor, out, scratch):
-    """1.0 / resistance_array(w, params, T), with the same bits, into out.
-
-    factor is temperature_factor(params, T), a scalar or an array that
-    broadcasts against w, so a caller stepping many times at one
-    temperature computes it once. r_off - r_on and r_on come from the
-    scratch alone, which `step_scratch` prepared for params (any dt, kind).
-    """
-    span, r_on = scratch[4][:2]
-    np.multiply(w, span, out)
-    np.add(out, r_on, out)
-    np.multiply(out, factor, out)
-    return np.divide(_ONE, out, out)
-
-
 def _law(params: MemristorParams, dt, kind: DeviceModelKind):
     """The device law for these parameters, step and kind; both kernels use it.
 
@@ -133,8 +118,9 @@ def step_scratch(shape, params: MemristorParams, dt, kind: DeviceModelKind):
 
     The law (`_law`) is prepared for params, dt and kind: its constants as
     0-d arrays, since numpy converts a Python float argument again on every
-    call. `conductance_array` and `step_array` read it from the scratch, so
-    a caller must pass `step_array` the same params, dt and kind.
+    call. `step_array` reads it from the scratch, so a caller must pass it
+    the same params, dt and kind; the controller's numpy kernel reads its
+    r_off - r_on and r_on there too.
     """
     *constants, power = _law(params, dt, kind)
     return (np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool),

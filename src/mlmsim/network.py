@@ -1,4 +1,4 @@
-"""Netlist representation and an exact DC solver for resistive networks.
+"""Netlist representation, an exact DC solver, and the cell's closed form.
 
 Networks are small (tens of nodes), so the solver is plain dense nodal
 analysis with voltage sources handled as extra current unknowns and solved
@@ -6,17 +6,7 @@ by direct factorization. Memristor elements are placeholders whose
 resistance is supplied per solve. `MnaTemplate.solve` and `solve_dc`
 re-stamp and re-factor the whole system on each call and stay the
 reference; a template holds only its assembly. `solve_dc` reports node
-voltages, per-element currents and the total source power. For a transient,
-`PortModel` reduces the system onto the device branches and writes every
-output as a ratio of two polynomials in the device conductances, with
-2^n_devices coefficients each. It keeps those coefficients per batch row,
-8 x 6 doubles for three devices, so a timestep costs one polynomial
-evaluation, and `PortModel.settle` checks a whole block of timesteps and
-folds its per-step source power into each row's peak. The part of the
-reduction that does not depend on the source values (`PortReduction`) is
-built once per source set and kept by its owner, so a model for new
-source values costs a few row-wise products. Neither keeps any model; the
-caller keeps what it reuses.
+voltages, per-element currents and the total source power.
 
 The multi-level cell builder produces one sub-cell per memristor:
 
@@ -30,6 +20,12 @@ probe voltage across r_ground is the divider of the parallel device
 branches that the cell is built around. Inactive sources are open circuits.
 The reset always drives the write ports at 0 V as well, because the erase
 current needs a return path to ground through them.
+
+Every phase of that cell is therefore a star around the membrane node M,
+one branch per sub-cell, which Millman's theorem solves in closed form.
+`Star` holds one phase's constants, and its `settle` checks a block of
+solved timesteps and folds their source power into each row's peak; the
+controller's kernels evaluate the formulas themselves.
 """
 
 import itertools
@@ -237,208 +233,6 @@ def _check_solution(a_mat, sol, rhs):
                               "an ill-conditioned (floating?) network")
 
 
-def _rowwise_product(x, mat):
-    """x @ mat for the rows of x, summed one term at a time in order.
-
-    A matrix product takes one BLAS path for one row and another for
-    several, and the two can round differently; here each row's result has
-    the same bits in a batch of any size.
-    """
-    out = x[..., 0, None] * mat[0]
-    for k in range(1, len(mat)):
-        out += x[..., k, None] * mat[k]
-    return out
-
-
-class PortReduction:
-    """The half of a `PortModel` that does not depend on the source values.
-
-    A template fixes which sources are engaged, so A0 and its inverse,
-    Y = A0^-1 B, K = B^T Y, the subset determinants and adjugates, and the
-    reduced system's rows depend only on the template, g0 and the probe
-    node. system_t holds those rows transposed, K^T above (I - g0 K)^T, in
-    the order [g v; v] of the products and branch voltages they multiply.
-    Every array here is read-only, because each model shares it.
-    """
-
-    def __init__(self, template, g0, probe_node):
-        n = template.netlist.device_count
-        b_mat = np.zeros((template.m, n))
-        for dev, na, nb in template.device_stamps:
-            if b_mat[:, dev].any():
-                raise ValueError(f"device {dev} appears in more than one branch")
-            if na > 0:
-                b_mat[na - 1, dev] = 1.0
-            if nb > 0:
-                b_mat[nb - 1, dev] = -1.0
-        a0 = template.a_base + g0 * (b_mat @ b_mat.T)
-        y = _solve_checked(a0, b_mat)
-        # row k is A0^-1's column k, so x0 = A0^-1 z sums them weighted by z
-        a0_inv_t = _solve_checked(a0, np.eye(template.m)).T.copy()
-        keep = [probe_node - 1, *range(template.nv, template.m)]
-        k_mat = b_mat.T @ y
-
-        # In g, the system is (I - g0 K + K diag(g)) v = u, and the kept rows
-        # are x0_keep + g0 Y_keep^T v - Y_keep^T (g v). Stack both: column j
-        # is constant[:, j] + g_j columns[:, j]. For device subset s, `mixed`
-        # takes column j from `columns` if j is in s and from `constant` if
-        # not; the adjugate of its square part (determinants with one column
-        # replaced) gives the Cramer numerators of s's term.
-        subsets = 2 ** n
-        in_subset = (np.arange(subsets)[:, None] >> np.arange(n)) & 1 == 1
-        columns = np.vstack([k_mat, y[keep]])
-        constant = np.eye(len(columns), n) - g0 * columns
-        mixed = np.where(in_subset[:, None, :], columns, constant)
-        block, coupling = mixed[:, :n], mixed[:, n:]
-        denominator = np.linalg.det(block)
-        # adjugate[s, i, c]: block s with column i replaced by e_c
-        replaced = np.broadcast_to(block[:, None, None], (subsets, n, n, n, n)).copy()
-        idx = np.arange(n)
-        replaced[:, idx, :, :, idx] = np.eye(n)
-        adjugate = np.linalg.det(replaced)
-        per_u = np.concatenate([adjugate, -(coupling @ adjugate)], axis=1)
-
-        self.template = template
-        self.n = n
-        self.subsets = subsets
-        self.keep = np.array(keep)
-        self.b_mat = b_mat
-        self.a0 = a0
-        self.a0_inv_t = a0_inv_t
-        self.per_u = per_u.reshape(-1, n).T
-        self.denominator = denominator
-        self.no_self_term = ~in_subset
-        self.system_t = np.vstack([k_mat.T, constant[:n].T])
-        for array in (b_mat, a0, a0_inv_t, self.keep, self.per_u, denominator,
-                      self.no_self_term, self.system_t):
-            array.flags.writeable = False
-
-
-class PortModel:
-    """A template's system for fixed sources, in closed form in the device conductances.
-
-    Only the device conductances g change from solve to solve, so the nodal
-    system is A(g) = A0 + B diag(g - g0) B^T, where B is the node-by-device
-    incidence matrix and A0 has every device at the reference conductance
-    g0. Solving A0 against B and against z gives Y = A0^-1 B and
-    x0 = A0^-1 z (Kron reduction onto the device ports, by the Woodbury
-    identity). That leaves one device-count-square system per solve,
-
-        (I + K diag(g - g0)) v = B^T x0,    K = B^T Y,
-
-    whose solution v is the branch voltages; the probe voltage and the
-    source currents are x0 - Y ((g - g0) v) on their rows alone.
-
-    Each column of that system is affine in one g_j, so by Cramer's rule
-    every output is a ratio of two polynomials that are multilinear in g,
-    with one term per subset of the devices: for three devices a, b, c the
-    monomials 1, g_a, g_b, g_a g_b, g_c, g_a g_c, g_b g_c, g_a g_b g_c. The
-    denominator is the system's determinant,
-    shared by every output and every batch row; each numerator is linear in
-    the row's right-hand side. The constructor takes every coefficient from
-    batched determinants of the column-mixed system. One more numerator,
-    the source currents' numerators weighted by each source's -V from z,
-    gives the total source power -V*I over the same denominator, so a solve
-    never sums the currents, and the currents' own numerators are not kept.
-    The model keeps 2^n coefficients per batch row for each branch, the
-    probe, the power and the denominator, in that column order: 8 x 6
-    doubles per row for three devices, in every phase. A solve is then the
-    monomials of g, their products with the coefficients summed in monomial
-    order, and one division; the controller's kernels evaluate it
-    themselves. The expansion is in g, not in g - g0: the determinant of a
-    passive network has terms of one sign in g (the matrix-tree theorem),
-    so its sum does not cancel. `check` tests the residual of the reduced
-    system against each row's tolerance, 1e-6 times the larger of 1 and
-    the row's largest |u|, and raises SingularNetwork on NaN, inf or an
-    ill-conditioned system, for many steps at once. `settle` checks a
-    kernel's block of steps and folds each row's largest power into its
-    peak; `power` gives that power from a float-kernel row's conductances.
-
-    Everything but x0 depends only on the template, g0 and the probe node:
-    A0 and its inverse, Y, K, the subset determinants and adjugates, and
-    the reduced system's rows. That half is the `PortReduction` the model
-    is built from, read-only. The constructor computes only the
-    source-dependent half: x0, u = B^T x0, the numerators, the power column
-    and the tolerances, each row by products summed in a fixed order, so a
-    row's model, and so its checks, have the same bits in a batch of any
-    size. Every array a model exposes is its own, so changing one leaves
-    the reduction and the next model unchanged.
-
-    z has trailing dimension template.m and may carry batch rows; each
-    device appears once in the netlist, and its column is its device index.
-    """
-
-    def __init__(self, reduction, z):
-        red, tmpl = reduction, reduction.template
-        n = red.n
-        z = np.asarray(z, dtype=float)
-        # x0 and the numerators are row-wise products, so a row's model has
-        # the same bits in a batch of any size
-        x0 = _rowwise_product(z, red.a0_inv_t)
-        _check_solution(red.a0, x0.reshape(-1, tmpl.m).T, z.reshape(-1, tmpl.m).T)
-        # B's entries are 0 and +-1, at most two nonzero per column, so every
-        # summation order gives u the same bits
-        u = x0 @ red.b_mat
-        # numerators[..., s, r]: branches adjugate u, kept rows x0_keep D - coupling adjugate u
-        numerators = _rowwise_product(u, red.per_u).reshape(u.shape[:-1] + (red.subsets, -1))
-        numerators[..., n:] += x0[..., None, red.keep] * red.denominator[:, None]
-        # a branch voltage has no term in its own device's conductance
-        numerators[..., :n] *= red.no_self_term
-        # total source power -V.I: the source currents' numerators weighted by -V
-        power = -(numerators[..., n + 1:] * z[..., None, tmpl.nv:]).sum(axis=-1)
-        self.coef = np.concatenate(
-            [numerators[..., :n + 1], power[..., None],
-             np.broadcast_to(red.denominator[:, None], power.shape + (1,))], axis=-1)
-        self.system_t = red.system_t.copy()
-        self.u = u
-        # each row's own tolerance, so its checks do not depend on its batch
-        self.tol = 1e-6 * np.maximum(1.0, np.abs(u).max(axis=-1))
-
-    def check(self, stacked, rows=slice(None)):
-        """Raise SingularNetwork unless branch voltages solve the reduced
-        system to within each row's tol.
-
-        stacked holds, on its second-to-last axis, the products g_j v_j of
-        each device's conductance and branch voltage, then the branch
-        voltages v_j; its last axis is the batch rows selected by rows, all
-        by default, and leading axes, such as a block of timesteps, are
-        checked alike; so is one row with its steps on the last axis. A
-        NaN or infinite residual fails.
-        """
-        # the reduced system's residual: K (g v) + (I - g0 K) v - u
-        residual = self.system_t.T @ stacked
-        residual -= np.atleast_2d(self.u[rows]).T
-        np.abs(residual, out=residual)
-        failed = ~(residual <= np.atleast_1d(self.tol)[rows])  # also true for NaN and inf
-        if failed.any():
-            raise SingularNetwork(f"reduced solve residual {residual[failed].max():g} "
-                                  "indicates a singular or ill-conditioned network")
-
-    def power(self, g, row):
-        """Row row's total source power at each step of a record, from the
-        step's conductances g, (n, steps): the power polynomial over the
-        denominator's, each g_j folded in, the same operations at any length."""
-        poly = self.coef[row, :, -2:, None]
-        for j in reversed(range(len(g))):
-            upper = poly[2 ** j:] * g[j]
-            poly = np.add(upper, poly[:2 ** j], out=upper)
-        return poly[0, 0] / poly[0, 1]
-
-    def settle(self, block, power, peak, rows=slice(None)):
-        """Check a block of timesteps and fold its largest source power into peak.
-
-        block is (steps, 2n, rows), or one row's (1, 2n, steps): each
-        step's conductances g, then branch voltages v, for the rows selected
-        by rows; g becomes g v. power is each step's source power, (steps,
-        rows) or (steps,). Once every step passes `check`, each row's
-        largest power goes into peak[rows], a NaN too.
-        """
-        n = block.shape[-2] // 2
-        np.multiply(block[:, :n], block[:, n:], out=block[:, :n])
-        self.check(block, rows)
-        np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
-
-
 @dataclass
 class SolveResult:
     """DC operating point: per-node voltages and per-element currents (a->b)."""
@@ -593,3 +387,97 @@ def build_mlm_cell(topology: CellTopology):
         n_devices=n,
     )
     return netlist, ports
+
+
+class Star:
+    """One phase of a built cell in closed form: a star around M.
+
+    sources maps the phase's engaged source elements to their amplitudes,
+    a float or one value per batch row, as `MnaTemplate` takes them, for
+    rows rows. Branch i runs from its source U_i through fixed resistors
+    F_i and the device R_i, so Z_i = R_i + F_i and y_i = 1/Z_i:
+
+      write - the write source through r_write_i, the device and r_series_i to M;
+      read  - the read source through read_series_ohms, the device and
+              r_series_i to M;
+      reset - the write source through r_write_i to the device, whose
+              negative terminal the reset source pins at L_i.
+
+    In a write or a read M floats, and
+
+        V_M = sum U_i y_i / (1/r_ground + sum y_i),    v_i = (U_i - V_M) R_i/Z_i;
+
+    the source power is sum U_i (U_i - V_M) y_i, and a read's probe is V_M.
+    In the reset, v_i = (U_i - L_i) R_i/Z_i, V_M is a constant of the phase,
+    and the power is sum (U_i - L_i)^2 y_i + sum L_i (L_i - V_M)/r_series_i.
+
+    drive holds each branch's driving voltage, (rows, n): U_i, or U_i - L_i
+    in the reset; fixed holds the F_i and g_ground 1/r_ground, as Python
+    floats. The reset also has v_m, its V_M, and rest, the power of its
+    reset branches; both are None in a write or a read.
+    """
+
+    def __init__(self, topology, ports, sources, rows):
+        engaged = set(sources)
+        r_series = topology.per_subcell("r_series")
+        r_write = topology.per_subcell("r_write")
+
+        def amplitudes(indices):
+            return np.column_stack([np.broadcast_to(np.asarray(sources[idx], dtype=float),
+                                                    (rows,)) for idx in indices])
+
+        self.g_ground = 1.0 / float(topology.r_ground)
+        self.v_m = self.rest = None
+        if engaged == set(ports.read):
+            self.drive = amplitudes(ports.read)
+            fixed = [float(topology.read_series_ohms) + r for r in r_series]
+        elif engaged == set(ports.write):
+            self.drive = amplitudes(ports.write)
+            fixed = [rw + rs for rw, rs in zip(r_write, r_series)]
+        elif engaged == set(ports.write) | set(ports.reset):
+            fixed = r_write
+            pin = amplitudes(ports.reset)
+            self.drive = amplitudes(ports.write) - pin
+            # M is Millman's node of the pinned terminals behind r_series
+            g_series = [1.0 / r for r in r_series]
+            self.v_m = (sum(pin[:, i] * g for i, g in enumerate(g_series))
+                        / (self.g_ground + sum(g_series)))
+            self.rest = sum(pin[:, i] * (pin[:, i] - self.v_m) / r
+                            for i, r in enumerate(r_series))
+        else:
+            raise ValueError(f"sources {sorted(engaged)} engage no phase of the cell")
+        self.fixed = tuple(fixed)
+
+    def settle(self, block, peak, rows=slice(None)):
+        """Check a block of timesteps and fold its largest source power into peak.
+
+        block is (steps, 2n + 1, rows): each step's branch admittances y,
+        branch voltages v and V_M, for the rows selected by rows. Every
+        branch voltage and each step's source power must be finite, and in a
+        write or a read the currents into M must balance, sum (U_i - V_M) y_i
+        = V_M/r_ground, to within 1e-6 of the step's own current scale, so a
+        row passes or fails alike in any batch. Otherwise SingularNetwork;
+        once every step passes, each row's largest power goes into peak[rows].
+        """
+        n = len(self.fixed)
+        y, v, v_m = block[:, :n], block[:, n:2 * n], block[:, 2 * n]
+        drive = self.drive[rows].T
+        if self.rest is None:
+            current = (drive - v_m[:, None]) * y
+            power = _branch_sum(drive * current)
+            leak = v_m * self.g_ground
+            balanced = (np.abs(_branch_sum(current) - leak)
+                        <= 1e-6 * (_branch_sum(np.abs(current)) + np.abs(leak))).all()
+        else:
+            power = _branch_sum(drive * (drive * y)) + self.rest[rows]
+            balanced = True
+        # each test is false for NaN
+        if not (balanced and np.isfinite(power).all() and np.isfinite(v).all()):
+            raise SingularNetwork("a solved step has a non-finite branch voltage or source "
+                                  "power, or currents that do not balance at M")
+        np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
+
+
+def _branch_sum(x):
+    """x summed over its branch axis, 1, in branch order, the same bits in any layout."""
+    return sum((x[:, i] for i in range(1, x.shape[1])), x[:, 0])

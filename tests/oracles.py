@@ -5,10 +5,9 @@ package under test: closed-form ODE solutions, hand-rolled series-parallel
 ladder reduction, and a brute-force inversion counter. The exceptions are
 the dense solve's KCL residual and dissipated power, summed from the
 currents it reports; the dense cycle integrator, which reuses the dense
-nodal solver and the device kernel but none of the controller; the
-reference device step, the kernel in whole-array form; and a port model's
-outputs evaluated by one matrix product. Tests compare simulator output
-against these.
+nodal solver and the device kernel but none of the controller; and the
+reference device step, the kernel in whole-array form. Tests compare
+simulator output against these.
 """
 
 import math
@@ -171,36 +170,6 @@ def reference_step_array(w, v, dt, params, kind):
     w += np.where(active, dw, 0.0)
     np.clip(w, 0.0, 1.0, out=w)
     return w
-
-
-# ---------------------------------------------------------------------------
-# Port model evaluation
-#
-# A network.PortModel evaluated at a batch of device conductances, as one
-# matrix product over its coefficients: the polynomials the controller's
-# kernels evaluate step by step, for comparison with the dense solve.
-# ---------------------------------------------------------------------------
-
-def port_model_solve(model, device_conductances):
-    """Returns (branch voltages, probe voltage, source power) of the model.
-
-    Branch voltages are V(a) - V(b) per device; source power is the total
-    -V*I of the engaged sources. The conductances have the devices on the
-    last axis; each result is checked with `PortModel.check`.
-    """
-    g = np.asarray(device_conductances, dtype=float)
-    n, subsets = g.shape[-1], model.coef.shape[-2]
-    monomials = np.ones(g.shape[:-1] + (1, subsets))
-    for j in range(n):
-        # monomials [2^j, 2^(j+1)) are those of [0, 2^j) times g_j
-        np.multiply(monomials[..., :2 ** j], g[..., j, None, None],
-                    out=monomials[..., 2 ** j:2 ** (j + 1)])
-    poly = (monomials @ model.coef)[..., 0, :]
-    x = poly[..., :-1] / poly[..., -1:]
-    v = x[..., :n]
-    stacked = np.concatenate([g * v, v], axis=-1)
-    model.check(np.swapaxes(np.atleast_2d(stacked), -1, -2))
-    return v, x[..., n], x[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 import enum
-import gc
 import re
-import weakref
 from dataclasses import replace
 from itertools import product
 
@@ -23,6 +21,10 @@ FAST = ctl.CycleConfig(dt=4e-6)
 # a second import of the package would give
 FOREIGN_KIND = enum.Enum("DeviceModelKind",
                          {"THRESHOLD_DRIFT": "threshold_drift"}).THRESHOLD_DRIFT
+
+# a cell whose sub-cells all differ, with a read series resistor
+UNEQUAL = net.CellTopology(r_series=(300.0, 900.0, 2700.0), r_write=(1000.0, 1500.0, 2000.0),
+                           r_ground=150.0, read_series_ohms=250.0)
 
 # FLOAT_KERNEL_MAX_ROWS values that put every batch on one kernel, numpy or
 # floats, so that runs of different row counts compare bit for bit
@@ -139,6 +141,26 @@ class TestStartingStates:
             ctl._run_batch(cell, volts, FAST, w0=[[0.1, 0.2, 0.3], [0.4, 1.5, 0.6]])
 
 
+class TestWriteVoltageEntry:
+    """A write voltage is checked before any phase runs."""
+
+    @pytest.mark.parametrize("rows", [1, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_write_voltage_rejected(self, cell, value, rows, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated a non-finite write voltage")
+
+        monkeypatch.setattr(ctl, "_run_phases", unreachable)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        volts[-1, 2] = value
+        match = re.escape(f"write voltage {value!r} at row {rows - 1}, port 2 ")
+        with pytest.raises(ValueError, match=match):
+            if rows == 1:
+                ctl.run_cycle(cell, volts[0], FAST)
+            else:
+                ctl._run_batch(cell, volts, FAST)
+
+
 class TestInputSweep:
     def test_staircase_shape(self, cell):
         ms = ctl.run_input_sweep(cell, "behavioral", FAST)
@@ -191,6 +213,23 @@ class TestAllCodes:
         dead = ctl.make_cell(params=dev.MemristorParams(drift_rate=0.0))
         with pytest.raises(ctl.DegenerateLevels):
             ctl.write_then_read_all_codes(dead, FAST)
+
+
+class TestReadIdentity:
+    """A quiescent read is the divider of the parallel device branches over r_ground."""
+
+    @pytest.mark.parametrize("topology", [net.CellTopology(), UNEQUAL],
+                             ids=["default", "unequal"])
+    def test_each_level_reads_the_divider(self, topology):
+        cell = ctl.make_cell(topology)
+        cfg = ctl.CycleConfig()
+        v_out, w = ctl.simulate_levels(cell, cfg)
+        r = dev.resistance_array(w, cell.params, cfg.temperature)
+        fixed = np.add(topology.per_subcell("r_series"), topology.read_series_ohms)
+        s = (1.0 / (r + fixed)).sum(axis=1)
+        expected = cfg.v_read * s / (1.0 / topology.r_ground + s)
+        assert len(v_out) == 10
+        np.testing.assert_allclose(v_out, expected, rtol=1e-12, atol=0.0)
 
 
 class TestTimestepRefinement:
@@ -664,7 +703,6 @@ class TestKernelParity:
         v_out, _, peak = ctl._run_phases(cell, cfg, [read], w0.copy())
         for k in range(n):
             v_one, _, peak_one = ctl._run_phases(cell, cfg, [read], w0[k:k + 1].copy())
-            # the kernels sum the probe polynomial in different orders
             np.testing.assert_allclose(v_out[k:k + 1], v_one, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(peak[k:k + 1], peak_one, rtol=1e-12, atol=0.0)
 
@@ -688,7 +726,7 @@ class TestKernelParity:
     def test_float_rows_do_not_depend_on_their_batch(self, cell):
         # rows from programmed states: each has the same bits beside another
         # row, in a 13-row batch, in the full batch and in run_cycle on it
-        # alone, whose port model is built from one row
+        # alone, whose star is built from one row
         n = ctl.FLOAT_KERNEL_MAX_ROWS
         codes = np.resize([str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows], n)
         w0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, 3))
@@ -739,7 +777,7 @@ class TestModelKind:
 
 
 class TestBlockSettle:
-    """Both kernels check and fold each block of steps at once (`PortModel.settle`)."""
+    """Both kernels check and fold each block of steps at once (`Star.settle`)."""
 
     ROWS = ctl.FLOAT_KERNEL_MAX_ROWS + 1
 
@@ -871,135 +909,95 @@ class TestRowDeduplication:
 
 
 class TestFailureParity:
-    """A corrupted model raises SingularNetwork from either kernel.
+    """A non-finite solve raises SingularNetwork from either kernel, and a row
+    passes or fails alike alone and in a batch."""
 
-    Each test runs on a cell of its own: a cell keeps the last model of
-    each source set, which was built before the corruption.
-    """
+    @pytest.mark.parametrize("rows", [1, 10, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
+    @pytest.mark.parametrize("phase", ["reset", "write", "read"])
+    def test_nan_amplitude_raises(self, cell, phase, rows):
+        # a phase whose last row draws NaN for every amplitude, past the
+        # entry checks, from programmed states
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        w0 = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 3))
+        bump = np.zeros(rows)
+        bump[-1] = np.nan
 
-    @pytest.fixture(params=["zero denominator", "NaN numerator", "NaN right-hand side"])
-    def corrupted_models(self, request, monkeypatch):
-        build = net.PortModel.__init__
+        def run(part):
+            def draw():
+                return bump[part]
+            phase_of = {"reset": lambda: ctl._reset_phase(cell, FAST, len(bump[part]), draw),
+                        "write": lambda: ctl._write_phase(cell, FAST, volts[part], draw),
+                        "read": lambda: ctl._read_phase(cell, FAST, draw)}
+            ctl._run_phases(cell, FAST, [phase_of[phase]()], w0[part].copy())
 
-        def corrupted(model, *args, **kwargs):
-            build(model, *args, **kwargs)
-            if request.param == "zero denominator":
-                model.coef[..., -1] = 0.0
-            elif request.param == "NaN numerator":
-                model.coef[..., 0, 0] = np.nan  # first branch voltage, constant term
-            else:
-                # only the middle residual component is NaN, so a max() over
-                # the components would drop it
-                model.u[..., 1] = np.nan
-
-        monkeypatch.setattr(net.PortModel, "__init__", corrupted)
-
-    def test_one_row(self, corrupted_models):
         with pytest.raises(net.SingularNetwork):
-            ctl.run_cycle(ctl.make_cell(), pattern("012"), FAST)
-
-    def test_ten_rows(self, corrupted_models):
-        # the level scan: ten rows, stepped in floats
+            run(slice(None))
         with pytest.raises(net.SingularNetwork):
-            ctl.simulate_levels(ctl.make_cell(), FAST)
-
-    def test_numpy_rows(self, corrupted_models):
-        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE),
-                          (ctl.FLOAT_KERNEL_MAX_ROWS + 1, 3))
-        with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(net.SingularNetwork):
-            ctl._run_batch(ctl.make_cell(), volts, FAST)
+            run(slice(rows - 1, rows))
+        if rows > 1:
+            run(slice(0, rows - 1))
 
     @pytest.mark.parametrize("offset", [0.95e-6, 1.05e-6])
-    def test_a_row_fails_alone_as_in_a_batch(self, offset, monkeypatch):
-        # the write of code 000 has u = 0, so its tolerance is 1e-6 and its
-        # residual is the offset added to u; a 222 row's tolerance is larger
-        build = net.PortModel.__init__
-        tols = []
+    def test_a_row_fails_alone_as_in_a_batch(self, cell, offset):
+        # a write step of code 012 beside two of 222, whose currents are
+        # larger: 012's V_M is moved off the balance at M by offset times its
+        # own current scale, and only that scale may judge it
+        volts = np.array([pattern(code).port_voltages for code in ("012", "222", "222")])
+        star = net.Star(cell.topology, cell.ports,
+                        ctl._write_phase(cell, FAST, volts, ctl._no_noise).sources, 3)
+        r = dev.resistance_array(np.full((3, 3), 0.5), cell.params, FAST.temperature)
+        y = 1.0 / (r + star.fixed)
+        v_m = (star.drive * y).sum(axis=1) / (y.sum(axis=1) + star.g_ground)
+        current = (star.drive - v_m[:, None]) * y
+        scale = np.abs(current).sum(axis=1) + np.abs(v_m) * star.g_ground
+        assert scale[1:].min() > 1.1 * scale[0]
+        v_m[0] += offset * scale[0] / (y[0].sum() + star.g_ground)
+        block = np.column_stack([y, (star.drive - v_m[:, None]) * r * y, v_m]).T[None]
 
-        def shifted(model, reduction, z):
-            build(model, reduction, z)
-            blank = (z[:, reduction.template.nv:] == 0.0).all(axis=1)
-            model.u[blank, 1] += offset
-            if blank.any():
-                tols.extend(model.tol[~blank])  # the 222 rows beside it
-
-        monkeypatch.setattr(net.PortModel, "__init__", shifted)
-
-        def fails(codes):
-            volts = [pattern(code).port_voltages for code in codes]
+        def fails(rows):
             try:
-                ctl._run_batch(ctl.make_cell(), volts, FAST)
+                star.settle(block[..., rows], np.zeros(3), rows)
             except net.SingularNetwork:
                 return True
             return False
 
-        alone = fails(["000"])
+        alone = fails(slice(0, 1))
         assert alone is (offset > 1e-6)
-        # beside 222 rows, in floats and in numpy
-        assert fails(["000", "222"]) is alone
-        assert fails(["000"] + ["222"] * ctl.FLOAT_KERNEL_MAX_ROWS) is alone
-        assert tols and min(tols) > 1.05e-6
+        assert fails(slice(None)) is alone
+        assert not fails(slice(1, 3))
 
 
-class TestSelfTerms:
-    """The float kernel leaves out the branch coefficients the model zeroes,
-    so every model a cycle builds must have them zero."""
-
-    @pytest.mark.parametrize("rows", [1, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
-    def test_branch_columns_have_no_own_conductance_terms(self, rows, monkeypatch):
-        models = []
-        build = net.PortModel.__init__
-
-        def recording(model, *args, **kwargs):
-            build(model, *args, **kwargs)
-            models.append(model)
-
-        monkeypatch.setattr(net.PortModel, "__init__", recording)
-        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
-        ctl._run_batch(ctl.make_cell(), volts, FAST, noise=ctl.NoiseConfig(1e-3, 4))
-        assert len(models) == 3  # reset, write and read
-        # own[s, j]: device j is in monomial subset s
-        own = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
-        for model in models:
-            branches = model.coef[..., :3]
-            assert branches.shape == (rows, 8, 3)
-            assert (branches[..., own] == 0.0).all()
-            assert (branches[..., ~own] != 0.0).any()
-
-
-class TestReductionReuse:
-    """A cell keeps one port reduction per source set; reusing it changes nothing."""
+class TestChainedCycles:
+    """A cell keeps no state between cycles: a chain of cycles on one cell
+    gives the bits of the same chain on fresh cells."""
 
     CODES = ("222", "012", "120", "000", "111", "202", "021", "112", "001", "220",
              "102", "011")
 
-    def _chain(self, next_cell):
+    @staticmethod
+    def _chain(next_cell, codes, noisy):
         w, results = None, []
-        for k, code in enumerate(self.CODES):
-            noise = ctl.NoiseConfig(1e-3, k) if k % 3 == 1 else None
+        for k, code in enumerate(codes):
+            noise = ctl.NoiseConfig(1e-3, k) if noisy and k % 3 == 1 else None
             m = ctl.run_cycle(next_cell(), pattern(code), ctl.CycleConfig(), noise=noise,
                               w0=w)
             w = m.final_device_states
             results.append((m.v_out, w, m.peak_power))
         return results
 
-    def test_chained_cycles_equal_fresh_cells(self, monkeypatch):
-        builds = [0]
-        build = net.PortReduction.__init__
-
-        def counting(*args, **kwargs):
-            builds[0] += 1
-            build(*args, **kwargs)
-
-        monkeypatch.setattr(net.PortReduction, "__init__", counting)
+    def _assert_chain_equals_fresh_cells(self, codes, noisy):
         one = ctl.make_cell()
-        reused = self._chain(lambda: one)
-        assert builds[0] == 3  # reset, write and read
-        fresh = self._chain(ctl.make_cell)
-        assert builds[0] == 3 + 3 * len(self.CODES)
+        reused = self._chain(lambda: one, codes, noisy)
+        fresh = self._chain(ctl.make_cell, codes, noisy)
         # equal floats, and the same bits: == would let 0.0 match -0.0
         assert repr(reused) == repr(fresh)
+
+    def test_chained_cycles_equal_fresh_cells(self):
+        self._assert_chain_equals_fresh_cells(self.CODES, noisy=True)
+
+    def test_repeated_patterns_equal_fresh_cells(self):
+        self._assert_chain_equals_fresh_cells(("222", "222", "012", "000", "012", "012"),
+                                              noisy=False)
 
     def test_levels_twice_equal_a_fresh_cell(self):
         cell = ctl.make_cell()
@@ -1009,107 +1007,3 @@ class TestReductionReuse:
         for a, b, c in zip(first, second, fresh):
             np.testing.assert_array_equal(a.view(np.int64), c.view(np.int64))
             np.testing.assert_array_equal(b.view(np.int64), c.view(np.int64))
-
-    @pytest.mark.parametrize("phase", ["reset", "write", "read"])
-    def test_changing_a_model_leaves_the_next_unchanged(self, cell, phase):
-        cfg = ctl.CycleConfig()
-        sources = {
-            "reset": lambda: ctl._reset_phase(cell, cfg, 2, ctl._no_noise),
-            "write": lambda: ctl._write_phase(cell, cfg, np.array([[0.0, 2.5, 4.0],
-                                                                   [4.0, 4.0, 0.0]]),
-                                              ctl._no_noise),
-            "read": lambda: ctl._read_phase(cell, cfg, ctl._no_noise),
-        }[phase]().sources
-        cell.model(sources, 2)
-        red = cell.reductions[frozenset(sources)]
-        z = np.broadcast_to(red.template.rhs(sources), (2, red.template.m))
-
-        def model():
-            return net.PortModel(red, z)
-
-        first = model()
-        expected = [first.coef.copy(), first.u.copy(), first.system_t.copy(), first.tol]
-        first.coef[...] = np.nan
-        first.u[...] = np.nan
-        first.system_t[...] = np.nan
-        second = model()
-        kept = vars(red).values()
-        assert not any(a.flags.writeable for a in kept if isinstance(a, np.ndarray))
-        for got, want in zip([second.coef, second.u, second.system_t, second.tol],
-                             expected):
-            np.testing.assert_array_equal(np.asarray(got).view(np.int64),
-                                          np.asarray(want).view(np.int64))
-
-
-class TestModelReuse:
-    """A cell keeps the last port model of each source set and reuses it for
-    a phase whose right-hand side repeats bit for bit."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        count = [0]
-        build = net.PortModel.__init__
-
-        def counting(*args, **kwargs):
-            count[0] += 1
-            build(*args, **kwargs)
-
-        monkeypatch.setattr(net.PortModel, "__init__", counting)
-        return count
-
-    def test_noise_free_chain_builds_only_the_next_write(self, builds):
-        cell = ctl.make_cell()
-        w = ctl.run_cycle(cell, pattern("012"), FAST).final_device_states
-        assert builds[0] == 3
-        ctl.run_cycle(cell, pattern("220"), FAST, w0=w)
-        assert builds[0] == 3 + 1
-
-    def test_noisy_chain_rebuilds_every_phase(self, builds):
-        cell, w = ctl.make_cell(), None
-        for seed in range(3):
-            w = ctl.run_cycle(cell, pattern("012"), FAST, noise=ctl.NoiseConfig(1e-3, seed),
-                              w0=w).final_device_states
-            assert builds[0] == 3 * (seed + 1)
-
-    def test_reused_models_equal_fresh_cells(self, builds):
-        codes = ("222", "222", "012", "000", "012", "012")
-
-        def chain(next_cell):
-            w, results = None, []
-            for code in codes:
-                m = ctl.run_cycle(next_cell(), pattern(code), ctl.CycleConfig(), w0=w)
-                w = m.final_device_states
-                results.append((m.v_out, w, m.peak_power))
-            return results
-
-        one = ctl.make_cell()
-        reused = chain(lambda: one)
-        # the first cycle builds reset, write and read; after it only a new
-        # write pattern builds a model
-        assert builds[0] == 3 + 3
-        fresh = chain(ctl.make_cell)
-        assert builds[0] == 6 + 3 * len(codes)
-        # equal floats, and the same bits: == would let 0.0 match -0.0
-        assert repr(reused) == repr(fresh)
-
-    def test_dropped_cell_frees_its_reductions_and_models(self, monkeypatch):
-        # no reference cycle keeps them: without the cyclic GC, dropping the
-        # last reference to the cell frees them at once
-        models = []
-        build = net.PortModel.__init__
-
-        def tracked(model, *args, **kwargs):
-            build(model, *args, **kwargs)
-            models.append(weakref.ref(model))
-
-        monkeypatch.setattr(net.PortModel, "__init__", tracked)
-        cell = ctl.make_cell()
-        ctl.run_cycle(cell, pattern("012"), FAST)
-        refs = models + [weakref.ref(red) for red in cell.reductions.values()]
-        assert len(refs) == 3 + 3
-        gc.disable()
-        try:
-            del cell
-            assert [ref() for ref in refs] == [None] * len(refs)
-        finally:
-            gc.enable()

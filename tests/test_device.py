@@ -1,6 +1,6 @@
 import enum
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -161,62 +161,73 @@ class TestKernelAgainstReference:
             got = w.copy()
             assert dev.step_array(got, v, dt, params, kind) is got
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-            temperature = rng.uniform(250.0, 400.0)
-            g = 1.0 / dev.resistance_array(w, params, temperature)
-            factor = dev.temperature_factor(params, temperature)
-            # the scratch arrays and the law prepared for this phase
-            scratch = dev.step_scratch(shape, params, dt, kind)
-            got = dev.conductance_array(w, factor, np.empty_like(w), scratch)
-            np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # into another array, with the prepared scratch: the same bits, w
             # unchanged
+            scratch = dev.step_scratch(shape, params, dt, kind)
             before, out = w.copy(), np.empty_like(w)
             got = dev.step_array(w, v, dt, params, kind, out=out, scratch=scratch)
             assert got is out
             np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
             np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
-            got = dev.conductance_array(w, factor, np.empty_like(w), scratch=scratch)
-            np.testing.assert_array_equal(got.view(np.int64), g.view(np.int64))
             # the float kernel's inline law, several steps on three devices
             self._check_float_kernel(rng, params, kind, dt)
 
     def _check_float_kernel(self, rng, params, kind, dt):
-        """The float kernel's inline law against repeated array-law steps.
+        """The float kernel's inline law against `device.step_array`, bit for bit.
 
-        A port model with exact polynomials, set without a network:
-        denominator 1, constant branch voltages, the probe g_a, the power
-        g_b + g_c and residual 0, folded and settled by the real
-        `PortModel.power` and `PortModel.settle`.
+        Both kernels evaluate a phase's star with the same operations, and
+        only the numpy kernel steps with `step_array`, so on a real cell and
+        phase they must give the same states, peak power and probe sum. The
+        states start at the bounds, in the escape bands and inside; half the
+        time the thresholds sit on branch voltages of the first step, so the
+        inline law meets a voltage exactly on each.
         """
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
-        v = self._voltages(rng, (rows, 3), params)
         temperature = rng.uniform(250.0, 400.0, size=(rows, 1))
-        coef = np.zeros((rows, 8, 6))
-        coef[:, 0, :3] = v          # each branch's constant term
-        coef[:, 1, 3] = 1.0         # probe: the g_a monomial
-        coef[:, [2, 4], 4] = 1.0    # power: the g_b and g_c monomials
-        coef[:, 0, 5] = 1.0         # denominator
-        model = net.PortModel.__new__(net.PortModel)
-        vars(model).update(coef=coef, u=np.zeros((rows, 3)), system_t=np.zeros((6, 3)),
-                           tol=np.zeros(rows))
-        phase = ctl.Phase({}, n_steps, is_read=bool(rng.integers(2)))
-        got, peak = w.copy(), np.zeros(rows)
-        factor = dev.temperature_factor(params, temperature)
-        probe = ctl._step_floats(SimpleNamespace(params=params, kind=kind),
-                                 SimpleNamespace(dt=dt), phase, model, got, factor, peak)
-        g, want = np.empty_like(w), w.copy()
-        scratch = dev.step_scratch(w.shape, params, dt, kind)
-        want_probe, want_peak = np.zeros(rows), np.zeros(rows)
-        for _ in range(n_steps):
-            dev.conductance_array(want, factor, g, scratch)
-            want_probe += g[:, 0]
-            np.maximum(want_peak, g[:, 1] + g[:, 2], out=want_peak)
-            dev.step_array(want, v, dt, params, kind)
-        if not phase.is_read:
-            want_probe[:] = 0.0
-        for result, expected in ((got, want), (peak, want_peak), (probe, want_probe)):
-            np.testing.assert_array_equal(result.view(np.int64), expected.view(np.int64))
+        ports = ctl.make_cell().ports
+        phase = int(rng.integers(3))
+        engaged = [ports.write, ports.read, ports.reset + ports.write][phase]
+        sources = {idx: rng.uniform(-5.0, 5.0, size=rows) for idx in engaged}
+        if phase == 1:
+            # one read rail, at one amplitude per row
+            sources = dict.fromkeys(engaged, sources[engaged[0]])
+        elif phase == 2:
+            # one device with 0 V across it in the reset
+            j = int(rng.integers(3))
+            sources[ports.write[j]] = sources[ports.reset[j]]
+        cfg = SimpleNamespace(dt=dt)
+
+        def run(kernel, params, n_steps, star_type=net.Star):
+            cell = ctl.make_cell(params=params, kind=kind)
+            star = star_type(cell.topology, cell.ports, sources, rows)
+            got, peak = w.copy(), np.zeros(rows)
+            probe = kernel(cell, cfg, ctl.Phase(sources, n_steps, phase == 1), star, got,
+                           dev.temperature_factor(params, temperature), peak)
+            return star, (got, peak, probe)
+
+        if rng.integers(2):
+            star, _ = run(ctl._step_arrays, params, 1, _FirstStep)
+            v = star.block[0, 3:6]
+            up, down = v[v >= 0.0], v[v <= 0.0]
+            params = replace(params,
+                             v_th_pos=float(rng.choice(up)) if up.size else params.v_th_pos,
+                             v_th_neg=float(rng.choice(down)) if down.size else params.v_th_neg)
+        _, floats = run(ctl._step_floats, params, n_steps)
+        _, arrays = run(ctl._step_arrays, params, n_steps)
+        for got, want in zip(floats, arrays):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _FirstStep(net.Star):
+    """A star that keeps a copy of the first block a kernel settles."""
+
+    block = None
+
+    def settle(self, block, peak, rows=slice(None)):
+        if self.block is None:
+            self.block = block.copy()
+        super().settle(block, peak, rows)
 
 
 class TestThresholdDrift:

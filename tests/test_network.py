@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from mlmsim import controller as ctl
 from mlmsim import device as dev
 from mlmsim import network as net
 
 from oracles import (divider_vout, kcl_residual, ladder_node_voltages, network_power,
-                     port_model_solve, random_ladder)
+                     random_ladder)
+
+
+# FLOAT_KERNEL_MAX_ROWS values that put every batch on one kernel, numpy or floats
+ONE_KERNEL = (0, 10**6)
 
 
 def build_ladder_netlist(v_src, r_series, r_shunt):
@@ -248,19 +253,14 @@ class TestCellBuilder:
 
 
 def assert_rowwise_close(actual, desired, rtol):
-    """Within rtol of the largest magnitude in each row. A source current
-    near cancellation (one source balancing the others) keeps only its
-    row's absolute accuracy in either solver, so it is measured on that scale."""
+    """Within rtol of the largest magnitude in each row, so a branch voltage
+    near zero beside larger ones is measured on its row's scale."""
     scale = np.abs(desired).max(axis=-1, keepdims=True)
     assert (np.abs(actual - desired) <= rtol * scale).all()
 
 
-def port_model(tmpl, z, g0, probe_node):
-    return net.PortModel(net.PortReduction(tmpl, g0, probe_node), z)
-
-
-class TestPortModel:
-    """The per-phase reduction onto the device branches against the dense solve."""
+class TestStar:
+    """Each phase's closed form, as both kernels evaluate it, against the dense solve."""
 
     @staticmethod
     def _random_sources(rng, ports, phase, batch):
@@ -277,109 +277,55 @@ class TestPortModel:
         return sources
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_matches_dense_solve(self, seed):
+    def test_matches_dense_solve(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         topology = net.CellTopology(
             r_series=tuple(rng.uniform(100.0, 2000.0, size=3)),
             r_write=tuple(rng.uniform(500.0, 3000.0, size=3)),
             r_ground=rng.uniform(50.0, 1000.0),
             read_series_ohms=0.0 if seed % 2 else rng.uniform(10.0, 200.0))
-        nl, ports = net.build_mlm_cell(topology)
-        params = dev.MemristorParams()
+        cell = ctl.make_cell(topology)
+        nl, ports, params = cell.netlist, cell.ports, cell.params
         batch = 6
         w = rng.uniform(0.0, 1.0, size=(batch, 3))
         w[0] = (0.0, 1.0, 0.5)
-        g = 1.0 / dev.resistance_array(w, params, rng.uniform(250.0, 400.0))
+        temperature = np.full(batch, rng.uniform(250.0, 400.0))
+        g = 1.0 / dev.resistance_array(w, params, temperature[:, None])
         dev_a = [nl.elements[e].a for e in ports.devices]
         dev_b = [nl.elements[e].b for e in ports.devices]
+        # each step's branch admittances, branch voltages and V_M, per row,
+        # as a kernel hands them to the star's settle
+        solved = np.empty((7, batch))
+        settle = net.Star.settle
+
+        def recording(star, block, peak, rows=slice(None)):
+            solved[:, rows] = block[0]
+            settle(star, block, peak, rows)
+
+        monkeypatch.setattr(net.Star, "settle", recording)
         for phase in ("reset", "write", "read"):
             sources = self._random_sources(rng, ports, phase, batch)
             tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
             z = tmpl.rhs(sources)
             volts, i_src = tmpl.solve(g, z)
-            model = port_model(tmpl, z, 1.0 / params.r_on, ports.probe_node)
-            # branches, probe, power and denominator, whatever the source count
-            assert model.coef.shape == (batch, 8, 6)
-            # branch j has no term in its own g_j: coefficient (s, j) is an exact
-            # zero whenever device j is in subset s, which the float kernel relies on
-            in_subset = (np.arange(8)[:, None] >> np.arange(3)) & 1 == 1
-            assert (model.coef[:, :, :3][:, in_subset] == 0.0).all()
-            assert (model.coef[:, :, :3][:, ~in_subset] != 0.0).any()
-            v_dev, v_probe, power = port_model_solve(model, g)
-            assert_rowwise_close(v_dev, volts[:, dev_a] - volts[:, dev_b], 1e-12)
-            assert_rowwise_close(v_probe[:, None], volts[:, [ports.probe_node]], 1e-12)
-            # The power sums source currents that subtract a correction from
-            # the currents at g0 = 1/r_on, which are up to ~50x larger when
-            # the devices sit near r_off, so its tolerance is 5e-12.
-            assert_rowwise_close(power[:, None],
-                                 -(z[..., tmpl.nv:] * i_src).sum(-1)[:, None], 5e-12)
+            for limit in ONE_KERNEL:
+                monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", limit)
+                solved[...] = np.nan
+                # one step from the states w: its power is the peak
+                _, _, power = ctl._run_phases(cell, ctl.CycleConfig(),
+                                              [ctl.Phase(sources, 1, phase == "read")],
+                                              w.copy(), temperature)
+                v_dev, v_m = solved[3:6].T, solved[6]
+                assert_rowwise_close(v_dev, volts[:, dev_a] - volts[:, dev_b], 1e-12)
+                assert_rowwise_close(v_m[:, None], volts[:, [ports.probe_node]], 1e-12)
+                # the power sums products of amplitudes and currents of
+                # either sign, so its tolerance is 5e-12
+                assert_rowwise_close(power[:, None],
+                                     -(z[..., tmpl.nv:] * i_src).sum(-1)[:, None], 5e-12)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_one_device_netlist_matches_dense_solve(self, seed):
-        # two sources, a bridge resistor and one device: the reduction onto a
-        # single port, with a batch of source values and conductances
-        rng = np.random.default_rng(100 + seed)
-        ohms = rng.uniform(50.0, 5000.0, size=4)
-        nl = net.Netlist(5, [net.VoltageSource(1, 0, 0.0, active=False),
-                             net.Resistor(1, 2, ohms[0]),
-                             net.MemristorRef(2, 3, device=0),
-                             net.Resistor(3, 4, ohms[1]),
-                             net.Resistor(4, 0, ohms[2]),
-                             net.Resistor(2, 4, ohms[3]),
-                             net.VoltageSource(3, 0, 0.0, active=False)])
-        batch = 5
-        sources = {0: rng.uniform(-4.0, 4.0, size=batch),
-                   6: rng.uniform(-4.0, 4.0, size=batch)}
-        tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
-        z = tmpl.rhs(sources)
-        g = 1.0 / rng.uniform(1e3, 1e5, size=(batch, 1))
-        volts, i_src = tmpl.solve(g, z)
-        v_dev, v_probe, power = port_model_solve(port_model(tmpl, z, 1e-3, 4), g)
-        assert_rowwise_close(v_dev, volts[:, [2]] - volts[:, [3]], 1e-12)
-        assert_rowwise_close(v_probe[:, None], volts[:, [4]], 1e-12)
-        assert_rowwise_close(power[:, None],
-                             -(z[..., tmpl.nv:] * i_src).sum(-1)[:, None], 5e-12)
-
-    def test_non_finite_conductance_is_singular(self):
-        nl, ports = net.build_mlm_cell(net.CellTopology())
-        tmpl = net.MnaTemplate(nl, dict.fromkeys(ports.read, 0.05))
-        model = port_model(tmpl, tmpl.z_base, 1e-3, ports.probe_node)
-        with pytest.raises(net.SingularNetwork):
-            port_model_solve(model, np.array([[1e-3, np.nan, 1e-3]]))
-
-    @pytest.mark.parametrize("g", [np.inf, -1e-3], ids=["infinite", "singular"])
-    def test_degenerate_conductance_is_singular(self, g):
-        # at g = -1/1000 S the device cancels the 1 kohm feed of node 2
-        nl = net.Netlist(3, [net.VoltageSource(1, 0, 1.0),
-                             net.Resistor(1, 2, 1000.0),
-                             net.MemristorRef(2, 0, device=0)])
-        tmpl = net.MnaTemplate(nl)
-        model = port_model(tmpl, tmpl.z_base, 1e-3, 2)
-        assert port_model_solve(model, np.array([[2e-3]]))[1] == pytest.approx(1.0 / 3.0,
-                                                                                rel=1e-12)
-        with np.errstate(invalid="ignore"), pytest.raises(net.SingularNetwork):
-            port_model_solve(model, np.array([[g]]))
-
-    @pytest.mark.parametrize("volts", [np.nan, np.inf])
-    def test_non_finite_source_value_is_singular(self, volts):
-        nl, ports = net.build_mlm_cell(net.CellTopology())
-        sources = {idx: np.array([0.05, volts]) for idx in ports.read}
-        tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
-        with np.errstate(invalid="ignore"), pytest.raises(net.SingularNetwork):
-            port_model(tmpl, tmpl.rhs(sources), 1e-3, ports.probe_node)
-
-    def test_floating_network_is_singular(self):
-        nl = net.Netlist(4, [net.VoltageSource(1, 0, 1.0),
-                             net.MemristorRef(1, 0, device=0),
-                             net.Resistor(2, 3, 100.0)])
-        tmpl = net.MnaTemplate(nl)
-        with pytest.raises(net.SingularNetwork):
-            port_model(tmpl, tmpl.z_base, 1e-3, 1)
-
-    def test_shared_device_index_rejected(self):
-        nl = net.Netlist(3, [net.VoltageSource(1, 0, 1.0),
-                             net.MemristorRef(1, 2, device=0),
-                             net.MemristorRef(2, 0, device=0)])
-        tmpl = net.MnaTemplate(nl)
-        with pytest.raises(ValueError, match="more than one branch"):
-            port_model(tmpl, tmpl.z_base, 1e-3, 1)
+    def test_other_source_sets_rejected(self):
+        _, ports = net.build_mlm_cell(net.CellTopology())
+        for sources in ({}, dict.fromkeys(ports.reset, 4.0),
+                        dict.fromkeys(ports.write[:2], 2.5)):
+            with pytest.raises(ValueError, match="engage no phase"):
+                net.Star(net.CellTopology(), ports, sources, 1)
