@@ -325,7 +325,11 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     for phase in phases:
         star = net.Star(cell.topology, cell.ports, phase.sources, batch)
         w_start = w.copy() if phase.is_read else None
-        probe_sum = run_phase(cell, cfg, phase, star, w, factor, peak_power)
+        try:
+            probe_sum = run_phase(cell, cfg, phase, star, w, factor, peak_power)
+        except ZeroDivisionError:
+            # a float-kernel division by zero, where numpy's NaN fails the guard
+            raise net.SingularNetwork("a solved step divides by zero") from None
         if phase.is_read:
             # a read engages only the read sources, at the row's one amplitude,
             # so every branch voltage has its sign at every step: each state

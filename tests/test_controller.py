@@ -912,6 +912,43 @@ class TestFailureParity:
     """A non-finite solve raises SingularNetwork from either kernel, and a row
     passes or fails alike alone and in a batch."""
 
+    @pytest.fixture(params=["zero denominator", "NaN numerator", "NaN right-hand side"])
+    def corrupted_stars(self, request, monkeypatch):
+        # a write or a read solves V_M = sum U_i y_i / (g_ground + sum y_i),
+        # and the guard checks sum (U_i - V_M) y_i = V_M g_ground
+        build = net.Star.__init__
+
+        def corrupted(star, *args, **kwargs):
+            build(star, *args, **kwargs)
+            if request.param == "zero denominator":
+                # M floats: every branch and the ground open
+                star.fixed = (np.inf,) * len(star.fixed)
+                star.g_ground = 0.0
+            elif request.param == "NaN numerator":
+                # only the middle branch of the last row is NaN, so a max()
+                # over the branches would drop it
+                star.drive[-1, 1] = np.nan
+            else:
+                star.g_ground = np.nan
+
+        monkeypatch.setattr(net.Star, "__init__", corrupted)
+
+    def test_one_row(self, cell, corrupted_stars):
+        with pytest.raises(net.SingularNetwork):
+            ctl.run_cycle(cell, pattern("012"), FAST)
+
+    def test_ten_rows(self, cell, corrupted_stars):
+        # the level scan: ten rows, stepped in floats
+        with pytest.raises(net.SingularNetwork):
+            ctl.simulate_levels(cell, FAST)
+
+    def test_numpy_rows(self, cell, corrupted_stars):
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE),
+                          (ctl.FLOAT_KERNEL_MAX_ROWS + 1, 3))
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(net.SingularNetwork):
+            ctl._run_batch(cell, volts, FAST)
+
     @pytest.mark.parametrize("rows", [1, 10, ctl.FLOAT_KERNEL_MAX_ROWS + 1])
     @pytest.mark.parametrize("phase", ["reset", "write", "read"])
     def test_nan_amplitude_raises(self, cell, phase, rows):
