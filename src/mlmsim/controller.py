@@ -1,16 +1,16 @@
 """Cycle execution and experiment drivers for the multi-level cell.
 
-A cycle is a list of quasi-static phases, each a `Phase`: the amplitudes of
-its engaged sources by element index, its step count, and whether it is the
-read. One loop, `_run_phases`, runs any such list. Every phase of the cell
-is a star around the membrane node M, which `network.Star` holds in closed
-form, built per phase from the cell's topology and the phase's sources. On
-every timestep Millman's theorem then gives the exact branch voltages for
-the frozen device resistances, after which each device state advances one
-explicit Euler step under its own branch voltage. Devices therefore
-interact through the shared node M during the write transient, which is
-the only mechanism that can make a device's final state depend on the
-whole pattern rather than its own port alone.
+A cycle is a list of quasi-static phases. Every phase of the cell is a star
+around the membrane node M, so each phase is a `network.Star`, which holds
+it in closed form: built from the cell's topology, the phase's role (reset,
+write or read), its step count and each branch's source amplitude, one per
+batch row. One loop, `_run_phases`, runs any such list. On every timestep
+Millman's theorem then gives the exact branch voltages for the frozen
+device resistances, after which each device state advances one explicit
+Euler step under its own branch voltage. Devices therefore interact
+through the shared node M during the write transient, which is the only
+mechanism that can make a device's final state depend on the whole
+pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
 itself for the rest of the phase, so the phase ends there. Both kernels add
@@ -22,13 +22,13 @@ states before and after it.
 
 The full cycle is the list below; a zero-length reset or write is left out,
 and the single-phase operations run a one-element list through the same loop.
-  reset  - reset sources on at v_reset on the device negative terminals,
-           write ports held at 0 V so the erase current can return to
-           ground; drives every state toward w = 0.
-  write  - all write sources on simultaneously at the pattern voltages.
-  read   - read sources on at v_read; the measurement is the mean probe
-           voltage over the window, and any state motion beyond tolerance
-           raises NonQuiescentRead.
+  reset  - every device negative terminal pinned at v_reset, each branch
+           driven at 0 V from its write port so the erase current can
+           return to ground; drives every state toward w = 0.
+  write  - every branch driven from its write port at the pattern voltage.
+  read   - every branch driven from its read port at v_read; the
+           measurement is the mean probe voltage over the window, and any
+           state motion beyond tolerance raises NonQuiescentRead.
 
 Both kernels hand each step's branch admittances, branch voltages and V_M,
 a block at a time, to the phase's star (`network.Star.settle`), the only
@@ -59,11 +59,11 @@ copy its results to every row that has it: the default 61-point sweep
 simulates 10 rows. The kernel follows those simulated rows, so the
 default sweep runs the float kernel.
 
-With source noise, each phase draws its perturbations as it is built, in
-this order: the reset amplitude, one per write port held at 0 V, one per
-write port, then the read amplitude. Every noise stream comes from
-`_noise_rng`: the seed, plus a spawn key that names an independent
-substream where a driver needs several.
+With source noise, each phase draws its perturbations as its star is
+built, in this order: the reset's pin amplitude, one per branch the reset
+drives at 0 V, one per branch of the write, then the read amplitude.
+Every noise stream comes from `_noise_rng`: the seed, plus a spawn key
+that names an independent substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside one
@@ -236,19 +236,6 @@ def make_cell(topology=None, params=None,
 # Phase schedule and the loop that runs it
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Phase:
-    """One quasi-static phase: engaged sources and how long they stay on.
-
-    sources maps source element index -> amplitude (a float or one value
-    per batch row); every other source is open for the whole phase.
-    """
-
-    sources: dict
-    n_steps: int
-    is_read: bool = False
-
-
 def _no_noise():
     return 0.0
 
@@ -272,42 +259,51 @@ def _noise_draw(noise, spawn_keys, rows):
     return lambda: np.concatenate([rng.normal(0.0, sigma, size=rows) for rng in rngs])
 
 
-def _reset_phase(cell, cfg, batch, draw):
-    sources = dict.fromkeys(cell.ports.reset, cfg.v_reset + draw())
-    for idx in cell.ports.write:
-        sources[idx] = np.zeros(batch) + draw()
-    return Phase(sources, cfg.steps(cfg.t_reset))
+def _branches(rows, amplitudes):
+    """One column per branch, (rows, n): each amplitude a float or one value per row."""
+    return np.column_stack([np.broadcast_to(np.asarray(a, dtype=float), (rows,))
+                            for a in amplitudes])
+
+
+def _reset_phase(cell, cfg, rows, draw):
+    pin = cfg.v_reset + draw()
+    held = [np.zeros(rows) + draw() for _ in range(net.N_SUBCELLS)]
+    return net.Star(cell.topology, "reset", cfg.steps(cfg.t_reset), _branches(rows, held),
+                    _branches(rows, [pin] * net.N_SUBCELLS))
 
 
 def _write_phase(cell, cfg, patterns, draw):
-    sources = {idx: patterns[:, k] + draw() for k, idx in enumerate(cell.ports.write)}
-    return Phase(sources, cfg.steps(cfg.t_write))
+    drive = _branches(len(patterns), [patterns[:, k] + draw() for k in range(net.N_SUBCELLS)])
+    return net.Star(cell.topology, "write", cfg.steps(cfg.t_write), drive)
 
 
-def _read_phase(cell, cfg, draw):
-    sources = dict.fromkeys(cell.ports.read, cfg.v_read + draw())
-    return Phase(sources, cfg.steps(cfg.t_read), is_read=True)
+def _read_phase(cell, cfg, rows, draw):
+    drive = _branches(rows, [cfg.v_read + draw()] * net.N_SUBCELLS)
+    return net.Star(cell.topology, "read", cfg.steps(cfg.t_read), drive)
 
 
 def _cycle_phases(cell, cfg, patterns, draw):
     """Reset, write, read; a zero-length reset or write is left out."""
+    rows = len(patterns)
     phases = []
     if cfg.t_reset > 0:
-        phases.append(_reset_phase(cell, cfg, len(patterns), draw))
+        phases.append(_reset_phase(cell, cfg, rows, draw))
     if cfg.t_write > 0:
         phases.append(_write_phase(cell, cfg, patterns, draw))
-    phases.append(_read_phase(cell, cfg, draw))
+    phases.append(_read_phase(cell, cfg, rows, draw))
     return phases
 
 
 def _run_phases(cell, cfg, phases, w, temperature=None):
     """Run the phases in order on the (B, n) states w, which change in place.
 
-    temperature holds one value per batch row in K; None means
-    cfg.temperature for every row. Returns (v_out, read drift, peak source
-    power), one value per batch row; v_out and drift stay None when no
-    phase is the read. A batch of up to FLOAT_KERNEL_MAX_ROWS rows steps in
-    Python floats (`_step_floats`), a larger one in numpy (`_step_arrays`).
+    Each phase is a `network.Star` of B rows, which carries its step count
+    and whether it is the read. temperature holds one value per batch row
+    in K; None means cfg.temperature for every row. Returns (v_out, read
+    drift, peak source power), one value per batch row; v_out and drift
+    stay None when no phase is the read. A batch of up to
+    FLOAT_KERNEL_MAX_ROWS rows steps in Python floats (`_step_floats`), a
+    larger one in numpy (`_step_arrays`).
     """
     batch = w.shape[0]
     if temperature is None:
@@ -322,24 +318,23 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     run_phase = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
-    for phase in phases:
-        star = net.Star(cell.topology, cell.ports, phase.sources, batch)
-        w_start = w.copy() if phase.is_read else None
+    for star in phases:
+        w_start = w.copy() if star.is_read else None
         try:
-            probe_sum = run_phase(cell, cfg, phase, star, w, factor, peak_power)
+            probe_sum = run_phase(cell, cfg, star, w, factor, peak_power)
         except ZeroDivisionError:
             # a float-kernel division by zero, where numpy's NaN fails the guard
             raise net.SingularNetwork("a solved step divides by zero") from None
-        if phase.is_read:
-            # a read engages only the read sources, at the row's one amplitude,
-            # so every branch voltage has its sign at every step: each state
+        if star.is_read:
+            # a read drives every branch at the row's one amplitude, so
+            # every branch voltage has its sign at every step: each state
             # moves one way, and its largest |w_t - w_0| is its last, bit for bit
             drift = np.abs(w - w_start).max(axis=1)
             if (drift >= READ_DISTURB_TOLERANCE).any():
                 raise NonQuiescentRead(
                     f"read moved device state by {drift.max():.3e} of full scale "
                     f"(tolerance {READ_DISTURB_TOLERANCE:g})")
-            v_out = probe_sum / phase.n_steps
+            v_out = probe_sum / star.n_steps
     return v_out, drift, peak_power
 
 
@@ -348,12 +343,13 @@ def _block_length(n_steps, n, batch):
     return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
 
 
-def _step_arrays(cell, cfg, phase, star, w, factor, peak_power):
-    """Step the states w through one phase; returns the probe sum.
+def _step_arrays(cell, cfg, star, w, factor, peak_power):
+    """Step the states w through the phase the star holds; returns the probe sum.
 
-    factor is the device temperature factor, a scalar or a (B, 1) array. w
-    and peak_power change in place; the probe sum, one value per batch row,
-    stays zero unless the phase is the read.
+    The star gives the phase's step count, whether it is the read, and its
+    constants. factor is the device temperature factor, a scalar or a
+    (B, 1) array. w and peak_power change in place; the probe sum, one
+    value per batch row, stays zero unless the phase is the read.
 
     The loop runs device-major, on (n, B) states whose rows are devices.
     Each step computes the device resistances R, the branch admittances
@@ -380,7 +376,7 @@ def _step_arrays(cell, cfg, phase, star, w, factor, peak_power):
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
-    is_read, n_steps = phase.is_read, phase.n_steps
+    is_read, n_steps = star.is_read, star.n_steps
     old = np.ascontiguousarray(w.T)
     new = np.empty_like(old)
     # the device law prepared for this phase, and every function a step uses
@@ -451,16 +447,17 @@ def _step_arrays(cell, cfg, phase, star, w, factor, peak_power):
     return probe_sum
 
 
-def _step_floats(cell, cfg, phase, star, w, factor, peak_power):
+def _step_floats(cell, cfg, star, w, factor, peak_power):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does, so
     the rows are stepped one after another in straight-line float code, each
-    at its own temperature factor, with the star's constants (`network.Star`)
-    unpacked as Python floats. A step computes V_M and the three branch
-    voltages (the reset's stay fixed until their device moves), the device
-    law and a read's probe sum, and packs its admittances, branch voltages
-    and V_M into the record. Every `_block_length` steps and at the row's
+    at its own temperature factor, through the star's phase (`network.Star`):
+    its step count, whether it is the read, and its constants unpacked as
+    Python floats. A step computes V_M and the three branch voltages (the
+    reset's stay fixed until their device moves), the device law and a
+    read's probe sum, and packs its admittances, branch voltages and V_M
+    into the record. Every `_block_length` steps and at the row's
     last step, the star settles the record for row k with its steps first
     (`network.Star.settle`). Each row ends the phase at its own quiescent
     step, which in the numpy kernel it would repeat bit for bit.
@@ -473,7 +470,7 @@ def _step_floats(cell, cfg, phase, star, w, factor, peak_power):
     state moved. Every operation is the numpy kernel's, in its order, so a
     row has the same bits in either kernel.
     """
-    is_read, n_steps = phase.is_read, phase.n_steps
+    is_read, n_steps = star.is_read, star.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
     fa, fb, fc = star.fixed
@@ -588,7 +585,7 @@ def _window_power(x, p):
 
 def _initial_states(cell, w0, batch):
     """w0 as a fresh (batch, n_devices) array; each state finite and in [0, 1]."""
-    n = cell.ports.n_devices
+    n = net.N_SUBCELLS
     w = np.array(w0, dtype=float)
     if w.ndim == 0 or w.shape[-1] != n or w.size != batch * n:
         raise ValueError(f"w0 needs {n} device states for each of {batch} row(s), "
@@ -611,8 +608,8 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
     if patterns.ndim == 1:
         patterns = patterns[None, :]
     batch, n = patterns.shape
-    if n != cell.ports.n_devices:
-        raise ValueError(f"pattern has {n} ports, cell has {cell.ports.n_devices}")
+    if n != net.N_SUBCELLS:
+        raise ValueError(f"pattern has {n} ports, cell has {net.N_SUBCELLS}")
     bad = np.argwhere(~np.isfinite(patterns))
     if len(bad):
         row, port = bad[0]
@@ -676,7 +673,7 @@ def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the read phase; returns (v_out, new states, largest state change)."""
     w = _initial_states(cell, w0, 1)
-    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _no_noise)], w)
+    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, 1, _no_noise)], w)
     return float(v_out[0]), w[0], float(drift[0])
 
 
@@ -790,11 +787,13 @@ def run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
     for c_idx, row in enumerate(table.rows):
         for t_idx, temp_c in enumerate(temps_c):
             values = outputs[t_idx, :, c_idx]
+            # equal trials have no spread, though their mean can miss them by an ulp
+            spread = (values != values[0]).any()
             stats.append(StudyStats(
                 code=row.code,
                 temp_c=float(temp_c),
                 mean=float(values.mean()),
-                stdev=float(values.std(ddof=1)),
+                stdev=float(values.std(ddof=1)) if spread else 0.0,
             ))
     return stats
 

@@ -23,9 +23,11 @@ current needs a return path to ground through them.
 
 Every phase of that cell is therefore a star around the membrane node M,
 one branch per sub-cell, which Millman's theorem solves in closed form.
-`Star` holds one phase's constants, and its `settle` checks a block of
-solved timesteps and folds their source power into each row's peak; the
-controller's kernels evaluate the formulas themselves.
+`Star` holds one phase's constants, built from the topology, the phase's
+role (reset, write or read) and each branch's source amplitudes, with no
+netlist; its `settle` checks a block of solved timesteps and folds their
+source power into each row's peak. The controller's kernels evaluate the
+formulas themselves.
 """
 
 import itertools
@@ -392,9 +394,8 @@ def build_mlm_cell(topology: CellTopology):
 class Star:
     """One phase of a built cell in closed form: a star around M.
 
-    sources maps the phase's engaged source elements to their amplitudes,
-    a float or one value per batch row, as `MnaTemplate` takes them, for
-    rows rows. Branch i runs from its source U_i through fixed resistors
+    kind is the phase, "reset", "write" or "read", and n_steps its length
+    in timesteps. Branch i runs from its source U_i through fixed resistors
     F_i and the device R_i, so Z_i = R_i + F_i and y_i = 1/Z_i:
 
       write - the write source through r_write_i, the device and r_series_i to M;
@@ -411,33 +412,28 @@ class Star:
     In the reset, v_i = (U_i - L_i) R_i/Z_i, V_M is a constant of the phase,
     and the power is sum (U_i - L_i)^2 y_i + sum L_i (L_i - V_M)/r_series_i.
 
-    drive holds each branch's driving voltage, (rows, n): U_i, or U_i - L_i
-    in the reset; fixed holds the F_i and g_ground 1/r_ground, as Python
-    floats. The reset also has v_m, its V_M, and rest, the power of its
-    reset branches; both are None in a write or a read.
+    The drive argument holds each branch's U_i, (rows, n), and pin the
+    reset's L_i, of the same shape. The drive attribute holds the branch's
+    driving voltage: U_i, or U_i - L_i in the reset; fixed holds the F_i and
+    g_ground 1/r_ground, as Python floats. The reset also has v_m, its V_M,
+    and rest, the power of its reset branches; both are None in a write or
+    a read.
     """
 
-    def __init__(self, topology, ports, sources, rows):
-        engaged = set(sources)
+    def __init__(self, topology, kind, n_steps, drive, pin=None):
         r_series = topology.per_subcell("r_series")
         r_write = topology.per_subcell("r_write")
-
-        def amplitudes(indices):
-            return np.column_stack([np.broadcast_to(np.asarray(sources[idx], dtype=float),
-                                                    (rows,)) for idx in indices])
-
+        self.n_steps = n_steps
+        self.is_read = kind == "read"
         self.g_ground = 1.0 / float(topology.r_ground)
         self.v_m = self.rest = None
-        if engaged == set(ports.read):
-            self.drive = amplitudes(ports.read)
+        if kind == "read":
             fixed = [float(topology.read_series_ohms) + r for r in r_series]
-        elif engaged == set(ports.write):
-            self.drive = amplitudes(ports.write)
+        elif kind == "write":
             fixed = [rw + rs for rw, rs in zip(r_write, r_series)]
-        elif engaged == set(ports.write) | set(ports.reset):
+        elif kind == "reset":
             fixed = r_write
-            pin = amplitudes(ports.reset)
-            self.drive = amplitudes(ports.write) - pin
+            drive = drive - pin
             # M is Millman's node of the pinned terminals behind r_series
             g_series = [1.0 / r for r in r_series]
             self.v_m = (sum(pin[:, i] * g for i, g in enumerate(g_series))
@@ -445,7 +441,8 @@ class Star:
             self.rest = sum(pin[:, i] * (pin[:, i] - self.v_m) / r
                             for i, r in enumerate(r_series))
         else:
-            raise ValueError(f"sources {sorted(engaged)} engage no phase of the cell")
+            raise ValueError(f"phase kind {kind!r} is none of 'reset', 'write', 'read'")
+        self.drive = drive
         self.fixed = tuple(fixed)
 
     def settle(self, block, peak, rows=slice(None)):

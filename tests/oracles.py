@@ -182,6 +182,21 @@ def reference_step_array(w, v, dt, params, kind):
 # the reset, one per write port, then the read amplitude.
 # ---------------------------------------------------------------------------
 
+def dense_sources(ports, kind, drive, pin=None):
+    """A phase given by role as the built netlist's source element indices.
+
+    kind, drive and pin are as `network.Star` takes them: drive[..., i]
+    goes on sub-cell i's write port (reset, write) or read port (read), and
+    in the reset pin[..., i] on its device negative terminal. The values
+    are as `network.solve_dc` and `network.MnaTemplate` take them.
+    """
+    rails = ports.read if kind == "read" else ports.write
+    sources = dict(zip(rails, np.moveaxis(np.asarray(drive, dtype=float), -1, 0)))
+    if kind == "reset":
+        sources.update(zip(ports.reset, np.moveaxis(np.asarray(pin, dtype=float), -1, 0)))
+    return sources
+
+
 def dense_cycle(cell, volts, cfg, w0=None, sigma=0.0, rng=None):
     """Run one cycle; returns (mean read-out voltage, final device states)."""
     def draw():
@@ -195,16 +210,17 @@ def dense_cycle(cell, volts, cfg, w0=None, sigma=0.0, rng=None):
     def steps(duration):
         return int(round(duration / cfg.dt))
 
+    n = ports.n_devices
     phases = []
     if cfg.t_reset > 0:
-        reset = dict.fromkeys(ports.reset, cfg.v_reset + draw())
-        reset.update({idx: draw() for idx in ports.write})
+        pin = [cfg.v_reset + draw()] * n
+        reset = dense_sources(ports, "reset", [draw() for _ in range(n)], pin)
         phases.append((reset, steps(cfg.t_reset), False))
     if cfg.t_write > 0:
-        write = {idx: v + draw() for idx, v in zip(ports.write, volts)}
+        write = dense_sources(ports, "write", [v + draw() for v in volts])
         phases.append((write, steps(cfg.t_write), False))
     n_read = steps(cfg.t_read)
-    phases.append((dict.fromkeys(ports.read, cfg.v_read + draw()), n_read, True))
+    phases.append((dense_sources(ports, "read", [cfg.v_read + draw()] * n), n_read, True))
 
     probe_sum = 0.0
     for sources, n_steps, is_read in phases:

@@ -249,6 +249,14 @@ class TestTemperatureStudy:
         assert len(stats) == 20
         assert all(s.stdev == 0.0 for s in stats)
 
+    def test_five_equal_trials_have_zero_stdev(self, cell):
+        # the mean of five equal doubles can miss them by an ulp, as it does
+        # for several codes here, which std(ddof=1) turns into ~1e-18
+        stats = ctl.run_temperature_study(cell, temps_c=(20.0, 30.0, 40.0, 50.0), trials=5,
+                                          cfg=FAST)
+        assert len(stats) == 40
+        assert [s.stdev for s in stats] == [0.0] * 40
+
     def test_seeded_study_reproducible(self, cell):
         noise = ctl.NoiseConfig(source_noise_sigma=1e-3, rng_seed=7)
         a = ctl.run_temperature_study(cell, temps_c=(20.0,), trials=3,
@@ -699,10 +707,11 @@ class TestKernelParity:
         cfg = ctl.CycleConfig()
         n = ctl.FLOAT_KERNEL_MAX_ROWS + 1
         w0 = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, 3))
-        read = ctl._read_phase(cell, cfg, ctl._no_noise)
+        read = ctl._read_phase(cell, cfg, n, ctl._no_noise)
         v_out, _, peak = ctl._run_phases(cell, cfg, [read], w0.copy())
+        read_one = ctl._read_phase(cell, cfg, 1, ctl._no_noise)
         for k in range(n):
-            v_one, _, peak_one = ctl._run_phases(cell, cfg, [read], w0[k:k + 1].copy())
+            v_one, _, peak_one = ctl._run_phases(cell, cfg, [read_one], w0[k:k + 1].copy())
             np.testing.assert_allclose(v_out[k:k + 1], v_one, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(peak[k:k + 1], peak_one, rtol=1e-12, atol=0.0)
 
@@ -833,8 +842,9 @@ class TestBlockSettle:
         # there and the rest of the sum is its probe voltage again
         cfg = ctl.CycleConfig()
         w0 = np.random.default_rng(7).uniform(0.0, 1.0, size=(self.ROWS, 3))
-        read = ctl._read_phase(cell, cfg, ctl._no_noise)
-        probe, _, _ = ctl._run_phases(cell, cfg, [replace(read, n_steps=1)], w0.copy())
+        read = ctl._read_phase(cell, cfg, self.ROWS, ctl._no_noise)
+        first = net.Star(cell.topology, "read", 1, read.drive)
+        probe, _, _ = ctl._run_phases(cell, cfg, [first], w0.copy())
         v_out, drift, _ = ctl._run_phases(cell, cfg, [read], w0.copy())
         assert read.n_steps > 1 and (drift == 0.0).all()
         total = np.zeros(self.ROWS)
@@ -856,14 +866,15 @@ class TestReadDrift:
             dev.MemristorParams(v_th_pos=0.01, v_th_neg=-0.01, drift_rate=20.0))
         w0 = np.random.default_rng(rows).uniform(0.1, 0.9, size=(rows, 3))
         amplitudes = np.where(np.arange(rows) % 2 == 0, 0.05, -0.05)
-        read = ctl.Phase(dict.fromkeys(cell.ports.read, amplitudes),
-                         FAST.steps(FAST.t_read), is_read=True)
+        read = net.Star(cell.topology, "read", FAST.steps(FAST.t_read),
+                        np.column_stack([amplitudes] * 3))
         w = w0.copy()
         _, drift, _ = ctl._run_phases(cell, FAST, [read], w)
         # the same read one step at a time, chained through the states
+        one_step = net.Star(cell.topology, "read", 1, read.drive)
         w_t, want = w0.copy(), np.zeros(rows)
         for _ in range(read.n_steps):
-            ctl._run_phases(cell, FAST, [replace(read, n_steps=1)], w_t)
+            ctl._run_phases(cell, FAST, [one_step], w_t)
             np.maximum(want, np.abs(w_t - w0).max(axis=1), out=want)
         assert (drift > 0.0).all()
         np.testing.assert_array_equal(drift.view(np.int64), want.view(np.int64))
@@ -964,7 +975,7 @@ class TestFailureParity:
                 return bump[part]
             phase_of = {"reset": lambda: ctl._reset_phase(cell, FAST, len(bump[part]), draw),
                         "write": lambda: ctl._write_phase(cell, FAST, volts[part], draw),
-                        "read": lambda: ctl._read_phase(cell, FAST, draw)}
+                        "read": lambda: ctl._read_phase(cell, FAST, len(bump[part]), draw)}
             ctl._run_phases(cell, FAST, [phase_of[phase]()], w0[part].copy())
 
         with pytest.raises(net.SingularNetwork):
@@ -980,8 +991,7 @@ class TestFailureParity:
         # larger: 012's V_M is moved off the balance at M by offset times its
         # own current scale, and only that scale may judge it
         volts = np.array([pattern(code).port_voltages for code in ("012", "222", "222")])
-        star = net.Star(cell.topology, cell.ports,
-                        ctl._write_phase(cell, FAST, volts, ctl._no_noise).sources, 3)
+        star = ctl._write_phase(cell, FAST, volts, ctl._no_noise)
         r = dev.resistance_array(np.full((3, 3), 0.5), cell.params, FAST.temperature)
         y = 1.0 / (r + star.fixed)
         v_m = (star.drive * y).sum(axis=1) / (y.sum(axis=1) + star.g_ground)

@@ -185,25 +185,28 @@ class TestKernelAgainstReference:
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
         temperature = rng.uniform(250.0, 400.0, size=(rows, 1))
-        ports = ctl.make_cell().ports
-        phase = int(rng.integers(3))
-        engaged = [ports.write, ports.read, ports.reset + ports.write][phase]
-        sources = {idx: rng.uniform(-5.0, 5.0, size=rows) for idx in engaged}
-        if phase == 1:
+        kind_of_phase = ("write", "read", "reset")[int(rng.integers(3))]
+        amplitudes = [rng.uniform(-5.0, 5.0, size=rows)
+                      for _ in range(6 if kind_of_phase == "reset" else 3)]
+        pin = None
+        if kind_of_phase == "write":
+            drive = np.column_stack(amplitudes)
+        elif kind_of_phase == "read":
             # one read rail, at one amplitude per row
-            sources = dict.fromkeys(engaged, sources[engaged[0]])
-        elif phase == 2:
+            drive = np.column_stack([amplitudes[0]] * 3)
+        else:
+            pin, drive = np.column_stack(amplitudes[:3]), np.column_stack(amplitudes[3:])
             # one device with 0 V across it in the reset
             j = int(rng.integers(3))
-            sources[ports.write[j]] = sources[ports.reset[j]]
+            drive[:, j] = pin[:, j]
         cfg = SimpleNamespace(dt=dt)
 
         def run(kernel, params, n_steps, star_type=net.Star):
             cell = ctl.make_cell(params=params, kind=kind)
-            star = star_type(cell.topology, cell.ports, sources, rows)
+            star = star_type(cell.topology, kind_of_phase, n_steps, drive, pin)
             got, peak = w.copy(), np.zeros(rows)
-            probe = kernel(cell, cfg, ctl.Phase(sources, n_steps, phase == 1), star, got,
-                           dev.temperature_factor(params, temperature), peak)
+            probe = kernel(cell, cfg, star, got, dev.temperature_factor(params, temperature),
+                           peak)
             return star, (got, peak, probe)
 
         if rng.integers(2):

@@ -5,8 +5,8 @@ from mlmsim import controller as ctl
 from mlmsim import device as dev
 from mlmsim import network as net
 
-from oracles import (divider_vout, kcl_residual, ladder_node_voltages, network_power,
-                     random_ladder)
+from oracles import (dense_sources, divider_vout, kcl_residual, ladder_node_voltages,
+                     network_power, random_ladder)
 
 
 # FLOAT_KERNEL_MAX_ROWS values that put every batch on one kernel, numpy or floats
@@ -263,18 +263,20 @@ class TestStar:
     """Each phase's closed form, as both kernels evaluate it, against the dense solve."""
 
     @staticmethod
-    def _random_sources(rng, ports, phase, batch):
+    def _random_phase(rng, kind, batch):
+        """(drive, pin) for a star of the kind, each amplitude near its nominal value."""
         def around(volts):
             return volts + rng.normal(0.0, 0.01, size=batch)
-        if phase == "reset":
-            sources = {idx: around(4.0) for idx in ports.reset}
-            sources.update({idx: around(0.0) for idx in ports.write})
-        elif phase == "write":
-            sources = {idx: around(rng.choice([0.0, 2.5, 4.0], size=batch))
-                       for idx in ports.write}
+        pin = None
+        if kind == "reset":
+            pin = np.column_stack([around(4.0) for _ in range(3)])
+            drive = np.column_stack([around(0.0) for _ in range(3)])
+        elif kind == "write":
+            drive = np.column_stack([around(rng.choice([0.0, 2.5, 4.0], size=batch))
+                                     for _ in range(3)])
         else:
-            sources = {idx: around(0.05) for idx in ports.read}
-        return sources
+            drive = np.column_stack([around(0.05) for _ in range(3)])
+        return drive, pin
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_dense_solve(self, seed, monkeypatch):
@@ -303,18 +305,19 @@ class TestStar:
             settle(star, block, peak, rows)
 
         monkeypatch.setattr(net.Star, "settle", recording)
-        for phase in ("reset", "write", "read"):
-            sources = self._random_sources(rng, ports, phase, batch)
+        for kind in ("reset", "write", "read"):
+            drive, pin = self._random_phase(rng, kind, batch)
+            # one step from the states w: its power is the peak
+            star = net.Star(topology, kind, 1, drive, pin)
+            sources = dense_sources(ports, kind, drive, pin)
             tmpl = net.MnaTemplate(nl, dict.fromkeys(sources, 0.0))
             z = tmpl.rhs(sources)
             volts, i_src = tmpl.solve(g, z)
             for limit in ONE_KERNEL:
                 monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", limit)
                 solved[...] = np.nan
-                # one step from the states w: its power is the peak
-                _, _, power = ctl._run_phases(cell, ctl.CycleConfig(),
-                                              [ctl.Phase(sources, 1, phase == "read")],
-                                              w.copy(), temperature)
+                _, _, power = ctl._run_phases(cell, ctl.CycleConfig(), [star], w.copy(),
+                                              temperature)
                 v_dev, v_m = solved[3:6].T, solved[6]
                 assert_rowwise_close(v_dev, volts[:, dev_a] - volts[:, dev_b], 1e-12)
                 assert_rowwise_close(v_m[:, None], volts[:, [ports.probe_node]], 1e-12)
@@ -323,9 +326,6 @@ class TestStar:
                 assert_rowwise_close(power[:, None],
                                      -(z[..., tmpl.nv:] * i_src).sum(-1)[:, None], 5e-12)
 
-    def test_other_source_sets_rejected(self):
-        _, ports = net.build_mlm_cell(net.CellTopology())
-        for sources in ({}, dict.fromkeys(ports.reset, 4.0),
-                        dict.fromkeys(ports.write[:2], 2.5)):
-            with pytest.raises(ValueError, match="engage no phase"):
-                net.Star(net.CellTopology(), ports, sources, 1)
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'erase'"):
+            net.Star(net.CellTopology(), "erase", 1, np.zeros((1, 3)))
