@@ -51,12 +51,8 @@ class SimConfig:
         return {
             "device": {f.name: getattr(self.params, f.name)
                        for f in dataclasses.fields(self.params)},
-            "topology": {
-                "r_series": list(self.topology.per_subcell("r_series")),
-                "r_write": list(self.topology.per_subcell("r_write")),
-                "r_ground": self.topology.r_ground,
-                "read_series_ohms": self.topology.read_series_ohms,
-            },
+            "topology": {f.name: getattr(self.topology, f.name)
+                         for f in dataclasses.fields(self.topology)},
             "encoder": {
                 "bins": [[row.a1, row.a2, str(row.code)] for row in self.table.rows],
                 **{f.name: getattr(self.enc_cfg, f.name)

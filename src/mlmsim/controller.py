@@ -13,12 +13,12 @@ mechanism that can make a device's final state depend on the whole
 pattern rather than its own port alone.
 
 A step that leaves every state of the batch bit-identical would repeat
-itself for the rest of the phase, so the phase ends there. Both kernels add
-a read's probe voltage to its sum on every step, and a read that ends
-early adds its last probe voltage once per remaining step, so the mean
-rounds exactly as a full read's would; peak power cannot change. The
-kernels only step: `_run_phases` measures a read's drift once, from the
-states before and after it.
+itself for the rest of the phase, so the phase ends there; peak power
+cannot change. The kernels only step, and `_run_phases` owns the outputs:
+it measures a read's drift once, from the states before and after it, and
+gives each read a zeroed probe sum. The star adds the probe voltage of
+every step to it, the last one again for each step a quiescent stop left
+out, so the mean rounds exactly as a full read's would.
 
 The full cycle is the list below; a zero-length reset or write is left out,
 and the single-phase operations run a one-element list through the same loop.
@@ -32,9 +32,9 @@ and the single-phase operations run a one-element list through the same loop.
 
 Both kernels hand each step's branch admittances, branch voltages and V_M,
 a block at a time, to the phase's star (`network.Star.settle`), the only
-code that checks a step or takes the source power: it checks that every
-branch voltage and power is finite and that the currents balance at M,
-and folds each row's largest power into its peak.
+code that checks a step or folds its outputs: it checks that every branch
+voltage and power is finite and that the currents balance at M, folds each
+row's largest power into its peak and adds a read's probe voltages.
 
 Two kernels step a phase, chosen by the number of rows simulated at once. A
 batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
@@ -106,8 +106,8 @@ MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
 # another; a larger one steps in numpy. On noisy (1 mV) default-dt level-code
-# cycles (medians of interleaved CPU-time ratios), floats are 1.4-1.5x faster at
-# 12 rows, 1.2-1.25x at 14, 1.05-1.1x at 16-17, 0.96-1.01x at 18, 0.91-0.99x at 20.
+# cycles (medians of 7 interleaved CPU-time ratios), floats are 1.56x faster at
+# 12 rows, 1.16x at 14, 1.03x at 16, 0.93x at 18, 1.01x at 20 and 0.81x at 24.
 FLOAT_KERNEL_MAX_ROWS = 17
 
 # Most doubles a kernel keeps for one block of a phase's timesteps before
@@ -303,7 +303,8 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     drift, peak source power), one value per batch row; v_out and drift
     stay None when no phase is the read. A batch of up to
     FLOAT_KERNEL_MAX_ROWS rows steps in Python floats (`_step_floats`), a
-    larger one in numpy (`_step_arrays`).
+    larger one in numpy (`_step_arrays`). Each star folds its steps into
+    the peak and a read's own zeroed probe sum (`network.Star.settle`).
     """
     batch = w.shape[0]
     if temperature is None:
@@ -320,8 +321,9 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     peak_power = np.zeros(batch)
     for star in phases:
         w_start = w.copy() if star.is_read else None
+        probe_sum = np.zeros(batch) if star.is_read else None
         try:
-            probe_sum = run_phase(cell, cfg, star, w, factor, peak_power)
+            run_phase(cell, cfg, star, w, factor, peak_power, probe_sum)
         except ZeroDivisionError:
             # a float-kernel division by zero, where numpy's NaN fails the guard
             raise net.SingularNetwork("a solved step divides by zero") from None
@@ -343,24 +345,23 @@ def _block_length(n_steps, n, batch):
     return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
 
 
-def _step_arrays(cell, cfg, star, w, factor, peak_power):
-    """Step the states w through the phase the star holds; returns the probe sum.
+def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
+    """Step the states w through the phase the star holds.
 
-    The star gives the phase's step count, whether it is the read, and its
-    constants. factor is the device temperature factor, a scalar or a
-    (B, 1) array. w and peak_power change in place; the probe sum, one
-    value per batch row, stays zero unless the phase is the read.
+    The star gives the phase's step count and its constants. factor is the
+    device temperature factor, a scalar or a (B, 1) array. w changes in
+    place, and the star folds peak_power and probe_sum, a read's or None.
 
     The loop runs device-major, on (n, B) states whose rows are devices.
     Each step computes the device resistances R, the branch admittances
     y = 1/(R + F) and ratios R/(R + F), then the star's formulas
     (`network.Star`): V_M, whose sums run over the devices in order, and
     the branch voltages; the reset's branch voltages need no V_M. It then
-    steps the devices. Its admittances, branch voltages and V_M go into one
-    slab of a (`_block_length`, 2n + 1, B) trajectory buffer, and a read
-    adds V_M, its probe voltage, to the sum. When the buffer fills or the
-    phase goes quiescent, the star settles the block (`network.Star.settle`),
-    so the kernel's memory does not grow with the phase length.
+    steps the devices. Its admittances, branch voltages and V_M (not the
+    reset's) go into one slab of a (`_block_length`, 2n + 1, B) trajectory
+    buffer. When the buffer fills or the phase goes quiescent, the star
+    settles the block and any quiescent tail, so the kernel's memory does
+    not grow with the phase length.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
@@ -370,13 +371,13 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power):
     `device.step_array` through the module, and binds each slab's views.
     A step is then 31 numpy calls in a write or a read, with each output
     passed by position where numpy allows it: 13 for the star and 18 for
-    the device step (one more for a window exponent above 1); a read adds 1
-    for its probe sum, and the reset needs 7 for its star. Every operation
-    is the float kernel's, in its order, so both give a row the same bits.
+    the device step (one more for a window exponent above 1), and the reset
+    needs 7 for its star. Every operation is the float kernel's, in its
+    order, so both give a row the same bits.
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
-    is_read, n_steps = star.is_read, star.n_steps
+    n_steps = star.n_steps
     old = np.ascontiguousarray(w.T)
     new = np.empty_like(old)
     # the device law prepared for this phase, and every function a step uses
@@ -390,18 +391,15 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power):
     # every constant at the states' shape, so no step broadcasts it
     factor = np.broadcast_to(np.transpose(factor), old.shape).copy()
     fixed = np.broadcast_to(np.array(star.fixed)[:, None], old.shape).copy()
-    pinned = star.v_m is not None
+    pinned = star.rest is not None
     drive = np.ascontiguousarray(star.drive.T)
     one, g_ground = np.array(1.0), np.array(star.g_ground)
     r, z, ratio, work = (np.empty_like(old) for _ in range(4))
     num, den = np.empty((2, batch))
     steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 1, batch))
-    if pinned:
-        steps[:, 2 * n] = star.v_m
     # per slab, made when a step first reaches it (most phases go quiescent
     # within a few steps): its admittances, branch voltages and V_M
     slabs = []
-    probe_sum = np.zeros(batch)
     done = 0
     while done < n_steps:
         for count in range(1, min(len(steps), n_steps - done) + 1):
@@ -426,8 +424,6 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power):
                 subtract(drive, v_m, work)
                 multiply(work, ratio, v)
             step(old, v, dt, params, kind, new, scratch)
-            if is_read:
-                add(probe_sum, v_m, probe_sum)
             old, new = new, old
             # bytes, faster than ==: a state that only turns 0.0 into -0.0
             # delays the stop by one step, which repeats exactly
@@ -435,32 +431,28 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power):
             if quiescent:
                 break
         done += count
-        star.settle(steps[:count], peak_power)
+        # every later step of a quiescent phase would repeat its last exactly
+        tail = n_steps - done if quiescent else 0
+        star.settle(steps[:count], peak_power, probe_sum, tail=tail)
         if quiescent:
-            # every later step of the phase would repeat this one exactly,
-            # so each adds the same probe voltage
-            if is_read:
-                for _ in range(n_steps - done):
-                    add(probe_sum, v_m, probe_sum)
             break
     w[...] = old.T
-    return probe_sum
 
 
-def _step_floats(cell, cfg, star, w, factor, peak_power):
+def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does, so
     the rows are stepped one after another in straight-line float code, each
     at its own temperature factor, through the star's phase (`network.Star`):
-    its step count, whether it is the read, and its constants unpacked as
-    Python floats. A step computes V_M and the three branch voltages (the
-    reset's stay fixed until their device moves), the device law and a
-    read's probe sum, and packs its admittances, branch voltages and V_M
-    into the record. Every `_block_length` steps and at the row's
-    last step, the star settles the record for row k with its steps first
-    (`network.Star.settle`). Each row ends the phase at its own quiescent
-    step, which in the numpy kernel it would repeat bit for bit.
+    its step count and its constants unpacked as Python floats. A step
+    computes V_M and the three branch voltages (the reset's stay fixed until
+    their device moves) and the device law, and packs its admittances,
+    branch voltages and V_M (not the reset's) into the record. Every
+    `_block_length` steps and at the row's last step, the star settles the
+    record for row k with its steps first (`network.Star.settle`). Each row
+    ends the phase at its own quiescent step, which in the numpy kernel it
+    would repeat bit for bit, and hands the star the steps it leaves out.
 
     The device law is `device._law`'s, unpacked as Python floats: one
     threshold law, whose band is empty under linear drift. It is written
@@ -470,23 +462,19 @@ def _step_floats(cell, cfg, star, w, factor, peak_power):
     state moved. Every operation is the numpy kernel's, in its order, so a
     row has the same bits in either kernel.
     """
-    is_read, n_steps = star.is_read, star.n_steps
+    n_steps = star.n_steps
     span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
     low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
     fa, fb, fc = star.fixed
     g_ground = star.g_ground
-    pinned = star.v_m is not None
+    pinned = star.rest is not None
     drives = star.drive.tolist()
-    # the reset's V_M is fixed; a write or a read sets it every step
-    v_ms = star.v_m.tolist() if pinned else [0.0] * len(w)
     block = _block_length(n_steps, 3, 1)
     # y_a, y_b, y_c, v_a, v_b, v_c, V_M of each step since the last settle
-    record, pack = bytearray(56 * block), struct.Struct("7d").pack_into
-    probe_sums = np.zeros(len(w))
+    record, pack = bytearray(56 * block), struct.Struct("6d" if pinned else "7d").pack_into
     factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
     for k, factor in enumerate(factors):
         ua, ub, uc = drives[k]
-        vm = v_ms[k]
         wa, wb, wc = w[k].tolist()
         ra = (r_on + wa * span) * factor
         rb = (r_on + wb * span) * factor
@@ -496,16 +484,17 @@ def _step_floats(cell, cfg, star, w, factor, peak_power):
         ka, kb, kc = ra / za, rb / zb, rc / zc
         # the reset's branch voltages; a write or a read sets them every step
         va, vb, vc = ua * ka, ub * kb, uc * kc
-        probe_sum = 0.0
         quiescent = False
         for start in range(0, n_steps, block):
             for step in range(start, min(start + block, n_steps)):
-                if not pinned:
+                if pinned:
+                    pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc)
+                else:
                     vm = (ua * ya + ub * yb + uc * yc) / (ya + yb + yc + g_ground)
                     va = (ua - vm) * ka
                     vb = (ub - vm) * kb
                     vc = (uc - vm) * kc
-                pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc, vm)
+                    pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc, vm)
                 # the device law, once per device: frozen inside the
                 # threshold band, else an Euler step of the window law;
                 # each conditional picks what np.maximum / np.minimum would
@@ -539,8 +528,6 @@ def _step_floats(cell, cfg, star, w, factor, peak_power):
                         x = x * x if p == 2 else _window_power(x, p)
                     nc = wc + rate * vc * (1.0 - x) * dt
                     nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
-                if is_read:
-                    probe_sum += vm
                 # equal states, 0.0 and -0.0 included, have equal resistances
                 moved = False
                 if na != wa:
@@ -562,20 +549,16 @@ def _step_floats(cell, cfg, star, w, factor, peak_power):
                     vc = uc * kc
                     moved = True
                 if not moved:
-                    # every later step of the phase would repeat this one exactly
-                    if is_read:
-                        for _ in range(n_steps - step - 1):
-                            probe_sum += vm
                     quiescent = True
                     break
                 wa, wb, wc = na, nb, nc
             steps = np.frombuffer(record, count=7 * (step + 1 - start)).reshape(-1, 7, 1)
-            star.settle(steps, peak_power, slice(k, k + 1))
+            # every later step of a quiescent phase would repeat its last exactly
+            tail = n_steps - step - 1 if quiescent else 0
+            star.settle(steps, peak_power, probe_sum, slice(k, k + 1), tail)
             if quiescent:
                 break
         w[k] = wa, wb, wc
-        probe_sums[k] = probe_sum
-    return probe_sums
 
 
 def _window_power(x, p):

@@ -25,9 +25,10 @@ Every phase of that cell is therefore a star around the membrane node M,
 one branch per sub-cell, which Millman's theorem solves in closed form.
 `Star` holds one phase's constants, built from the topology, the phase's
 role (reset, write or read) and each branch's source amplitudes, with no
-netlist; its `settle` checks a block of solved timesteps and folds their
-source power into each row's peak. The controller's kernels evaluate the
-formulas themselves.
+netlist; its `settle` checks a block of solved timesteps, folds their
+source power into each row's peak and, in a read, adds their probe
+voltages to each row's sum, quiescent tail included. The controller's
+kernels evaluate the formulas and step the states, nothing more.
 """
 
 import itertools
@@ -283,11 +284,11 @@ def solve_dc(netlist, device_resistances=(), source_values=None):
 class CellTopology:
     """Port resistor values of the N_SUBCELLS-sub-cell cell.
 
-    r_series and r_write accept either a single value or one per sub-cell;
-    unequal per-sub-cell values unlock the larger code space, equal values
-    collapse permuted codes onto the same read-out level. read_series_ohms,
-    when positive, puts that resistor between each read source and its
-    device programming terminal.
+    r_series and r_write accept either a single value or one per sub-cell,
+    and are stored as N_SUBCELLS floats; unequal per-sub-cell values unlock
+    the larger code space, equal values collapse permuted codes onto the
+    same read-out level. read_series_ohms, when positive, puts that
+    resistor between each read source and its device programming terminal.
     """
 
     r_series: object = 500.0
@@ -303,20 +304,17 @@ class CellTopology:
             raise InvalidTopology(f"read_series_ohms must be nonnegative and finite, "
                                   f"got {self.read_series_ohms!r}")
         for name in ("r_series", "r_write"):
-            for value in self.per_subcell(name):
-                if not 0 < value < math.inf:
+            value = getattr(self, name)
+            values = ((float(value),) * N_SUBCELLS if np.isscalar(value)
+                      else tuple(float(v) for v in value))
+            if len(values) != N_SUBCELLS:
+                raise InvalidTopology(f"{name} needs 1 or {N_SUBCELLS} values, "
+                                      f"got {len(values)}")
+            for v in values:
+                if not 0 < v < math.inf:
                     raise InvalidTopology(f"{name} values must be positive and finite, "
-                                          f"got {value!r}")
-
-    def per_subcell(self, name):
-        value = getattr(self, name)
-        if np.isscalar(value):
-            return (float(value),) * N_SUBCELLS
-        values = tuple(float(v) for v in value)
-        if len(values) != N_SUBCELLS:
-            raise InvalidTopology(f"{name} needs 1 or {N_SUBCELLS} values, "
-                                  f"got {len(values)}")
-        return values
+                                          f"got {v!r}")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -338,9 +336,6 @@ def build_mlm_cell(topology: CellTopology):
     per phase via solve-time overrides.
     """
     n = N_SUBCELLS
-    r_series = topology.per_subcell("r_series")
-    r_write = topology.per_subcell("r_write")
-
     nodes = itertools.count(2)  # node 0 is ground, node 1 the membrane
     membrane = 1
     elements = []
@@ -353,10 +348,10 @@ def build_mlm_cell(topology: CellTopology):
         p_nodes.append(p)
         n_nodes.append(nneg)
         sw_nodes.append(sw)
-        elements.append(Resistor(sw, p, r_write[i]))
+        elements.append(Resistor(sw, p, topology.r_write[i]))
         dev_elems.append(len(elements))
         elements.append(MemristorRef(p, nneg, device=i))
-        elements.append(Resistor(nneg, membrane, r_series[i]))
+        elements.append(Resistor(nneg, membrane, topology.r_series[i]))
     elements.append(Resistor(membrane, 0, topology.r_ground))
 
     write_srcs = []
@@ -415,46 +410,52 @@ class Star:
     The drive argument holds each branch's U_i, (rows, n), and pin the
     reset's L_i, of the same shape. The drive attribute holds the branch's
     driving voltage: U_i, or U_i - L_i in the reset; fixed holds the F_i and
-    g_ground 1/r_ground, as Python floats. The reset also has v_m, its V_M,
-    and rest, the power of its reset branches; both are None in a write or
-    a read.
+    g_ground 1/r_ground, as Python floats. The reset also has rest, the
+    power of its reset branches and the only use of its V_M; rest is None in
+    a write or a read. A star holds no outputs, so it can run any number of
+    times: `settle` folds each block of steps into the caller's.
     """
 
     def __init__(self, topology, kind, n_steps, drive, pin=None):
-        r_series = topology.per_subcell("r_series")
-        r_write = topology.per_subcell("r_write")
         self.n_steps = n_steps
         self.is_read = kind == "read"
         self.g_ground = 1.0 / float(topology.r_ground)
-        self.v_m = self.rest = None
+        self.rest = None
         if kind == "read":
-            fixed = [float(topology.read_series_ohms) + r for r in r_series]
+            fixed = [float(topology.read_series_ohms) + r for r in topology.r_series]
         elif kind == "write":
-            fixed = [rw + rs for rw, rs in zip(r_write, r_series)]
+            fixed = [rw + rs for rw, rs in zip(topology.r_write, topology.r_series)]
         elif kind == "reset":
-            fixed = r_write
+            fixed = topology.r_write
             drive = drive - pin
             # M is Millman's node of the pinned terminals behind r_series
-            g_series = [1.0 / r for r in r_series]
-            self.v_m = (sum(pin[:, i] * g for i, g in enumerate(g_series))
-                        / (self.g_ground + sum(g_series)))
-            self.rest = sum(pin[:, i] * (pin[:, i] - self.v_m) / r
-                            for i, r in enumerate(r_series))
+            g_series = [1.0 / r for r in topology.r_series]
+            v_m = (sum(pin[:, i] * g for i, g in enumerate(g_series))
+                   / (self.g_ground + sum(g_series)))
+            self.rest = sum(pin[:, i] * (pin[:, i] - v_m) / r
+                            for i, r in enumerate(topology.r_series))
         else:
             raise ValueError(f"phase kind {kind!r} is none of 'reset', 'write', 'read'")
         self.drive = drive
         self.fixed = tuple(fixed)
 
-    def settle(self, block, peak, rows=slice(None)):
-        """Check a block of timesteps and fold its largest source power into peak.
+    def settle(self, block, peak, probe, rows=slice(None), tail=0):
+        """Check a block of timesteps; fold its peak power and a read's probe voltages.
 
         block is (steps, 2n + 1, rows): each step's branch admittances y,
-        branch voltages v and V_M, for the rows selected by rows. Every
-        branch voltage and each step's source power must be finite, and in a
-        write or a read the currents into M must balance, sum (U_i - V_M) y_i
-        = V_M/r_ground, to within 1e-6 of the step's own current scale, so a
-        row passes or fails alike in any batch. Otherwise SingularNetwork;
-        once every step passes, each row's largest power goes into peak[rows].
+        branch voltages v and V_M, for the rows selected by rows; the reset's
+        V_M slot is neither written nor read. Every branch voltage and each
+        step's source power must be finite, and in a write or a read the
+        currents into M must balance, sum (U_i - V_M) y_i = V_M/r_ground, to
+        within 1e-6 of the step's own current scale, so a row passes or fails
+        alike in any batch. Otherwise SingularNetwork; once every step passes,
+        each row's largest power goes into peak[rows].
+
+        A read then adds each step's V_M, its probe voltage, to probe[rows]
+        in step order, one after another as a running sum would. tail counts
+        the phase's steps after a quiescent last step of the block: each
+        would repeat it exactly, so its V_M is added once more per tail step
+        and the read's mean rounds as a full read's would.
         """
         n = len(self.fixed)
         y, v, v_m = block[:, :n], block[:, n:2 * n], block[:, 2 * n]
@@ -473,6 +474,16 @@ class Star:
             raise SingularNetwork("a solved step has a non-finite branch voltage or source "
                                   "power, or currents that do not balance at M")
         np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
+        if self.is_read:
+            # the tail in chunks of at most 2^15 doubles, a kernel block's
+            # budget, so its repeats never take the phase times the batch
+            width = v_m.shape[1]
+            chunk = max(1, 2**15 // width)
+            total = probe[rows]
+            for part in [v_m] + [np.broadcast_to(v_m[-1], (min(chunk, tail - done), width))
+                                 for done in range(0, tail, chunk)]:
+                total = np.add.accumulate(np.concatenate([total[None], part]))[-1]
+            probe[rows] = total
 
 
 def _branch_sum(x):

@@ -133,7 +133,7 @@ class TestConfigLoading:
         path.write_text(json.dumps(doc))
         sim = cfgmod.load_config(str(path))
         assert len(sim.table.rows) == 2
-        assert sim.topology.per_subcell("r_series") == (400.0, 500.0, 600.0)
+        assert sim.topology.r_series == (400.0, 500.0, 600.0)
         assert sim.topology.read_series_ohms == 50.0
 
     def test_custom_bins_drive_the_structural_ladder(self, tmp_path):

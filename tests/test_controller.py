@@ -225,7 +225,7 @@ class TestReadIdentity:
         cfg = ctl.CycleConfig()
         v_out, w = ctl.simulate_levels(cell, cfg)
         r = dev.resistance_array(w, cell.params, cfg.temperature)
-        fixed = np.add(topology.per_subcell("r_series"), topology.read_series_ohms)
+        fixed = np.add(topology.r_series, topology.read_series_ohms)
         s = (1.0 / (r + fixed)).sum(axis=1)
         expected = cfg.v_read * s / (1.0 / topology.r_ground + s)
         assert len(v_out) == 10
@@ -853,6 +853,34 @@ class TestBlockSettle:
         np.testing.assert_array_equal(v_out.view(np.int64),
                                       (total / read.n_steps).view(np.int64))
 
+    @pytest.mark.parametrize("rows", [1, 10, ROWS])
+    def test_tail_after_moving_steps_is_a_per_step_sum(self, rows):
+        # thresholds inside the read's branch voltages and states near the
+        # top bound: each row moves for some steps, then stops at its own
+        # step, and the rest of the read is its quiescent tail
+        cell = ctl.make_cell(
+            net.CellTopology(r_series=(300.0, 900.0, 2700.0), read_series_ohms=300.0),
+            dev.MemristorParams(v_th_pos=0.01, v_th_neg=-0.01, drift_rate=1e7))
+        cfg = ctl.CycleConfig()
+        w0 = 1.0 - np.random.default_rng(rows).uniform(1e-5, 5e-4, size=(rows, 3))
+        read = net.Star(cell.topology, "read", cfg.steps(cfg.t_read),
+                        np.column_stack([np.linspace(0.03, 0.05, rows)] * 3))
+        w = w0.copy()
+        v_out, _, _ = ctl._run_phases(cell, cfg, [read], w)
+        # the same read one step at a time, chained through the states, its
+        # probe voltages summed in order
+        one_step = net.Star(cell.topology, "read", 1, read.drive)
+        w_t, total, last_move = w0.copy(), np.zeros(rows), np.zeros(rows, dtype=int)
+        for k in range(read.n_steps):
+            before = w_t.copy()
+            probe, _, _ = ctl._run_phases(cell, cfg, [one_step], w_t)
+            total = total + probe
+            last_move[(w_t != before).any(axis=1)] = k
+        assert (last_move > 0).all() and (last_move < read.n_steps - 1).all()
+        np.testing.assert_array_equal(v_out.view(np.int64),
+                                      (total / read.n_steps).view(np.int64))
+        np.testing.assert_array_equal(w.view(np.int64), w_t.view(np.int64))
+
 
 class TestReadDrift:
     """`_run_phases` measures a read's drift from its first and last states."""
@@ -1003,7 +1031,7 @@ class TestFailureParity:
 
         def fails(rows):
             try:
-                star.settle(block[..., rows], np.zeros(3), rows)
+                star.settle(block[..., rows], np.zeros(3), None, rows)
             except net.SingularNetwork:
                 return True
             return False

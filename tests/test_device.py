@@ -204,9 +204,9 @@ class TestKernelAgainstReference:
         def run(kernel, params, n_steps, star_type=net.Star):
             cell = ctl.make_cell(params=params, kind=kind)
             star = star_type(cell.topology, kind_of_phase, n_steps, drive, pin)
-            got, peak = w.copy(), np.zeros(rows)
-            probe = kernel(cell, cfg, star, got, dev.temperature_factor(params, temperature),
-                           peak)
+            got, peak, probe = w.copy(), np.zeros(rows), np.zeros(rows)
+            kernel(cell, cfg, star, got, dev.temperature_factor(params, temperature), peak,
+                   probe)
             return star, (got, peak, probe)
 
         if rng.integers(2):
@@ -227,10 +227,10 @@ class _FirstStep(net.Star):
 
     block = None
 
-    def settle(self, block, peak, rows=slice(None)):
+    def settle(self, block, *args, **kwargs):
         if self.block is None:
             self.block = block.copy()
-        super().settle(block, peak, rows)
+        super().settle(block, *args, **kwargs)
 
 
 class TestThresholdDrift:
