@@ -48,21 +48,12 @@ class SimConfig:
 
     def resolved(self):
         """Fully-defaulted plain-dict form, suitable for hashing/manifests."""
-        return {
-            "device": {f.name: getattr(self.params, f.name)
-                       for f in dataclasses.fields(self.params)},
-            "topology": {f.name: getattr(self.topology, f.name)
-                         for f in dataclasses.fields(self.topology)},
-            "encoder": {
-                "bins": [[row.a1, row.a2, str(row.code)] for row in self.table.rows],
-                **{f.name: getattr(self.enc_cfg, f.name)
-                   for f in dataclasses.fields(self.enc_cfg)},
-            },
-            "cycle": {f.name: getattr(self.cycle, f.name)
-                      for f in dataclasses.fields(self.cycle)},
-            "noise": {f.name: getattr(self.noise, f.name)
-                      for f in dataclasses.fields(self.noise)},
-        }
+        doc = {name: {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
+               for name, part in (("device", self.params), ("topology", self.topology),
+                                  ("encoder", self.enc_cfg), ("cycle", self.cycle),
+                                  ("noise", self.noise))}
+        doc["encoder"]["bins"] = [[row.a1, row.a2, str(row.code)] for row in self.table.rows]
+        return doc
 
 
 def _section(data, name):

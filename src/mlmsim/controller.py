@@ -39,13 +39,13 @@ row's largest power into its peak and adds a read's probe voltages.
 Two kernels step a phase, chosen by the number of rows simulated at once. A
 batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
 and the noisy sweep, runs numpy calls on whole device-major arrays
-(`_step_arrays`), each step into a buffer of at most BLOCK_DOUBLES doubles
-that is settled when it fills or the phase goes quiescent. At a few rows a
-numpy call costs more in overhead than in arithmetic, so the kernel
-prepares the device law once per phase (`device.step_scratch`) and binds
-what a step calls. A smaller batch, as in `run_cycle`, the single-phase
-operations, the ten distinct rows of the sweep and the level scan, steps
-in Python floats (`_step_floats`): one row after another, each step
+(`_step_arrays`), each step into a buffer of at most
+`network.BLOCK_DOUBLES` doubles that is settled when it fills or the phase
+goes quiescent. At a few rows a numpy call costs more in overhead than in
+arithmetic, so the kernel prepares the device law once per phase
+(`device.step_scratch`) and binds what a step calls. A smaller batch, as
+in `run_cycle`, the single-phase operations, the ten distinct rows of the
+sweep and the level scan, steps in Python floats (`_step_floats`): one row after another, each step
 straight-line code over the three devices' floats with the device law
 inline, and each row ends a phase at its own quiescent step. A float step
 recomputes a device's resistance and admittance only when its state
@@ -59,11 +59,12 @@ copy its results to every row that has it: the default 61-point sweep
 simulates 10 rows. The kernel follows those simulated rows, so the
 default sweep runs the float kernel.
 
-With source noise, each phase draws its perturbations as its star is
-built, in this order: the reset's pin amplitude, one per branch the reset
-drives at 0 V, one per branch of the write, then the read amplitude.
-Every noise stream comes from `_noise_rng`: the seed, plus a spawn key
-that names an independent substream where a driver needs several.
+Each phase draws its perturbations as its star is built, one float per
+row per draw, zeros without noise, in this order: the reset's pin
+amplitude, one per branch the reset drives at 0 V, one per branch of the
+write, then the read amplitude. Every noise stream comes from
+`_noise_rng`: the seed, plus a spawn key that names an independent
+substream where a driver needs several.
 
 Everything operates on batches of cell instances at once (one row per
 pattern / trial), which keeps sweeps, studies and calibration inside one
@@ -109,11 +110,6 @@ MAX_BATCH_ROWS = 10**5
 # cycles (medians of 7 interleaved CPU-time ratios), floats are 1.56x faster at
 # 12 rows, 1.16x at 14, 1.03x at 16, 0.93x at 18, 1.01x at 20 and 0.81x at 24.
 FLOAT_KERNEL_MAX_ROWS = 17
-
-# Most doubles a kernel keeps for one block of a phase's timesteps before
-# the star settles it (`_block_length`): 117 steps at 40 rows, 4681 of one
-# row. A whole-phase buffer would grow with the phase and the batch.
-BLOCK_DOUBLES = 2**15
 
 
 class NonQuiescentRead(Exception):
@@ -236,61 +232,52 @@ def make_cell(topology=None, params=None,
 # Phase schedule and the loop that runs it
 # ---------------------------------------------------------------------------
 
-def _no_noise():
-    return 0.0
-
-
 def _noise_rng(noise, spawn_key=()):
     """The seeded noise stream; spawn_key names an independent substream."""
     return np.random.default_rng(np.random.SeedSequence(noise.rng_seed,
                                                         spawn_key=spawn_key))
 
 
-def _noise_draw(noise, spawn_keys, rows):
-    """Per-phase amplitude perturbation: one fresh draw per call.
+def _noise_draw(noise, rows, spawn_keys=((),)):
+    """Per-phase amplitude perturbation: each call returns one float64 per row.
 
-    Each draw concatenates `rows` values from each spawn key's substream,
-    in the order of spawn_keys.
+    Without noise that is np.zeros(rows). Otherwise the rows split into
+    len(spawn_keys) equal groups, and each call concatenates one value per
+    row of each group from that group's substream, in the order of
+    spawn_keys.
     """
     if noise is None or noise.source_noise_sigma == 0.0:
-        return _no_noise
+        return lambda: np.zeros(rows)
     rngs = [_noise_rng(noise, key) for key in spawn_keys]
-    sigma = noise.source_noise_sigma
-    return lambda: np.concatenate([rng.normal(0.0, sigma, size=rows) for rng in rngs])
+    sigma, size = noise.source_noise_sigma, rows // len(spawn_keys)
+    return lambda: np.concatenate([rng.normal(0.0, sigma, size=size) for rng in rngs])
 
 
-def _branches(rows, amplitudes):
-    """One column per branch, (rows, n): each amplitude a float or one value per row."""
-    return np.column_stack([np.broadcast_to(np.asarray(a, dtype=float), (rows,))
-                            for a in amplitudes])
-
-
-def _reset_phase(cell, cfg, rows, draw):
+def _reset_phase(cell, cfg, draw):
     pin = cfg.v_reset + draw()
-    held = [np.zeros(rows) + draw() for _ in range(net.N_SUBCELLS)]
-    return net.Star(cell.topology, "reset", cfg.steps(cfg.t_reset), _branches(rows, held),
-                    _branches(rows, [pin] * net.N_SUBCELLS))
+    held = [draw() for _ in range(net.N_SUBCELLS)]
+    return net.Star(cell.topology, "reset", cfg.steps(cfg.t_reset), np.column_stack(held),
+                    np.column_stack([pin] * net.N_SUBCELLS))
 
 
 def _write_phase(cell, cfg, patterns, draw):
-    drive = _branches(len(patterns), [patterns[:, k] + draw() for k in range(net.N_SUBCELLS)])
+    drive = np.column_stack([patterns[:, k] + draw() for k in range(net.N_SUBCELLS)])
     return net.Star(cell.topology, "write", cfg.steps(cfg.t_write), drive)
 
 
-def _read_phase(cell, cfg, rows, draw):
-    drive = _branches(rows, [cfg.v_read + draw()] * net.N_SUBCELLS)
+def _read_phase(cell, cfg, draw):
+    drive = np.column_stack([cfg.v_read + draw()] * net.N_SUBCELLS)
     return net.Star(cell.topology, "read", cfg.steps(cfg.t_read), drive)
 
 
 def _cycle_phases(cell, cfg, patterns, draw):
     """Reset, write, read; a zero-length reset or write is left out."""
-    rows = len(patterns)
     phases = []
     if cfg.t_reset > 0:
-        phases.append(_reset_phase(cell, cfg, rows, draw))
+        phases.append(_reset_phase(cell, cfg, draw))
     if cfg.t_write > 0:
         phases.append(_write_phase(cell, cfg, patterns, draw))
-    phases.append(_read_phase(cell, cfg, rows, draw))
+    phases.append(_read_phase(cell, cfg, draw))
     return phases
 
 
@@ -298,24 +285,23 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     """Run the phases in order on the (B, n) states w, which change in place.
 
     Each phase is a `network.Star` of B rows, which carries its step count
-    and whether it is the read. temperature holds one value per batch row
-    in K; None means cfg.temperature for every row. Returns (v_out, read
-    drift, peak source power), one value per batch row; v_out and drift
-    stay None when no phase is the read. A batch of up to
+    and whether it is the read. temperature is in K, a float or one value
+    per batch row, None meaning cfg.temperature; it is broadcast to one
+    value per row, so each kernel gets one temperature factor per row.
+    Returns (v_out, read drift, peak source power), one value per batch
+    row; v_out and drift stay None when no phase is the read. A batch of up to
     FLOAT_KERNEL_MAX_ROWS rows steps in Python floats (`_step_floats`), a
     larger one in numpy (`_step_arrays`). Each star folds its steps into
     the peak and a read's own zeroed probe sum (`network.Star.settle`).
     """
     batch = w.shape[0]
-    if temperature is None:
-        temperature = cfg.temperature
-    else:
-        temperature = np.reshape(temperature, (batch, 1))
+    temperature = np.broadcast_to(cfg.temperature if temperature is None else temperature,
+                                  batch)
     factor = dev.temperature_factor(cell.params, temperature)
     if not np.all(factor > 0):
-        k, t = int(np.argmin(factor)), np.ravel(temperature)
+        k = int(np.argmin(factor))
         raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
-                         f"{np.ravel(factor)[k]:.4g} at T = {t[k]:.6g} K; it must be positive")
+                         f"{factor[k]:.4g} at T = {temperature[k]:.6g} K; it must be positive")
     run_phase = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
@@ -341,16 +327,16 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
 
 
 def _block_length(n_steps, n, batch):
-    """Steps per settled block: at most BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
-    return max(1, min(n_steps, BLOCK_DOUBLES // ((2 * n + 1) * batch)))
+    """Steps per settled block: at most net.BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
+    return max(1, min(n_steps, net.BLOCK_DOUBLES // ((2 * n + 1) * batch)))
 
 
 def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     """Step the states w through the phase the star holds.
 
-    The star gives the phase's step count and its constants. factor is the
-    device temperature factor, a scalar or a (B, 1) array. w changes in
-    place, and the star folds peak_power and probe_sum, a read's or None.
+    The star gives the phase's step count and its constants. factor holds
+    the device temperature factor of each row, (B,). w changes in place,
+    and the star folds peak_power and probe_sum, a read's or None.
 
     The loop runs device-major, on (n, B) states whose rows are devices.
     Each step computes the device resistances R, the branch admittances
@@ -389,7 +375,7 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     add, subtract, multiply, divide, add_reduce = (np.add, np.subtract, np.multiply,
                                                    np.divide, np.add.reduce)
     # every constant at the states' shape, so no step broadcasts it
-    factor = np.broadcast_to(np.transpose(factor), old.shape).copy()
+    factor = np.broadcast_to(factor, old.shape).copy()
     fixed = np.broadcast_to(np.array(star.fixed)[:, None], old.shape).copy()
     pinned = star.rest is not None
     drive = np.ascontiguousarray(star.drive.T)
@@ -425,8 +411,9 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
                 multiply(work, ratio, v)
             step(old, v, dt, params, kind, new, scratch)
             old, new = new, old
-            # bytes, faster than ==: a state that only turns 0.0 into -0.0
-            # delays the stop by one step, which repeats exactly
+            # bytes, faster than ==; with no -0.0 state (`_initial_states`
+            # reads it as 0.0, and the law never makes one) finite states
+            # compare alike either way
             quiescent = old.tobytes() == new.tobytes()
             if quiescent:
                 break
@@ -444,8 +431,9 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
 
     At three devices a numpy call costs more than the arithmetic it does, so
     the rows are stepped one after another in straight-line float code, each
-    at its own temperature factor, through the star's phase (`network.Star`):
-    its step count and its constants unpacked as Python floats. A step
+    at its own temperature factor, factor[k] as a Python float, through the
+    star's phase (`network.Star`): its step count and its constants
+    unpacked as Python floats. A step
     computes V_M and the three branch voltages (the reset's stay fixed until
     their device moves) and the device law, and packs its admittances,
     branch voltages and V_M (not the reset's) into the record. Every
@@ -472,7 +460,7 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     block = _block_length(n_steps, 3, 1)
     # y_a, y_b, y_c, v_a, v_b, v_c, V_M of each step since the last settle
     record, pack = bytearray(56 * block), struct.Struct("6d" if pinned else "7d").pack_into
-    factors = np.broadcast_to(np.ravel(factor), len(w)).tolist()
+    factors = factor.tolist()
     for k, factor in enumerate(factors):
         ua, ub, uc = drives[k]
         wa, wb, wc = w[k].tolist()
@@ -566,10 +554,14 @@ def _window_power(x, p):
     return np.power([x], p).tolist()[0]
 
 
-def _initial_states(cell, w0, batch):
-    """w0 as a fresh (batch, n_devices) array; each state finite and in [0, 1]."""
+def _initial_states(w0, batch):
+    """w0 as a fresh (batch, n_devices) array; each state finite and in [0, 1].
+
+    A -0.0 state reads as 0.0: the float kernel compares states with != and
+    the numpy kernel by their bytes, so only one zero steps alike in both.
+    """
     n = net.N_SUBCELLS
-    w = np.array(w0, dtype=float)
+    w = np.array(w0, dtype=float) + 0.0
     if w.ndim == 0 or w.shape[-1] != n or w.size != batch * n:
         raise ValueError(f"w0 needs {n} device states for each of {batch} row(s), "
                          f"got shape {w.shape}")
@@ -598,8 +590,8 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
         row, port = bad[0]
         raise ValueError(f"write voltage {float(patterns[row, port])!r} at row {row}, port {port} "
                          "is not finite")
-    w = np.zeros((batch, n)) if w0 is None else _initial_states(cell, w0, batch)
-    draw = _noise_draw(noise, spawn_keys, batch // len(spawn_keys))
+    w = np.zeros((batch, n)) if w0 is None else _initial_states(w0, batch)
+    draw = _noise_draw(noise, batch, spawn_keys)
     phases = _cycle_phases(cell, cfg, patterns, draw)
     v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
     return v_out, w, drift, peak_power
@@ -648,15 +640,15 @@ def run_cycle(cell: Cell, pattern, cfg: CycleConfig = CycleConfig(),
 
 def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the reset phase to the given states; returns new states."""
-    w = _initial_states(cell, w0, 1)
-    _run_phases(cell, cfg, [_reset_phase(cell, cfg, 1, _no_noise)], w)
+    w = _initial_states(w0, 1)
+    _run_phases(cell, cfg, [_reset_phase(cell, cfg, _noise_draw(None, 1))], w)
     return w[0]
 
 
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the read phase; returns (v_out, new states, largest state change)."""
-    w = _initial_states(cell, w0, 1)
-    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, 1, _no_noise)], w)
+    w = _initial_states(w0, 1)
+    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _noise_draw(None, 1))], w)
     return float(v_out[0]), w[0], float(drift[0])
 
 

@@ -44,6 +44,13 @@ N_SUBCELLS = 3
 # value is fitted to the reference levels (level 000 reads high at 200 ohm).
 DEFAULT_R_GROUND = 200.0
 
+# Most doubles (2^15) a kernel keeps for one block of a phase's timesteps
+# before the star settles it (`controller._block_length`): 117 steps at 40
+# rows, 4681 of one row. A whole-phase buffer would grow with the phase and
+# the batch. `Star.settle` adds a read's quiescent tail in chunks of the
+# same budget.
+BLOCK_DOUBLES = 32768
+
 
 class SingularNetwork(Exception):
     """The nodal system has no unique solution (floating subgraph or source loop)."""
@@ -475,10 +482,10 @@ class Star:
                                   "power, or currents that do not balance at M")
         np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
         if self.is_read:
-            # the tail in chunks of at most 2^15 doubles, a kernel block's
-            # budget, so its repeats never take the phase times the batch
+            # the tail in chunks of at most BLOCK_DOUBLES doubles, so its
+            # repeats never take the phase times the batch
             width = v_m.shape[1]
-            chunk = max(1, 2**15 // width)
+            chunk = max(1, BLOCK_DOUBLES // width)
             total = probe[rows]
             for part in [v_m] + [np.broadcast_to(v_m[-1], (min(chunk, tail - done), width))
                                  for done in range(0, tail, chunk)]:

@@ -44,6 +44,21 @@ class TestConfigLoading:
         path.write_text(json.dumps(base.resolved()))
         assert cfgmod.config_hash(cfgmod.load_config(str(path))) == cfgmod.config_hash(base)
 
+    @pytest.mark.parametrize("document, digest", [
+        (None, "3ae4b9ed1cb5d5e3402c8a3d6360f879eb023cae76edc9ecb255b3e0ed2749bd"),
+        ({"topology": {"r_series": [300, 900, 2700], "r_write": [1000, 1500, 2000],
+                       "r_ground": 150, "read_series_ohms": 250}},
+         "5edda853e905946591bc1c730573431f226932da68b92e8e636d5da49a8b5705"),
+    ], ids=["defaults", "unequal cell"])
+    def test_hash_is_pinned(self, tmp_path, document, digest):
+        # every manifest carries this hash, so a rewrite of the resolved
+        # form must not move it
+        path = None
+        if document is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(document))
+        assert cfgmod.config_hash(cfgmod.load_config(path and str(path))) == digest
+
     def test_value_change_changes_hash(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"device": {"drift_rate": 1234.0}}))

@@ -639,8 +639,9 @@ class TestDenseReference:
         monkeypatch.setattr(ctl, "range", counting_range, raising=False)
         ctl.simulate_levels(cell, FAST)
         codes = [str(row.code) for row in enc.DEFAULT_BIN_TABLE.rows]
-        # one step loop per row and phase (reset, write, read); a read that
-        # ends early runs one shorter loop to pad its probe sum
+        # one step loop per row and phase (reset, write, read); every other
+        # loop, a phase builder's over the branches or the float kernel's
+        # over its blocks, is shorter than the read
         n_read = FAST.steps(FAST.t_read)
         lengths = {FAST.steps(FAST.t_reset), FAST.steps(FAST.t_write), n_read}
         steps = [taken for n, taken in loops if n in lengths]
@@ -707,9 +708,9 @@ class TestKernelParity:
         cfg = ctl.CycleConfig()
         n = ctl.FLOAT_KERNEL_MAX_ROWS + 1
         w0 = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, 3))
-        read = ctl._read_phase(cell, cfg, n, ctl._no_noise)
+        read = ctl._read_phase(cell, cfg, ctl._noise_draw(None, n))
         v_out, _, peak = ctl._run_phases(cell, cfg, [read], w0.copy())
-        read_one = ctl._read_phase(cell, cfg, 1, ctl._no_noise)
+        read_one = ctl._read_phase(cell, cfg, ctl._noise_draw(None, 1))
         for k in range(n):
             v_one, _, peak_one = ctl._run_phases(cell, cfg, [read_one], w0[k:k + 1].copy())
             np.testing.assert_allclose(v_out[k:k + 1], v_one, rtol=1e-12, atol=0.0)
@@ -754,6 +755,20 @@ class TestKernelParity:
             m = ctl.run_cycle(cell, pattern(code), FAST, w0=w0[k])
             alone = np.array([m.v_out, *m.final_device_states, m.peak_power])
             np.testing.assert_array_equal(alone.view(np.int64), full[k].view(np.int64))
+
+    @pytest.mark.parametrize("cfg", [ctl.CycleConfig(t_reset=0, t_write=0), ctl.CycleConfig()],
+                             ids=["read only", "full cycle"])
+    def test_negative_zero_start_is_zero_on_both_kernels(self, cell, cfg):
+        # the float kernel compares states with !=, the numpy kernel by their
+        # bytes, so a -0.0 start would stop them one step apart
+        w0, volts = (-0.0, 0.3, -0.0), (0.0, 2.5, 4.0)
+        n = ctl.FLOAT_KERNEL_MAX_ROWS + 1
+        one = ctl._run_batch(cell, [volts], cfg, w0=[w0])
+        many = ctl._run_batch(cell, [volts] * n, cfg, w0=[w0] * n)
+        for got, want in zip(many, one):
+            np.testing.assert_array_equal(got[:1].view(np.int64), want.view(np.int64))
+        _, after, _ = ctl.run_read_phase(cell, w0, cfg)
+        assert not np.signbit(after).any()
 
 
 class TestModelKind:
@@ -818,8 +833,9 @@ class TestBlockSettle:
     @pytest.mark.parametrize("kind", list(dev.DeviceModelKind))
     def test_one_step_blocks_give_the_same_bits(self, kind, rows, monkeypatch):
         # threshold drift: a noisy write that is several numpy-kernel blocks
-        # (one per float-kernel row) and a read that stops early; linear
-        # drift: a read that runs every step
+        # (one per float-kernel row) and a read that stops early, whose tail
+        # a one-double budget adds one step per chunk; linear drift: a read
+        # that runs every step
         cell = ctl.make_cell(kind=kind)
         cfg = ctl.CycleConfig()
         if kind is dev.DeviceModelKind.LINEAR_DRIFT:
@@ -833,7 +849,7 @@ class TestBlockSettle:
             return ctl._run_batch(cell, volts, cfg, w0=w0, noise=ctl.NoiseConfig(1e-3, 2))
 
         default = run()
-        monkeypatch.setattr(ctl, "BLOCK_DOUBLES", 1)
+        monkeypatch.setattr(net, "BLOCK_DOUBLES", 1)
         for got, want in zip(run(), default):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -842,7 +858,7 @@ class TestBlockSettle:
         # there and the rest of the sum is its probe voltage again
         cfg = ctl.CycleConfig()
         w0 = np.random.default_rng(7).uniform(0.0, 1.0, size=(self.ROWS, 3))
-        read = ctl._read_phase(cell, cfg, self.ROWS, ctl._no_noise)
+        read = ctl._read_phase(cell, cfg, ctl._noise_draw(None, self.ROWS))
         first = net.Star(cell.topology, "read", 1, read.drive)
         probe, _, _ = ctl._run_phases(cell, cfg, [first], w0.copy())
         v_out, drift, _ = ctl._run_phases(cell, cfg, [read], w0.copy())
@@ -1001,9 +1017,9 @@ class TestFailureParity:
         def run(part):
             def draw():
                 return bump[part]
-            phase_of = {"reset": lambda: ctl._reset_phase(cell, FAST, len(bump[part]), draw),
+            phase_of = {"reset": lambda: ctl._reset_phase(cell, FAST, draw),
                         "write": lambda: ctl._write_phase(cell, FAST, volts[part], draw),
-                        "read": lambda: ctl._read_phase(cell, FAST, len(bump[part]), draw)}
+                        "read": lambda: ctl._read_phase(cell, FAST, draw)}
             ctl._run_phases(cell, FAST, [phase_of[phase]()], w0[part].copy())
 
         with pytest.raises(net.SingularNetwork):
@@ -1019,7 +1035,7 @@ class TestFailureParity:
         # larger: 012's V_M is moved off the balance at M by offset times its
         # own current scale, and only that scale may judge it
         volts = np.array([pattern(code).port_voltages for code in ("012", "222", "222")])
-        star = ctl._write_phase(cell, FAST, volts, ctl._no_noise)
+        star = ctl._write_phase(cell, FAST, volts, ctl._noise_draw(None, 3))
         r = dev.resistance_array(np.full((3, 3), 0.5), cell.params, FAST.temperature)
         y = 1.0 / (r + star.fixed)
         v_m = (star.drive * y).sum(axis=1) / (y.sum(axis=1) + star.g_ground)

@@ -184,7 +184,7 @@ class TestKernelAgainstReference:
         """
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
-        temperature = rng.uniform(250.0, 400.0, size=(rows, 1))
+        temperature = rng.uniform(250.0, 400.0, size=rows)
         kind_of_phase = ("write", "read", "reset")[int(rng.integers(3))]
         amplitudes = [rng.uniform(-5.0, 5.0, size=rows)
                       for _ in range(6 if kind_of_phase == "reset" else 3)]
