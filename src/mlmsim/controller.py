@@ -45,13 +45,17 @@ goes quiescent. At a few rows a numpy call costs more in overhead than in
 arithmetic, so the kernel prepares the device law once per phase
 (`device.step_scratch`) and binds what a step calls. A smaller batch, as
 in `run_cycle`, the single-phase operations, the ten distinct rows of the
-sweep and the level scan, steps in Python floats (`_step_floats`): one row after another, each step
-straight-line code over the three devices' floats with the device law
-inline, and each row ends a phase at its own quiescent step. A float step
-recomputes a device's resistance and admittance only when its state
-moved. Both kernels use the same phase list, star, settle and read sum,
-and the same operations in the same order, so a row gets the same bits
-from either; the inline law gives `device.step_array`'s bits.
+sweep and the level scan, steps in Python floats (`_step_floats`): one row
+after another, each row ending a phase at its own quiescent step. A row's
+step is straight-line float code that `_row_stepper` generates from the
+device law's text (`device.resistance_source`, `device.step_source`) and
+caches per phase kind, window exponent and the row's twin classes: devices
+with equal drive, fixed resistance and start state stay equal at every
+step, so the code steps one device per class. A float step recomputes a
+device's resistance and admittance only when its state moved. Both
+kernels use the same phase list, star, settle and read sum, and the same
+operations in the same order, so a row gets the same bits from either;
+the law's text gives `device.step_array`'s bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -80,9 +84,11 @@ the same results inside a batch of any size as alone, on either kernel.
 """
 
 import dataclasses
+import functools
 import math
 import numbers
 import struct
+import textwrap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,6 +115,8 @@ MAX_BATCH_ROWS = 10**5
 # another; a larger one steps in numpy. On noisy (1 mV) default-dt level-code
 # cycles (medians of 7 interleaved CPU-time ratios), floats are 1.56x faster at
 # 12 rows, 1.16x at 14, 1.03x at 16, 0.93x at 18, 1.01x at 20 and 0.81x at 24.
+# Noise gives every device its own drive, so those rows had no twin devices;
+# twins only make a float row cheaper, so the crossover is no lower.
 FLOAT_KERNEL_MAX_ROWS = 17
 
 
@@ -430,10 +438,9 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does, so
-    the rows are stepped one after another in straight-line float code, each
-    at its own temperature factor, factor[k] as a Python float, through the
-    star's phase (`network.Star`): its step count and its constants
-    unpacked as Python floats. A step
+    the rows are stepped one after another, each at its own temperature
+    factor, factor[k] as a Python float, by straight-line float code that
+    `_row_stepper` generates from the device law's text. A row's step code
     computes V_M and the three branch voltages (the reset's stay fixed until
     their device moves) and the device law, and packs its admittances,
     branch voltages and V_M (not the reset's) into the record. Every
@@ -442,116 +449,92 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     ends the phase at its own quiescent step, which in the numpy kernel it
     would repeat bit for bit, and hands the star the steps it leaves out.
 
-    The device law is `device._law`'s, unpacked as Python floats: one
-    threshold law, whose band is empty under linear drift. It is written
-    out for each device with the float operations `device.step_array`
-    applies elementwise, so it gives its bits for every kind and window_p.
-    A device's resistance, admittance and ratio are recomputed only when its
-    state moved. Every operation is the numpy kernel's, in its order, so a
-    row has the same bits in either kernel.
+    Device j of a row is the twin of an earlier device i when its drive,
+    fixed resistance and start state have i's bits: the row's factor and
+    the law's constants are shared, so the two stay equal at every step,
+    and the row's code steps i alone and reads i's values for j. Every
+    operation is the numpy kernel's, in its order, so a row has the same
+    bits in either kernel.
     """
-    n_steps = star.n_steps
-    span, r_on, rate, dt, th_pos, th_neg, p = dev._law(cell.params, cfg.dt, cell.kind)
-    low, high = dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE
-    fa, fb, fc = star.fixed
-    g_ground = star.g_ground
+    law = dev._law(cell.params, cfg.dt, cell.kind)
+    power = law[-1] if law[-1] in (None, 2) else 3
+    law += (dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE, dev._window_power)
     pinned = star.rest is not None
-    drives = star.drive.tolist()
-    block = _block_length(n_steps, 3, 1)
+    block = _block_length(star.n_steps, 3, 1)
     # y_a, y_b, y_c, v_a, v_b, v_c, V_M of each step since the last settle
     record, pack = bytearray(56 * block), struct.Struct("6d" if pinned else "7d").pack_into
-    factors = factor.tolist()
-    for k, factor in enumerate(factors):
-        ua, ub, uc = drives[k]
-        wa, wb, wc = w[k].tolist()
-        ra = (r_on + wa * span) * factor
-        rb = (r_on + wb * span) * factor
-        rc = (r_on + wc * span) * factor
-        za, zb, zc = ra + fa, rb + fb, rc + fc
-        ya, yb, yc = 1.0 / za, 1.0 / zb, 1.0 / zc
-        ka, kb, kc = ra / za, rb / zb, rc / zc
-        # the reset's branch voltages; a write or a read sets them every step
-        va, vb, vc = ua * ka, ub * kb, uc * kc
-        quiescent = False
-        for start in range(0, n_steps, block):
-            for step in range(start, min(start + block, n_steps)):
-                if pinned:
-                    pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc)
-                else:
-                    vm = (ua * ya + ub * yb + uc * yc) / (ya + yb + yc + g_ground)
-                    va = (ua - vm) * ka
-                    vb = (ub - vm) * kb
-                    vc = (uc - vm) * kc
-                    pack(record, 56 * (step - start), ya, yb, yc, va, vb, vc, vm)
-                # the device law, once per device: frozen inside the
-                # threshold band, else an Euler step of the window law;
-                # each conditional picks what np.maximum / np.minimum would
-                if th_neg < va < th_pos:
-                    na = wa if wa > 0.0 else 0.0
-                else:
-                    x = (low if wa < low else wa) if va > 0.0 else (high if wa > high else wa)
-                    x = x + x - 1.0
-                    x = x * x
-                    if p is not None:
-                        x = x * x if p == 2 else _window_power(x, p)
-                    na = wa + rate * va * (1.0 - x) * dt
-                    na = 1.0 if na >= 1.0 else 0.0 if na <= 0.0 else na
-                if th_neg < vb < th_pos:
-                    nb = wb if wb > 0.0 else 0.0
-                else:
-                    x = (low if wb < low else wb) if vb > 0.0 else (high if wb > high else wb)
-                    x = x + x - 1.0
-                    x = x * x
-                    if p is not None:
-                        x = x * x if p == 2 else _window_power(x, p)
-                    nb = wb + rate * vb * (1.0 - x) * dt
-                    nb = 1.0 if nb >= 1.0 else 0.0 if nb <= 0.0 else nb
-                if th_neg < vc < th_pos:
-                    nc = wc if wc > 0.0 else 0.0
-                else:
-                    x = (low if wc < low else wc) if vc > 0.0 else (high if wc > high else wc)
-                    x = x + x - 1.0
-                    x = x * x
-                    if p is not None:
-                        x = x * x if p == 2 else _window_power(x, p)
-                    nc = wc + rate * vc * (1.0 - x) * dt
-                    nc = 1.0 if nc >= 1.0 else 0.0 if nc <= 0.0 else nc
-                # equal states, 0.0 and -0.0 included, have equal resistances
-                moved = False
-                if na != wa:
-                    ra = (r_on + na * span) * factor
-                    za = ra + fa
-                    ya, ka = 1.0 / za, ra / za
-                    va = ua * ka
-                    moved = True
-                if nb != wb:
-                    rb = (r_on + nb * span) * factor
-                    zb = rb + fb
-                    yb, kb = 1.0 / zb, rb / zb
-                    vb = ub * kb
-                    moved = True
-                if nc != wc:
-                    rc = (r_on + nc * span) * factor
-                    zc = rc + fc
-                    yc, kc = 1.0 / zc, rc / zc
-                    vc = uc * kc
-                    moved = True
-                if not moved:
-                    quiescent = True
-                    break
-                wa, wb, wc = na, nb, nc
-            steps = np.frombuffer(record, count=7 * (step + 1 - start)).reshape(-1, 7, 1)
-            # every later step of a quiescent phase would repeat its last exactly
-            tail = n_steps - step - 1 if quiescent else 0
-            star.settle(steps, peak_power, probe_sum, slice(k, k + 1), tail)
-            if quiescent:
-                break
-        w[k] = wa, wb, wc
+    # a device's drive, fixed resistance and start state as their bytes
+    bits = struct.Struct("3d").pack
+    for k, (drive, row_factor, state) in enumerate(zip(star.drive.tolist(), factor.tolist(),
+                                                       w.tolist())):
+        # each device's class: the index of the first device with its bits
+        a, b, c = map(bits, drive, star.fixed, state)
+        classes = 0, 0 if b == a else 1, 0 if c == a else 1 if c == b else 2
+        step_row = _row_stepper(pinned, power, classes)
+        w[k] = step_row(k, drive, state, row_factor, law, star, peak_power, probe_sum, block,
+                        record, pack)
 
 
-def _window_power(x, p):
-    """x ** p as numpy's power loop rounds it; Python's pow can differ in the last bit."""
-    return np.power([x], p).tolist()[0]
+@functools.cache
+def _row_stepper(pinned, power, classes):
+    """The float kernel's code for one row, generated from the device law's text.
+
+    pinned is the reset's star, power the law's window exponent beyond the
+    square (None, 2, or 3 for any other) and classes gives each device the
+    index of the first device it is the twin of. The code steps one device
+    per class, with `device.resistance_source` and `device.step_source`,
+    and writes every sum and the record in device order a, b, c through
+    each device's class. It is compiled with this module's globals, so it
+    looks names such as range up here, and cached: there are at most
+    2 x 3 x 5 keys.
+    """
+    # device j reads the variables of the first device of its class
+    a, b, c = names = ["abc"[i] for i in classes]
+
+    def per_class(text):
+        # the text once per class, for its first device d
+        return "".join(text.format(d=d) for d in sorted(set(names)))
+
+    def branch(state):
+        # the device's resistance at state, its admittance y, its ratio R/Z,
+        # and its branch voltage as the reset drives it
+        return (f"r{{d}} = {dev.resistance_source(state)}\nz{{d}} = r{{d}} + f{{d}}\n"
+                "y{d}, k{d} = 1.0 / z{d}, r{d} / z{d}\nv{d} = u{d} * k{d}\n")
+
+    record = f"pack(record, 56 * (step - start), y{a}, y{b}, y{c}, v{a}, v{b}, v{c}"
+    solve = (f"{record})\n" if pinned else
+             f"vm = (u{a} * y{a} + u{b} * y{b} + u{c} * y{c}) / (y{a} + y{b} + y{c} + g_ground)\n"
+             + per_class("v{d} = (u{d} - vm) * k{d}\n") + f"{record}, vm)\n")
+    step = (solve + per_class(dev.step_source("w{d}", "v{d}", "n{d}", power))
+            + "moved = False\n"
+            + per_class("if n{d} != w{d}:\n" + textwrap.indent(branch("n{d}") + "moved = True\n",
+                                                               " " * 4))
+            + "if not moved:\n    quiescent = True\n    break\n"
+            + per_class("w{d} = n{d}\n"))
+    setup = textwrap.indent(per_class(branch("w{d}")), " " * 4)
+    step = textwrap.indent(step, " " * 12)
+    source = f"""\
+def step_row(k, drive, w, factor, law, star, peak_power, probe_sum, block, record, pack):
+    span, r_on, rate, dt, th_pos, th_neg, p, low, high, window_power = law
+    (ua, ub, uc), (wa, wb, wc), (fa, fb, fc) = drive, w, star.fixed
+    n_steps, g_ground = star.n_steps, star.g_ground
+{setup}\
+    quiescent = False
+    for start in range(0, n_steps, block):
+        for step in range(start, min(start + block, n_steps)):
+{step}\
+        steps = np.frombuffer(record, count=7 * (step + 1 - start)).reshape(-1, 7, 1)
+        # every later step of a quiescent phase would repeat its last exactly
+        tail = n_steps - step - 1 if quiescent else 0
+        star.settle(steps, peak_power, probe_sum, slice(k, k + 1), tail)
+        if quiescent:
+            break
+    return w{a}, w{b}, w{c}
+"""
+    namespace = {}
+    exec(compile(source, f"<float kernel row {pinned, power, classes}>", "exec"), globals(),
+         namespace)
+    return namespace["step_row"]
 
 
 def _initial_states(w0, batch):
@@ -592,8 +575,11 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
                          "is not finite")
     w = np.zeros((batch, n)) if w0 is None else _initial_states(w0, batch)
     draw = _noise_draw(noise, batch, spawn_keys)
-    phases = _cycle_phases(cell, cfg, patterns, draw)
-    v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
+    # a huge amplitude overflows to inf or NaN as the stars are built and
+    # solved; the guard in `network.Star.settle` is then the one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = _cycle_phases(cell, cfg, patterns, draw)
+        v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
     return v_out, w, drift, peak_power
 
 

@@ -12,7 +12,10 @@ resistance; negative voltage erases toward w = 0. The state is frozen
 whenever v_th_neg < v < v_th_pos, which is what makes the small read
 voltage non-destructive. Both model kinds are this one law, set up in one
 place (`_law`) for both of the controller's kernels: linear drift is the
-threshold law with an empty band, both thresholds 0.
+threshold law with an empty band, both thresholds 0. The numpy kernel steps
+it with `step_array`; the float kernel runs code generated from its text for
+one device (`resistance_source`, `step_source`), which applies the same
+float operations in the same order.
 
 The window is zero at both endpoints, so a state sitting exactly on a bound
 would be stuck there for good. To keep the erased state programmable, the
@@ -166,3 +169,41 @@ def step_array(w, v, dt, params: MemristorParams, kind: DeviceModelKind,
     np.minimum(out, _ONE, out=out)
     np.maximum(out, _ZERO, out=out)
     return out
+
+
+def _window_power(x, p):
+    """x ** p as numpy's power loop rounds it; Python's pow can differ in the last bit."""
+    return np.power([x], p).tolist()[0]
+
+
+def resistance_source(w):
+    """`resistance_array` for the state named w, as a Python float expression.
+
+    It reads `_law`'s r_on and r_off - r_on as r_on and span, and the row's
+    temperature factor as factor.
+    """
+    return f"(r_on + {w} * span) * factor"
+
+
+def step_source(w, v, new, power):
+    """`step_array` for the state named w under the voltage named v, as Python source.
+
+    The statements set the variable named new and use x. They read `_law`'s
+    constants as rate, dt, th_pos, th_neg and p, the escape band's edges as
+    low and high, and `_window_power` as window_power; power is `_law`'s
+    window exponent. Each conditional picks what np.maximum / np.minimum
+    would, so the text applies step_array's float operations in its order
+    and gives its bits.
+    """
+    window = ("" if power is None else "x = x * x\n    " if power == 2
+              else "x = window_power(x, p)\n    ")
+    return f"""\
+if th_neg < {v} < th_pos:
+    {new} = {w} if {w} > 0.0 else 0.0
+else:
+    x = (low if {w} < low else {w}) if {v} > 0.0 else (high if {w} > high else {w})
+    x = x + x - 1.0
+    x = x * x
+    {window}{new} = {w} + rate * {v} * (1.0 - x) * dt
+    {new} = 1.0 if {new} >= 1.0 else 0.0 if {new} <= 0.0 else {new}
+"""

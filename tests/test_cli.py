@@ -302,6 +302,21 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(path),
                          "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["sweep"],
+                                         ["temp-study", "--temps", "20,50", "--trials", "2"],
+                                         ["temp-study"]], ids=["sweep", "2x2 study", "study"])
+    def test_overflowing_noise_is_one_simulation_error(self, tmp_path, capsys, command):
+        # amplitudes near 1e300 overflow as the phases are built and solved;
+        # the guard reports it once, with no numpy warning first
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**FAST_CYCLE, "noise": {"source_noise_sigma": 1e300}}))
+        out = tmp_path / "x.csv"
+        assert cli.main(command + ["--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("simulation error:")
+        assert not out.exists()
+
 
 class TestUnwritableOutput:
     """An output that cannot be written exits 1 with one error line naming it."""

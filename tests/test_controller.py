@@ -699,8 +699,8 @@ class TestKernelParity:
                 spawn_keys=keys)
             for one, two, many in ((v_one, v_two, v_numpy), (w_one, w_two, w_numpy),
                                    (peak_one, peak_two, peak_numpy)):
-                np.testing.assert_allclose(one, two[:1], rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(two[:1], many[:1], rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(one.view(np.int64), two[:1].view(np.int64))
+                np.testing.assert_array_equal(two[:1].view(np.int64), many[:1].view(np.int64))
 
     def test_numpy_read_matches_each_float_row(self, cell):
         # a read alone, from programmed states, so the peak is the read's
@@ -713,8 +713,8 @@ class TestKernelParity:
         read_one = ctl._read_phase(cell, cfg, ctl._noise_draw(None, 1))
         for k in range(n):
             v_one, _, peak_one = ctl._run_phases(cell, cfg, [read_one], w0[k:k + 1].copy())
-            np.testing.assert_allclose(v_out[k:k + 1], v_one, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(peak[k:k + 1], peak_one, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(v_out[k:k + 1].view(np.int64), v_one.view(np.int64))
+            np.testing.assert_array_equal(peak[k:k + 1].view(np.int64), peak_one.view(np.int64))
 
     def test_kernel_chosen_by_row_count(self, cell, monkeypatch):
         calls = []
@@ -755,6 +755,44 @@ class TestKernelParity:
             m = ctl.run_cycle(cell, pattern(code), FAST, w0=w0[k])
             alone = np.array([m.v_out, *m.final_device_states, m.peak_power])
             np.testing.assert_array_equal(alone.view(np.int64), full[k].view(np.int64))
+
+    # write voltages, and the classes of the reset's and the write's devices:
+    # each device's index of the first device it is the twin of
+    TWIN_CASES = {
+        "012": ("012", (0, 0, 0), (0, 1, 2)),
+        "a = b": ("112", (0, 0, 0), (0, 0, 2)),
+        "b = c": ("122", (0, 0, 0), (0, 1, 1)),
+        "a = c": ((4.0, 2.5, 4.0), (0, 0, 0), (0, 1, 0)),
+        "222": ("222", (0, 0, 0), (0, 0, 0)),
+        # equal drive and state, but every fixed resistance differs
+        "unequal cell": ("111", (0, 1, 2), (0, 1, 2)),
+        # device b starts one ulp above a and c, which the reset may merge
+        "one ulp": ("222", (0, 1, 0), None),
+    }
+
+    @pytest.mark.parametrize("state", [0.0, 0.37], ids=["fresh", "shared state"])
+    @pytest.mark.parametrize("case", list(TWIN_CASES))
+    def test_twin_devices_match_the_numpy_kernel(self, case, state, monkeypatch):
+        # the float kernel steps a device once for all its twins; the numpy
+        # kernel steps every device, so the two must still agree bit for bit
+        volts, reset, write = self.TWIN_CASES[case]
+        if isinstance(volts, str):
+            volts = pattern(volts).port_voltages
+        cell = ctl.make_cell(UNEQUAL if case == "unequal cell" else None)
+        w0 = [state, np.nextafter(state, 1.0) if case == "one ulp" else state, state]
+        classes = []
+        row_stepper = ctl._row_stepper
+        monkeypatch.setattr(ctl, "_row_stepper",
+                            lambda *key: classes.append(key[2]) or row_stepper(*key))
+        n = ctl.FLOAT_KERNEL_MAX_ROWS
+        floats, arrays = (ctl._run_batch(cell, [volts] * rows, FAST, w0=[w0] * rows)
+                          for rows in (n, n + 1))
+        assert len(classes) == 3 * n
+        assert classes[0] == reset
+        assert write is None or classes[n] == write
+        for i in (0, 1, 3):  # v_out, states, peak power
+            np.testing.assert_array_equal(floats[i].view(np.int64),
+                                          arrays[i][:n].view(np.int64))
 
     @pytest.mark.parametrize("cfg", [ctl.CycleConfig(t_reset=0, t_write=0), ctl.CycleConfig()],
                              ids=["read only", "full cycle"])

@@ -169,18 +169,18 @@ class TestKernelAgainstReference:
             assert got is out
             np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
             np.testing.assert_array_equal(w.view(np.int64), before.view(np.int64))
-            # the float kernel's inline law, several steps on three devices
+            # the float kernel's generated law, several steps on three devices
             self._check_float_kernel(rng, params, kind, dt)
 
     def _check_float_kernel(self, rng, params, kind, dt):
-        """The float kernel's inline law against `device.step_array`, bit for bit.
+        """The float kernel's generated law against `device.step_array`, bit for bit.
 
         Both kernels evaluate a phase's star with the same operations, and
         only the numpy kernel steps with `step_array`, so on a real cell and
         phase they must give the same states, peak power and probe sum. The
         states start at the bounds, in the escape bands and inside; half the
         time the thresholds sit on branch voltages of the first step, so the
-        inline law meets a voltage exactly on each.
+        generated law meets a voltage exactly on each.
         """
         rows, n_steps = int(rng.integers(1, 8)), int(rng.integers(1, 20))
         w = self._states(rng, (rows, 3))
