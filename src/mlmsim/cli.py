@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -37,9 +38,10 @@ def _resolve_seed(args, sim):
     return sim.noise.rng_seed if args.seed is None else args.seed
 
 
-def _write_manifest(out_path, sim, seed):
+def _write_manifest(out_path, digest, seed):
+    """`<out_path>.manifest.json`; digest is the resolved config's `config_hash`."""
     manifest = {
-        "config_hash": config_hash(sim),
+        "config_hash": digest,
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -132,23 +134,25 @@ def cmd_sweep(args):
     measurements = ctl.run_input_sweep(
         sim.make_cell(), args.encoder, sim.cycle, table=sim.table, enc_cfg=sim.enc_cfg,
         noise=noise)
-    temp_c = sim.cycle.temperature - 273.15
-    rows = [[f"{m.v_in:.6g}", str(m.code), f"{temp_c:.6g}", 0, _fmt(m.v_out)]
-            for m in measurements]
+    temp_c = f"{sim.cycle.temperature - 273.15:.6g}"
+    # each point's v_in and code, formatted once for both CSVs
+    points = [[f"{m.v_in:.6g}", str(m.code)] for m in measurements]
+    rows = [point + [temp_c, 0, _fmt(m.v_out)] for point, m in zip(points, measurements)]
     _write_csv(args.out, ["v_in", "code", "temp_C", "trial", "v_out"], rows)
-    _write_manifest(args.out, sim, seed)
+    digest = config_hash(sim)
+    _write_manifest(args.out, digest, seed)
 
     header = ["v_in", "code", "v_w1", "v_w2", "v_w3"]
     pattern_rows = []
-    for m in measurements:
-        row = [f"{m.v_in:.6g}", str(m.code)] + [_fmt(v) for v in m.pattern.port_voltages]
+    for point, m in zip(points, measurements):
+        row = point + [_fmt(v) for v in m.pattern.port_voltages]
         if structural:
             row.append(str(enc.quantize_pattern(m.pattern)))
         pattern_rows.append(row)
     if structural:
         header = header + ["code_quantized"]
     _write_csv(patterns_out, header, pattern_rows)
-    _write_manifest(patterns_out, sim, seed)
+    _write_manifest(patterns_out, digest, seed)
 
     peak = max(m.peak_power for m in measurements)
     distinct = len({_fmt(m.v_out) for m in measurements})
@@ -176,7 +180,7 @@ def cmd_temp_study(args):
     rows = [[str(s.code), f"{s.temp_c:.6g}", _fmt(s.mean), _fmt(s.stdev)]
             for s in stats]
     _write_csv(args.out, ["code", "temp_C", "mean_V", "stdev_V"], rows)
-    _write_manifest(args.out, sim, seed)
+    _write_manifest(args.out, config_hash(sim), seed)
 
     print(f"wrote {len(rows)} rows to {args.out}")
     if len(temps) < 2:
@@ -249,7 +253,7 @@ def cmd_calibrate(args):
         "evaluations": result.n_evaluations,
     }
     _write_json(args.out, report)
-    _write_manifest(args.out, sim, seed)
+    _write_manifest(args.out, config_hash(sim), seed)
     print(f"residual {result.residual_initial:.4g} -> {result.residual_best:.4g} "
           f"({result.improvement:.1%} improvement), "
           f"{result.inversions} ordering inversions")
@@ -272,7 +276,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The `mlmsim` parser, built on the first call and kept for the process.
+
+    A parse keeps nothing in the parser: each gives a fresh namespace.
+    """
     # subparsers are built with the same class, so they exit the same way
     parser = _Parser(
         prog="mlmsim",

@@ -45,17 +45,19 @@ goes quiescent. At a few rows a numpy call costs more in overhead than in
 arithmetic, so the kernel prepares the device law once per phase
 (`device.step_scratch`) and binds what a step calls. A smaller batch, as
 in `run_cycle`, the single-phase operations, the ten distinct rows of the
-sweep and the level scan, steps in Python floats (`_step_floats`): one row
-after another, each row ending a phase at its own quiescent step. A row's
-step is straight-line float code that `_row_stepper` generates from the
-device law's text (`device.resistance_source`, `device.step_source`) and
-caches per phase kind, window exponent and the row's twin classes: devices
-with equal drive, fixed resistance and start state stay equal at every
-step, so the code steps one device per class. A float step recomputes a
-device's resistance and admittance only when its state moved. Both
-kernels use the same phase list, star, settle and read sum, and the same
-operations in the same order, so a row gets the same bits from either;
-the law's text gives `device.step_array`'s bits.
+sweep and the level scan, steps in Python floats (`_step_floats`): block
+by block, one row after another, each row ending a phase at its own
+quiescent step, and then the star settles the block of every row at once.
+A row's step is straight-line float code that `_row_stepper` generates
+from the device law's text (`device.resistance_source`,
+`device.step_source`) and caches per phase kind, window exponent and the
+row's twin classes: devices with equal drive, fixed resistance and start
+state stay equal at every step, so the code steps one device per class. A
+float step recomputes a device's resistance, admittance and source
+current only when its state moved. Both kernels use the same phase list,
+star, settle and read sum, and the same operations in the same order, so
+a row gets the same bits from either; the law's text gives
+`device.step_array`'s bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
 input sweep and the all-codes scan simulate each distinct pattern once and
@@ -440,14 +442,19 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     At three devices a numpy call costs more than the arithmetic it does, so
     the rows are stepped one after another, each at its own temperature
     factor, factor[k] as a Python float, by straight-line float code that
-    `_row_stepper` generates from the device law's text. A row's step code
+    `_row_stepper` generates from the device law's text. A row's code
     computes V_M and the three branch voltages (the reset's stay fixed until
     their device moves) and the device law, and packs its admittances,
-    branch voltages and V_M (not the reset's) into the record. Every
-    `_block_length` steps and at the row's last step, the star settles the
-    record for row k with its steps first (`network.Star.settle`). Each row
-    ends the phase at its own quiescent step, which in the numpy kernel it
-    would repeat bit for bit, and hands the star the steps it leaves out.
+    branch voltages and V_M (not the reset's) into its part of one
+    (rows, `_block_length`, 7) record of the whole batch, a bytearray that
+    `struct.pack_into` writes. Block by block, the kernel steps every live
+    row through the block, then the star settles the block for all rows at
+    once (`network.Star.settle`).
+
+    Each row ends the phase at its own quiescent step, which in the numpy
+    kernel it would repeat bit for bit: the rest of its record takes that
+    step's values. Once every row has stopped, the block is settled up to
+    the latest stop, and the star gets the rest of the phase as its tail.
 
     Device j of a row is the twin of an earlier device i when its drive,
     fixed resistance and start state have i's bits: the row's factor and
@@ -460,19 +467,47 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     power = law[-1] if law[-1] in (None, 2) else 3
     law += (dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE, dev._window_power)
     pinned = star.rest is not None
-    block = _block_length(star.n_steps, 3, 1)
-    # y_a, y_b, y_c, v_a, v_b, v_c, V_M of each step since the last settle
-    record, pack = bytearray(56 * block), struct.Struct("6d" if pinned else "7d").pack_into
+    batch, n_steps = len(w), star.n_steps
+    block = _block_length(n_steps, 3, batch)
+    # each row's y_a, y_b, y_c, v_a, v_b, v_c, V_M at each step of the block
+    width = 56 * block
+    record, pack = bytearray(width * batch), struct.Struct("6d" if pinned else "7d").pack_into
+    steps = np.frombuffer(record).reshape(batch, block, 7)
     # a device's drive, fixed resistance and start state as their bytes
     bits = struct.Struct("3d").pack
+    rows, states = [], w.tolist()
     for k, (drive, row_factor, state) in enumerate(zip(star.drive.tolist(), factor.tolist(),
-                                                       w.tolist())):
+                                                       states)):
         # each device's class: the index of the first device with its bits
         a, b, c = map(bits, drive, star.fixed, state)
         classes = 0, 0 if b == a else 1, 0 if c == a else 1 if c == b else 2
-        step_row = _row_stepper(pinned, power, classes)
-        w[k] = step_row(k, drive, state, row_factor, law, star, peak_power, probe_sum, block,
-                        record, pack)
+        row = _row_stepper(pinned, power, classes)(drive, state, row_factor, law, star,
+                                                   record, width * k, pack)
+        next(row)
+        rows.append(row)
+    live = range(batch)
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        ends = {}
+        for k in live:
+            *states[k], ends[k] = rows[k].send((start, stop))
+        # each row that stopped in this block, with its last record entry
+        quiet = {k: width * k + 56 * (ends[k] - start) for k in live if ends[k] < stop}
+        live = [k for k in live if ends[k] == stop]
+        count = stop - start if live else max(ends.values()) + 1 - start
+        for k, at in quiet.items():
+            # every later step of a quiescent row would repeat its last
+            # exactly: the rest of its record takes that step's values
+            record[at + 56:width * k + 56 * count] = record[at:at + 56] * (
+                count - 1 - ends[k] + start)
+        star.settle(steps[:, :count].transpose(1, 2, 0), peak_power, probe_sum,
+                    0 if live else n_steps - start - count)
+        if not live:
+            break
+        for k, at in quiet.items():
+            # and so does all of it in every later block
+            record[width * k:at] = record[at:at + 56] * (ends[k] - start)
+    w[...] = states
 
 
 @functools.cache
@@ -484,8 +519,18 @@ def _row_stepper(pinned, power, classes):
     index of the first device it is the twin of. The code steps one device
     per class, with `device.resistance_source` and `device.step_source`,
     and writes every sum and the record in device order a, b, c through
-    each device's class. It is compiled with this module's globals, so it
-    looks names such as range up here, and cached: there are at most
+    each device's class. A write or a read keeps each device's source
+    current u y beside its admittance, so V_M's numerator sums the three
+    in device order, as the numpy kernel's `add.reduce` does; the reset
+    keeps its branch voltage u R/Z instead. A device's values are
+    recomputed only when its state moves.
+
+    The code is a generator made per row, which the kernel primes with
+    next(). Each send((start, stop)) steps the row from start, writing its
+    record from its offset, and yields its three states and the step it
+    stopped at: its quiescent step, or stop if it ran through. The code
+    never settles. It is compiled with this module's globals, so it looks
+    names such as range up here, and cached: there are at most
     2 x 3 x 5 keys.
     """
     # device j reads the variables of the first device of its class
@@ -496,40 +541,38 @@ def _row_stepper(pinned, power, classes):
         return "".join(text.format(d=d) for d in sorted(set(names)))
 
     def branch(state):
-        # the device's resistance at state, its admittance y, its ratio R/Z,
-        # and its branch voltage as the reset drives it
+        # the device's resistance at state, its admittance y, its ratio R/Z
+        # and the reset's branch voltage or a write's or read's source current
         return (f"r{{d}} = {dev.resistance_source(state)}\nz{{d}} = r{{d}} + f{{d}}\n"
-                "y{d}, k{d} = 1.0 / z{d}, r{d} / z{d}\nv{d} = u{d} * k{d}\n")
+                "y{d}, k{d} = 1.0 / z{d}, r{d} / z{d}\n"
+                + ("v{d} = u{d} * k{d}\n" if pinned else "q{d} = u{d} * y{d}\n"))
 
-    record = f"pack(record, 56 * (step - start), y{a}, y{b}, y{c}, v{a}, v{b}, v{c}"
+    record = f"pack(record, at + 56 * step, y{a}, y{b}, y{c}, v{a}, v{b}, v{c}"
     solve = (f"{record})\n" if pinned else
-             f"vm = (u{a} * y{a} + u{b} * y{b} + u{c} * y{c}) / (y{a} + y{b} + y{c} + g_ground)\n"
+             f"vm = (q{a} + q{b} + q{c}) / (y{a} + y{b} + y{c} + g_ground)\n"
              + per_class("v{d} = (u{d} - vm) * k{d}\n") + f"{record}, vm)\n")
     step = (solve + per_class(dev.step_source("w{d}", "v{d}", "n{d}", power))
             + "moved = False\n"
             + per_class("if n{d} != w{d}:\n" + textwrap.indent(branch("n{d}") + "moved = True\n",
                                                                " " * 4))
-            + "if not moved:\n    quiescent = True\n    break\n"
+            + "if not moved:\n    break\n"
             + per_class("w{d} = n{d}\n"))
     setup = textwrap.indent(per_class(branch("w{d}")), " " * 4)
     step = textwrap.indent(step, " " * 12)
     source = f"""\
-def step_row(k, drive, w, factor, law, star, peak_power, probe_sum, block, record, pack):
+def step_row(drive, w, factor, law, star, record, offset, pack):
     span, r_on, rate, dt, th_pos, th_neg, p, low, high, window_power = law
     (ua, ub, uc), (wa, wb, wc), (fa, fb, fc) = drive, w, star.fixed
-    n_steps, g_ground = star.n_steps, star.g_ground
+    g_ground = star.g_ground
 {setup}\
-    quiescent = False
-    for start in range(0, n_steps, block):
-        for step in range(start, min(start + block, n_steps)):
+    start, stop = yield
+    while True:
+        at = offset - 56 * start
+        for step in range(start, stop):
 {step}\
-        steps = np.frombuffer(record, count=7 * (step + 1 - start)).reshape(-1, 7, 1)
-        # every later step of a quiescent phase would repeat its last exactly
-        tail = n_steps - step - 1 if quiescent else 0
-        star.settle(steps, peak_power, probe_sum, slice(k, k + 1), tail)
-        if quiescent:
-            break
-    return w{a}, w{b}, w{c}
+        else:
+            step = stop
+        start, stop = yield w{a}, w{b}, w{c}, step
 """
     namespace = {}
     exec(compile(source, f"<float kernel row {pinned, power, classes}>", "exec"), globals(),

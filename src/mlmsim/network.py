@@ -45,10 +45,10 @@ N_SUBCELLS = 3
 DEFAULT_R_GROUND = 200.0
 
 # Most doubles (2^15) a kernel keeps for one block of a phase's timesteps
-# before the star settles it (`controller._block_length`): 117 steps at 40
-# rows, 4681 of one row. A whole-phase buffer would grow with the phase and
-# the batch. `Star.settle` adds a read's quiescent tail in chunks of the
-# same budget.
+# before the star settles it (`controller._block_length`): 468 steps at 10
+# rows, 117 at 40, 4681 of one row. A whole-phase buffer would grow with the
+# phase and the batch. `Star.settle` adds a read's quiescent tail in chunks
+# of the same budget.
 BLOCK_DOUBLES = 32768
 
 
@@ -446,53 +446,57 @@ class Star:
         self.drive = drive
         self.fixed = tuple(fixed)
 
-    def settle(self, block, peak, probe, rows=slice(None), tail=0):
+    def settle(self, block, peak, probe, tail=0):
         """Check a block of timesteps; fold its peak power and a read's probe voltages.
 
-        block is (steps, 2n + 1, rows): each step's branch admittances y,
-        branch voltages v and V_M, for the rows selected by rows; the reset's
-        V_M slot is neither written nor read. Every branch voltage and each
+        block is (steps, 2n + 1, rows), any strides: each step's branch
+        admittances y, branch voltages v and V_M, for every row of the batch;
+        the reset's V_M slot is neither written nor read. The star copies it
+        once, branch-major as (2n + 1, rows, steps), so each branch's values
+        are contiguous, and checks the copy. Every branch voltage and each
         step's source power must be finite, and in a write or a read the
         currents into M must balance, sum (U_i - V_M) y_i = V_M/r_ground, to
         within 1e-6 of the step's own current scale, so a row passes or fails
         alike in any batch. Otherwise SingularNetwork; once every step passes,
-        each row's largest power goes into peak[rows].
+        each row's largest power goes into peak.
 
-        A read then adds each step's V_M, its probe voltage, to probe[rows]
-        in step order, one after another as a running sum would. tail counts
-        the phase's steps after a quiescent last step of the block: each
-        would repeat it exactly, so its V_M is added once more per tail step
-        and the read's mean rounds as a full read's would.
+        A read then adds each step's V_M, its probe voltage, to probe in step
+        order, one after another as a running sum would. tail counts the
+        phase's steps after a quiescent last step of the block: each would
+        repeat it exactly, so its V_M is added once more per tail step and
+        the read's mean rounds as a full read's would.
         """
         n = len(self.fixed)
-        y, v, v_m = block[:, :n], block[:, n:2 * n], block[:, 2 * n]
-        drive = self.drive[rows].T
+        data = block.transpose(1, 2, 0).copy()
+        y, v, v_m = data[:n], data[n:2 * n], data[2 * n]
+        drive = self.drive.T[:, :, None]
         if self.rest is None:
-            current = (drive - v_m[:, None]) * y
+            current = (drive - v_m) * y
             power = _branch_sum(drive * current)
             leak = v_m * self.g_ground
             balanced = (np.abs(_branch_sum(current) - leak)
                         <= 1e-6 * (_branch_sum(np.abs(current)) + np.abs(leak))).all()
         else:
-            power = _branch_sum(drive * (drive * y)) + self.rest[rows]
+            power = _branch_sum(drive * (drive * y)) + self.rest[:, None]
             balanced = True
         # each test is false for NaN
         if not (balanced and np.isfinite(power).all() and np.isfinite(v).all()):
             raise SingularNetwork("a solved step has a non-finite branch voltage or source "
                                   "power, or currents that do not balance at M")
-        np.maximum(peak[rows], power.max(axis=0), out=peak[rows])
+        np.maximum(peak, power.max(axis=1), out=peak)
         if self.is_read:
             # the tail in chunks of at most BLOCK_DOUBLES doubles, so its
             # repeats never take the phase times the batch
-            width = v_m.shape[1]
+            width = len(v_m)
             chunk = max(1, BLOCK_DOUBLES // width)
-            total = probe[rows]
-            for part in [v_m] + [np.broadcast_to(v_m[-1], (min(chunk, tail - done), width))
+            total = probe
+            for part in [v_m] + [np.broadcast_to(v_m[:, -1:], (width, min(chunk, tail - done)))
                                  for done in range(0, tail, chunk)]:
-                total = np.add.accumulate(np.concatenate([total[None], part]))[-1]
-            probe[rows] = total
+                total = np.add.accumulate(np.concatenate([total[:, None], part], axis=1),
+                                          axis=1)[:, -1]
+            probe[...] = total
 
 
 def _branch_sum(x):
-    """x summed over its branch axis, 1, in branch order, the same bits in any layout."""
-    return sum((x[:, i] for i in range(1, x.shape[1])), x[:, 0])
+    """x summed over its branch axis, 0, in branch order, the same bits in any layout."""
+    return sum(x[1:], x[0])

@@ -224,6 +224,16 @@ class TestImport:
                              text=True, check=True, env=env).stdout
         assert out.strip() == "False"
 
+    def test_cli_import_builds_no_parser(self):
+        import mlmsim
+
+        code = "import mlmsim.cli as c; print(c.build_parser.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlmsim.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out.strip() == "0"
+
     def test_readme_library_example_runs(self, capsys):
         # a public name the README uses that moves or goes fails here
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -272,6 +282,20 @@ class TestSweepCommand:
         assert cli.main(args) == 0
         assert out.read_bytes() == first
         assert (tmp_path / "sweep_patterns.csv").read_bytes() == patterns
+
+    def test_calls_in_one_process_keep_nothing_between_them(self, tmp_path):
+        # one parser serves every call, and a flag of one call is no default
+        # of the next: without --seed the config's rng_seed stands
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({**FAST_CYCLE, "noise": {"rng_seed": 11}}))
+        args = ["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        manifest = tmp_path / "s.csv.manifest.json"
+        assert cli.main(args + ["--seed", "3"]) == 0
+        assert json.loads(manifest.read_text())["seed"] == 3
+        parser = cli.build_parser()
+        assert cli.main(args) == 0
+        assert json.loads(manifest.read_text())["seed"] == 11
+        assert cli.build_parser() is parser
 
     def test_one_simulation_per_sweep(self, tmp_path, fast_config, monkeypatch):
         calls = [0]

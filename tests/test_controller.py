@@ -891,6 +891,58 @@ class TestBlockSettle:
         for got, want in zip(run(), default):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.fixture
+    def settled(self, monkeypatch):
+        # the shape of every block a star settles, in order
+        shapes = []
+        settle = net.Star.settle
+
+        def recording(star, block, *args, **kwargs):
+            shapes.append(block.shape)
+            settle(star, block, *args, **kwargs)
+
+        monkeypatch.setattr(net.Star, "settle", recording)
+        return shapes
+
+    def test_float_kernel_settles_each_block_once_for_all_rows(self, cell, settled):
+        # the noise-free level scan at the default dt: the reset and the read
+        # stop at their first step; the write's 000 row at its first, the
+        # others run the whole write, which is three blocks of all ten rows
+        cfg = ctl.CycleConfig()
+        ctl.simulate_levels(cell, cfg)
+        n_write = cfg.steps(cfg.t_write)
+        block = ctl._block_length(n_write, 3, 10)
+        assert block == 468
+        assert settled == [(1, 7, 10), (block, 7, 10), (block, 7, 10),
+                           (n_write - 2 * block, 7, 10), (1, 7, 10)]
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "1 mV"])
+    def test_rows_stopping_in_different_blocks_equal_each_row_alone(self, sigma, settled,
+                                                                      monkeypatch):
+        # 16-step blocks at ten rows: from programmed states each row's reset
+        # stops at its own step, in several blocks, and the write runs on
+        # past rows that stopped
+        cell = ctl.make_cell()
+        monkeypatch.setattr(net, "BLOCK_DOUBLES", 7 * 10 * 16)
+        volts = ctl._level_volts(enc.DEFAULT_BIN_TABLE)
+        w0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(10, 3))
+        # each row draws from its own substream, so alone it draws the same
+        noise = ctl.NoiseConfig(sigma, 2)
+        batch = ctl._run_batch(cell, volts, FAST, w0=w0, noise=noise,
+                               spawn_keys=[(k,) for k in range(10)])
+        n_reset = FAST.steps(FAST.t_reset)
+        stops = set()
+        for k in range(10):
+            settled.clear()
+            alone = ctl._run_batch(cell, volts[k], FAST, w0=w0[k], noise=noise,
+                                   spawn_keys=[(k,)])
+            # alone, the reset is one block that ends at the row's stop
+            assert settled[0][0] < n_reset
+            stops.add((settled[0][0] - 1) // 16)
+            for got, want in zip(alone, batch):
+                np.testing.assert_array_equal(got.view(np.int64), want[k:k + 1].view(np.int64))
+        assert len(stops) >= 3
+
     def test_early_stopped_read_is_a_per_step_sum(self, cell):
         # the read freezes every state at its first step, so the phase ends
         # there and the rest of the sum is its probe voltage again
@@ -909,6 +961,19 @@ class TestBlockSettle:
 
     @pytest.mark.parametrize("rows", [1, 10, ROWS])
     def test_tail_after_moving_steps_is_a_per_step_sum(self, rows):
+        self._assert_tail_is_a_per_step_sum(rows)
+
+    @pytest.mark.parametrize("rows", [10, ROWS])
+    def test_tail_after_rows_stop_in_different_blocks(self, rows, monkeypatch):
+        # in 16-step blocks the rows of that read stop in different blocks,
+        # and a block after a row's stop repeats its last step throughout
+        monkeypatch.setattr(net, "BLOCK_DOUBLES", 7 * rows * 16)
+        last_move = self._assert_tail_is_a_per_step_sum(rows)
+        assert len(set(last_move // 16)) > 1
+
+    @staticmethod
+    def _assert_tail_is_a_per_step_sum(rows):
+        """The last moving step of each row, after checking the read's sum and states."""
         # thresholds inside the read's branch voltages and states near the
         # top bound: each row moves for some steps, then stops at its own
         # step, and the rest of the read is its quiescent tail
@@ -934,6 +999,7 @@ class TestBlockSettle:
         np.testing.assert_array_equal(v_out.view(np.int64),
                                       (total / read.n_steps).view(np.int64))
         np.testing.assert_array_equal(w.view(np.int64), w_t.view(np.int64))
+        return last_move
 
 
 class TestReadDrift:
@@ -1084,8 +1150,9 @@ class TestFailureParity:
         block = np.column_stack([y, (star.drive - v_m[:, None]) * r * y, v_m]).T[None]
 
         def fails(rows):
+            selected = net.Star(cell.topology, "write", star.n_steps, star.drive[rows])
             try:
-                star.settle(block[..., rows], np.zeros(3), None, rows)
+                selected.settle(block[..., rows], np.zeros(3)[rows], None)
             except net.SingularNetwork:
                 return True
             return False
