@@ -332,7 +332,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (net.SingularNetwork, net.InvalidTopology, ctl.NonQuiescentRead,
-            ctl.DegenerateLevels, ctl.CalibrationFailed) as exc:
+            ctl.CalibrationFailed) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
 

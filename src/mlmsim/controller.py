@@ -30,24 +30,25 @@ and the single-phase operations run a one-element list through the same loop.
            measurement is the mean probe voltage over the window, and any
            state motion beyond tolerance raises NonQuiescentRead.
 
-Both kernels hand each step's branch admittances, branch voltages and V_M,
-a block at a time, to the phase's star (`network.Star.settle`), the only
+One block loop, `_run_phase`, runs each phase: it asks the kernel to step
+every row through a block of at most `network.BLOCK_DOUBLES` doubles and
+hands the kernel's record of each step's branch admittances, branch
+voltages and V_M to the phase's star (`network.Star.settle`), the only
 code that checks a step or folds its outputs: it checks that every branch
 voltage and power is finite and that the currents balance at M, folds each
-row's largest power into its peak and adds a read's probe voltages.
+row's largest power into its peak and adds a read's probe voltages, the
+quiescent tail included when the batch stops inside the block.
 
 Two kernels step a phase, chosen by the number of rows simulated at once. A
 batch of more than FLOAT_KERNEL_MAX_ROWS rows, as in the temperature study
 and the noisy sweep, runs numpy calls on whole device-major arrays
-(`_step_arrays`), each step into a buffer of at most
-`network.BLOCK_DOUBLES` doubles that is settled when it fills or the phase
-goes quiescent. At a few rows a numpy call costs more in overhead than in
-arithmetic, so the kernel prepares the device law once per phase
+(`_step_arrays`). At a few rows a numpy call costs more in overhead than
+in arithmetic, so the kernel prepares the device law once per phase
 (`device.step_scratch`) and binds what a step calls. A smaller batch, as
 in `run_cycle`, the single-phase operations, the ten distinct rows of the
-sweep and the level scan, steps in Python floats (`_step_floats`): block
-by block, one row after another, each row ending a phase at its own
-quiescent step, and then the star settles the block of every row at once.
+sweep and the level scan, steps in Python floats (`_step_floats`), one
+row after another through each block, each row stopping at its own
+quiescent step and the batch at its latest row's stop.
 A row's step is straight-line float code that `_row_stepper` generates
 from the device law's text (`device.resistance_source`,
 `device.step_source`) and caches per phase kind, window exponent and the
@@ -55,8 +56,8 @@ row's twin classes: devices with equal drive, fixed resistance and start
 state stay equal at every step, so the code steps one device per class. A
 float step recomputes a device's resistance, admittance and source
 current only when its state moved. Both kernels use the same phase list,
-star, settle and read sum, and the same operations in the same order, so
-a row gets the same bits from either; the law's text gives
+block loop, star, settle and read sum, and the same operations in the
+same order, so a row gets the same bits from either; the law's text gives
 `device.step_array`'s bits.
 
 Fresh cells without noise give equal write patterns equal results, so the
@@ -301,8 +302,9 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     Returns (v_out, read drift, peak source power), one value per batch
     row; v_out and drift stay None when no phase is the read. A batch of up to
     FLOAT_KERNEL_MAX_ROWS rows steps in Python floats (`_step_floats`), a
-    larger one in numpy (`_step_arrays`). Each star folds its steps into
-    the peak and a read's own zeroed probe sum (`network.Star.settle`).
+    larger one in numpy (`_step_arrays`), and `_run_phase` runs each phase
+    with that kernel, folding its steps into the peak and a read's own
+    zeroed probe sum.
     """
     batch = w.shape[0]
     temperature = np.broadcast_to(cfg.temperature if temperature is None else temperature,
@@ -312,14 +314,14 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
         k = int(np.argmin(factor))
         raise ValueError(f"the device temperature factor 1 + temp_coeff*(T - t_ref) is "
                          f"{factor[k]:.4g} at T = {temperature[k]:.6g} K; it must be positive")
-    run_phase = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
+    kernel = _step_floats if batch <= FLOAT_KERNEL_MAX_ROWS else _step_arrays
     v_out = drift = None
     peak_power = np.zeros(batch)
     for star in phases:
         w_start = w.copy() if star.is_read else None
         probe_sum = np.zeros(batch) if star.is_read else None
         try:
-            run_phase(cell, cfg, star, w, factor, peak_power, probe_sum)
+            _run_phase(kernel, cell, cfg, star, w, factor, peak_power, probe_sum)
         except ZeroDivisionError:
             # a float-kernel division by zero, where numpy's NaN fails the guard
             raise net.SingularNetwork("a solved step divides by zero") from None
@@ -336,17 +338,39 @@ def _run_phases(cell, cfg, phases, w, temperature=None):
     return v_out, drift, peak_power
 
 
-def _block_length(n_steps, n, batch):
-    """Steps per settled block: at most net.BLOCK_DOUBLES doubles of 2n + 1 per row, or one."""
-    return max(1, min(n_steps, net.BLOCK_DOUBLES // ((2 * n + 1) * batch)))
+def _block_length(n_steps, batch):
+    """Steps per settled block: at most net.BLOCK_DOUBLES doubles of 7 per row, or one."""
+    return max(1, min(n_steps, net.BLOCK_DOUBLES // (7 * batch)))
 
 
-def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
-    """Step the states w through the phase the star holds.
+def _run_phase(kernel, cell, cfg, star, w, factor, peak_power, probe_sum):
+    """Step the (B, 3) states w through the star's phase with kernel, block by block.
 
-    The star gives the phase's step count and its constants. factor holds
-    the device temperature factor of each row, (B,). w changes in place,
-    and the star folds peak_power and probe_sum, a read's or None.
+    The kernel, `_step_arrays` or `_step_floats`, yields its (block, 7, B)
+    record, then on each send((start, stop)) steps every row from start and
+    yields the states and the step the batch stopped at. The star settles
+    each block into peak_power and probe_sum, a read's or None; a batch
+    that stops before stop would repeat its last step for the rest of the
+    phase, which the star adds as the tail, and the phase ends. w takes the
+    last states.
+    """
+    n_steps = star.n_steps
+    block = _block_length(n_steps, len(w))
+    stepper = kernel(cell, cfg, star, w, factor, block)
+    record = next(stepper)
+    states = w  # a phase of no steps, as a zero-length reset, leaves them
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        states, end = stepper.send((start, stop))
+        if end < stop:
+            star.settle(record[:end + 1 - start], peak_power, probe_sum, tail=n_steps - end - 1)
+            break
+        star.settle(record[:stop - start], peak_power, probe_sum)
+    w[...] = states
+
+
+def _step_arrays(cell, cfg, star, w, factor, block):
+    """The numpy kernel of `_run_phase`: every row of w at once, block steps to a record.
 
     The loop runs device-major, on (n, B) states whose rows are devices.
     Each step computes the device resistances R, the branch admittances
@@ -354,10 +378,8 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     (`network.Star`): V_M, whose sums run over the devices in order, and
     the branch voltages; the reset's branch voltages need no V_M. It then
     steps the devices. Its admittances, branch voltages and V_M (not the
-    reset's) go into one slab of a (`_block_length`, 2n + 1, B) trajectory
-    buffer. When the buffer fills or the phase goes quiescent, the star
-    settles the block and any quiescent tail, so the kernel's memory does
-    not grow with the phase length.
+    reset's) go into one slab of the (block, 2n + 1, B) record. The batch
+    stops at its first step that leaves every state bit-identical.
 
     Once per phase the kernel prepares the device law for the cell's
     parameters, dt and kind (`device.step_scratch`: its constants as 0-d
@@ -373,7 +395,6 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     """
     batch, n = w.shape
     params, dt, kind = cell.params, cfg.dt, cell.kind
-    n_steps = star.n_steps
     old = np.ascontiguousarray(w.T)
     new = np.empty_like(old)
     # the device law prepared for this phase, and every function a step uses
@@ -381,7 +402,7 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     # it sees every step
     scratch = dev.step_scratch(old.shape, params, dt, kind)
     span, r_on = scratch[4][:2]
-    step = dev.step_array
+    step_array = dev.step_array
     add, subtract, multiply, divide, add_reduce = (np.add, np.subtract, np.multiply,
                                                    np.divide, np.add.reduce)
     # every constant at the states' shape, so no step broadcasts it
@@ -392,17 +413,17 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
     one, g_ground = np.array(1.0), np.array(star.g_ground)
     r, z, ratio, work = (np.empty_like(old) for _ in range(4))
     num, den = np.empty((2, batch))
-    steps = np.empty((_block_length(n_steps, n, batch), 2 * n + 1, batch))
+    steps = np.empty((block, 2 * n + 1, batch))
     # per slab, made when a step first reaches it (most phases go quiescent
     # within a few steps): its admittances, branch voltages and V_M
     slabs = []
-    done = 0
-    while done < n_steps:
-        for count in range(1, min(len(steps), n_steps - done) + 1):
-            if count > len(slabs):
-                slab = steps[count - 1]
+    start, stop = yield steps
+    while True:
+        for step in range(start, stop):
+            if step - start == len(slabs):
+                slab = steps[step - start]
                 slabs.append((slab[:n], slab[n:2 * n], slab[2 * n]))
-            y, v, v_m = slabs[count - 1]
+            y, v, v_m = slabs[step - start]
             multiply(old, span, r)
             add(r, r_on, r)
             multiply(r, factor, r)
@@ -419,24 +440,19 @@ def _step_arrays(cell, cfg, star, w, factor, peak_power, probe_sum):
                 divide(num, den, v_m)
                 subtract(drive, v_m, work)
                 multiply(work, ratio, v)
-            step(old, v, dt, params, kind, new, scratch)
+            step_array(old, v, dt, params, kind, new, scratch)
             old, new = new, old
             # bytes, faster than ==; with no -0.0 state (`_initial_states`
             # reads it as 0.0, and the law never makes one) finite states
             # compare alike either way
-            quiescent = old.tobytes() == new.tobytes()
-            if quiescent:
+            if old.tobytes() == new.tobytes():
                 break
-        done += count
-        # every later step of a quiescent phase would repeat its last exactly
-        tail = n_steps - done if quiescent else 0
-        star.settle(steps[:count], peak_power, probe_sum, tail=tail)
-        if quiescent:
-            break
-    w[...] = old.T
+        else:
+            step = stop
+        start, stop = yield old.T, step
 
 
-def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
+def _step_floats(cell, cfg, star, w, factor, block):
     """`_step_arrays` for a small batch of the cell's three devices, in Python floats.
 
     At three devices a numpy call costs more than the arithmetic it does, so
@@ -446,15 +462,10 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     computes V_M and the three branch voltages (the reset's stay fixed until
     their device moves) and the device law, and packs its admittances,
     branch voltages and V_M (not the reset's) into its part of one
-    (rows, `_block_length`, 7) record of the whole batch, a bytearray that
-    `struct.pack_into` writes. Block by block, the kernel steps every live
-    row through the block, then the star settles the block for all rows at
-    once (`network.Star.settle`).
-
-    Each row ends the phase at its own quiescent step, which in the numpy
-    kernel it would repeat bit for bit: the rest of its record takes that
-    step's values. Once every row has stopped, the block is settled up to
-    the latest stop, and the star gets the rest of the phase as its tail.
+    (rows, block, 7) record of the whole batch, a bytearray that
+    `struct.pack_into` writes; the kernel yields it as (block, 7, rows).
+    Each row stops at its own quiescent step and the batch at its latest
+    row's.
 
     Device j of a row is the twin of an earlier device i when its drive,
     fixed resistance and start state have i's bits: the row's factor and
@@ -467,17 +478,15 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
     power = law[-1] if law[-1] in (None, 2) else 3
     law += (dev.W_BOUNDARY_ESCAPE, 1.0 - dev.W_BOUNDARY_ESCAPE, dev._window_power)
     pinned = star.rest is not None
-    batch, n_steps = len(w), star.n_steps
-    block = _block_length(n_steps, 3, batch)
+    batch = len(w)
     # each row's y_a, y_b, y_c, v_a, v_b, v_c, V_M at each step of the block
     width = 56 * block
     record, pack = bytearray(width * batch), struct.Struct("6d" if pinned else "7d").pack_into
-    steps = np.frombuffer(record).reshape(batch, block, 7)
     # a device's drive, fixed resistance and start state as their bytes
     bits = struct.Struct("3d").pack
-    rows, states = [], w.tolist()
+    rows = []
     for k, (drive, row_factor, state) in enumerate(zip(star.drive.tolist(), factor.tolist(),
-                                                       states)):
+                                                       w.tolist())):
         # each device's class: the index of the first device with its bits
         a, b, c = map(bits, drive, star.fixed, state)
         classes = 0, 0 if b == a else 1, 0 if c == a else 1 if c == b else 2
@@ -485,29 +494,10 @@ def _step_floats(cell, cfg, star, w, factor, peak_power, probe_sum):
                                                    record, width * k, pack)
         next(row)
         rows.append(row)
-    live = range(batch)
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        ends = {}
-        for k in live:
-            *states[k], ends[k] = rows[k].send((start, stop))
-        # each row that stopped in this block, with its last record entry
-        quiet = {k: width * k + 56 * (ends[k] - start) for k in live if ends[k] < stop}
-        live = [k for k in live if ends[k] == stop]
-        count = stop - start if live else max(ends.values()) + 1 - start
-        for k, at in quiet.items():
-            # every later step of a quiescent row would repeat its last
-            # exactly: the rest of its record takes that step's values
-            record[at + 56:width * k + 56 * count] = record[at:at + 56] * (
-                count - 1 - ends[k] + start)
-        star.settle(steps[:, :count].transpose(1, 2, 0), peak_power, probe_sum,
-                    0 if live else n_steps - start - count)
-        if not live:
-            break
-        for k, at in quiet.items():
-            # and so does all of it in every later block
-            record[width * k:at] = record[at:at + 56] * (ends[k] - start)
-    w[...] = states
+    bounds = yield np.frombuffer(record).reshape(batch, block, 7).transpose(1, 2, 0)
+    while True:
+        states, ends = zip(*[row.send(bounds) for row in rows])
+        bounds = yield states, max(ends)
 
 
 @functools.cache
@@ -528,10 +518,12 @@ def _row_stepper(pinned, power, classes):
     The code is a generator made per row, which the kernel primes with
     next(). Each send((start, stop)) steps the row from start, writing its
     record from its offset, and yields its three states and the step it
-    stopped at: its quiescent step, or stop if it ran through. The code
-    never settles. It is compiled with this module's globals, so it looks
-    names such as range up here, and cached: there are at most
-    2 x 3 x 5 keys.
+    stopped at: its quiescent step, or stop if it ran through. A row that
+    stops fills the rest of its record up to stop with its quiescent step,
+    which every later step would repeat bit for bit; sent a later block, it
+    stops at the block's first step. The code never settles. It is compiled
+    with this module's globals, so it looks names such as range up here,
+    and cached: there are at most 2 x 3 x 5 keys.
     """
     # device j reads the variables of the first device of its class
     a, b, c = names = ["abc"[i] for i in classes]
@@ -555,7 +547,9 @@ def _row_stepper(pinned, power, classes):
             + "moved = False\n"
             + per_class("if n{d} != w{d}:\n" + textwrap.indent(branch("n{d}") + "moved = True\n",
                                                                " " * 4))
-            + "if not moved:\n    break\n"
+            + "if not moved:\n    end = at + 56 * step + 56\n"
+            + "    record[end:at + 56 * stop] = record[end - 56:end] * (stop - 1 - step)\n"
+            + "    break\n"
             + per_class("w{d} = n{d}\n"))
     setup = textwrap.indent(per_class(branch("w{d}")), " " * 4)
     step = textwrap.indent(step, " " * 12)
@@ -572,7 +566,7 @@ def step_row(drive, w, factor, law, star, record, offset, pack):
 {step}\
         else:
             step = stop
-        start, stop = yield w{a}, w{b}, w{c}, step
+        start, stop = yield (w{a}, w{b}, w{c}), step
 """
     namespace = {}
     exec(compile(source, f"<float kernel row {pinned, power, classes}>", "exec"), globals(),

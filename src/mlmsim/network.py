@@ -453,11 +453,11 @@ class Star:
         admittances y, branch voltages v and V_M, for every row of the batch;
         the reset's V_M slot is neither written nor read. The star copies it
         once, branch-major as (2n + 1, rows, steps), so each branch's values
-        are contiguous, and checks the copy. Every branch voltage and each
-        step's source power must be finite, and in a write or a read the
-        currents into M must balance, sum (U_i - V_M) y_i = V_M/r_ground, to
-        within 1e-6 of the step's own current scale, so a row passes or fails
-        alike in any batch. Otherwise SingularNetwork; once every step passes,
+        are contiguous, checks the copy and computes in its slots. Every
+        branch voltage and each step's source power must be finite, and in a
+        write or a read the currents into M must balance, sum (U_i - V_M) y_i
+        = V_M/r_ground, to within 1e-6 of the step's own current scale, so a
+        row passes or fails alike in any batch. Otherwise SingularNetwork; once every step passes,
         each row's largest power goes into peak.
 
         A read then adds each step's V_M, its probe voltage, to probe in step
@@ -470,17 +470,21 @@ class Star:
         data = block.transpose(1, 2, 0).copy()
         y, v, v_m = data[:n], data[n:2 * n], data[2 * n]
         drive = self.drive.T[:, :, None]
+        # each test is false for NaN; each product then goes into a slot of
+        # the copy that no later line reads, v's first
+        finite = np.isfinite(v).all()
         if self.rest is None:
-            current = (drive - v_m) * y
-            power = _branch_sum(drive * current)
+            current = np.multiply(np.subtract(drive, v_m, out=v), y, out=v)
+            power = _branch_sum(np.multiply(drive, current, out=y))
             leak = v_m * self.g_ground
-            balanced = (np.abs(_branch_sum(current) - leak)
-                        <= 1e-6 * (_branch_sum(np.abs(current)) + np.abs(leak))).all()
+            unbalance = np.abs(_branch_sum(current) - leak)
+            balanced = (unbalance <= 1e-6 * (_branch_sum(np.abs(current, out=current))
+                                             + np.abs(leak))).all()
         else:
-            power = _branch_sum(drive * (drive * y)) + self.rest[:, None]
+            power = _branch_sum(np.multiply(drive, np.multiply(drive, y, out=v), out=v))
+            power += self.rest[:, None]
             balanced = True
-        # each test is false for NaN
-        if not (balanced and np.isfinite(power).all() and np.isfinite(v).all()):
+        if not (finite and balanced and np.isfinite(power).all()):
             raise SingularNetwork("a solved step has a non-finite branch voltage or source "
                                   "power, or currents that do not balance at M")
         np.maximum(peak, power.max(axis=1), out=peak)

@@ -98,6 +98,18 @@ class TestResetAndRead:
         assert v_out == m.v_out
         assert tuple(after) == m.final_device_states
 
+    @pytest.mark.parametrize("rows", [1, ctl.FLOAT_KERNEL_MAX_ROWS + 1], ids=["floats", "numpy"])
+    def test_zero_length_reset_leaves_the_states(self, cell, rows):
+        # run_reset_phase runs the reset whatever its length
+        cfg = replace(FAST, t_reset=0.0)
+        w0 = np.random.default_rng(3).uniform(0.0, 1.0, size=(rows, 3))
+        w = w0.copy()
+        _, _, peak = ctl._run_phases(cell, cfg, [ctl._reset_phase(cell, cfg,
+                                                                  ctl._noise_draw(None, rows))], w)
+        np.testing.assert_array_equal(w.view(np.int64), w0.view(np.int64))
+        assert (peak == 0.0).all()
+        np.testing.assert_array_equal(ctl.run_reset_phase(cell, w0[0], cfg), w0[0])
+
     def test_non_quiescent_read_raises(self):
         # no threshold gating plus an oversized read level disturbs the state
         loud = ctl.make_cell(kind=dev.DeviceModelKind.LINEAR_DRIFT)
@@ -860,7 +872,7 @@ class TestBlockSettle:
         # NaN lands on the fourth write step, and the 150-step write is one
         # block
         n_write = FAST.steps(FAST.t_write)
-        assert ctl._block_length(n_write, 3, self.ROWS) == n_write
+        assert ctl._block_length(n_write, self.ROWS) == n_write
         with pytest.raises(net.SingularNetwork):
             ctl._run_batch(cell, volts, FAST)
         # the kernel stepped on past the NaN: the block's check raised
@@ -879,7 +891,7 @@ class TestBlockSettle:
         if kind is dev.DeviceModelKind.LINEAR_DRIFT:
             cfg = replace(cfg, v_read=0.01, t_read=2e-5)
         n_write = cfg.steps(cfg.t_write)
-        assert n_write > 2 * ctl._block_length(n_write, 3, self.ROWS)
+        assert n_write > 2 * ctl._block_length(n_write, self.ROWS)
         volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
         w0 = np.random.default_rng(5).uniform(0.0, 1.0, size=(rows, 3))
 
@@ -911,7 +923,7 @@ class TestBlockSettle:
         cfg = ctl.CycleConfig()
         ctl.simulate_levels(cell, cfg)
         n_write = cfg.steps(cfg.t_write)
-        block = ctl._block_length(n_write, 3, 10)
+        block = ctl._block_length(n_write, 10)
         assert block == 468
         assert settled == [(1, 7, 10), (block, 7, 10), (block, 7, 10),
                            (n_write - 2 * block, 7, 10), (1, 7, 10)]
@@ -971,15 +983,63 @@ class TestBlockSettle:
         last_move = self._assert_tail_is_a_per_step_sum(rows)
         assert len(set(last_move // 16)) > 1
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3], ids=["noise-free", "1 mV"])
+    @pytest.mark.parametrize("rows", [10, ROWS])
+    def test_both_kernels_settle_the_same_blocks(self, rows, sigma, monkeypatch):
+        # in 16-step blocks, a write from random states and a read from
+        # states near the top bound, whose rows stop in different blocks:
+        # either kernel's batch stops with its latest row
+        cell, cfg = self._thin_band_cell(), ctl.CycleConfig()
+        monkeypatch.setattr(net, "BLOCK_DOUBLES", 7 * rows * 16)
+        rng = np.random.default_rng(rows)
+        draw = ctl._noise_draw(ctl.NoiseConfig(sigma, 2), rows)
+        volts = np.resize(ctl._level_volts(enc.DEFAULT_BIN_TABLE), (rows, 3))
+        read = np.column_stack([np.linspace(0.03, 0.05, rows) + draw()] * 3)
+        runs = [(ctl._write_phase(cell, cfg, volts, draw), rng.uniform(0.0, 1.0, (rows, 3))),
+                (net.Star(cell.topology, "read", cfg.steps(cfg.t_read), read),
+                 1.0 - rng.uniform(1e-5, 5e-4, (rows, 3)))]
+        calls = []
+        settle = net.Star.settle
+
+        def recording(star, block, peak, probe, tail=0):
+            calls.append((len(block), tail))
+            settle(star, block, peak, probe, tail)
+
+        monkeypatch.setattr(net.Star, "settle", recording)
+        settled = {}
+        for max_rows in (0, 10**9):
+            monkeypatch.setattr(ctl, "FLOAT_KERNEL_MAX_ROWS", max_rows)
+            calls.clear()
+            for star, w0 in runs:
+                ctl._run_phases(cell, cfg, [star], w0.copy())
+            settled[max_rows] = calls.copy()
+        assert settled[0] == settled[10**9]
+        # each row alone: the steps it settles before its stop
+        for star, w0 in runs:
+            stops = set()
+            for k in range(rows):
+                calls.clear()
+                alone = net.Star(cell.topology, "read" if star.is_read else "write",
+                                 star.n_steps, star.drive[k:k + 1])
+                ctl._run_phases(cell, cfg, [alone], w0[k:k + 1].copy())
+                assert calls[-1][1] > 0
+                stops.add((sum(count for count, _ in calls) - 1) // 16)
+            assert len(stops) > 1
+
+    @staticmethod
+    def _thin_band_cell():
+        """Thresholds inside a read's branch voltages and a fast drift."""
+        return ctl.make_cell(
+            net.CellTopology(r_series=(300.0, 900.0, 2700.0), read_series_ohms=300.0),
+            dev.MemristorParams(v_th_pos=0.01, v_th_neg=-0.01, drift_rate=1e7))
+
     @staticmethod
     def _assert_tail_is_a_per_step_sum(rows):
         """The last moving step of each row, after checking the read's sum and states."""
         # thresholds inside the read's branch voltages and states near the
         # top bound: each row moves for some steps, then stops at its own
         # step, and the rest of the read is its quiescent tail
-        cell = ctl.make_cell(
-            net.CellTopology(r_series=(300.0, 900.0, 2700.0), read_series_ohms=300.0),
-            dev.MemristorParams(v_th_pos=0.01, v_th_neg=-0.01, drift_rate=1e7))
+        cell = TestBlockSettle._thin_band_cell()
         cfg = ctl.CycleConfig()
         w0 = 1.0 - np.random.default_rng(rows).uniform(1e-5, 5e-4, size=(rows, 3))
         read = net.Star(cell.topology, "read", cfg.steps(cfg.t_read),

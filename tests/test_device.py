@@ -205,8 +205,8 @@ class TestKernelAgainstReference:
             cell = ctl.make_cell(params=params, kind=kind)
             star = star_type(cell.topology, kind_of_phase, n_steps, drive, pin)
             got, peak, probe = w.copy(), np.zeros(rows), np.zeros(rows)
-            kernel(cell, cfg, star, got, dev.temperature_factor(params, temperature), peak,
-                   probe)
+            ctl._run_phase(kernel, cell, cfg, star, got,
+                           dev.temperature_factor(params, temperature), peak, probe)
             return star, (got, peak, probe)
 
         if rng.integers(2):
