@@ -20,8 +20,9 @@ gives each read a zeroed probe sum. The star adds the probe voltage of
 every step to it, the last one again for each step a quiescent stop left
 out, so the mean rounds exactly as a full read's would.
 
-The full cycle is the list below; a zero-length reset or write is left out,
-and the single-phase operations run a one-element list through the same loop.
+`_run_batch` is the one way in: it builds a schedule of roles into stars,
+the full cycle below by default, leaving out a zero-length reset or write.
+The single-phase operations are one-role schedules on the same path.
   reset  - every device negative terminal pinned at v_reset, each branch
            driven at 0 V from its write port so the erase current can
            return to ground; drives every state toward w = 0.
@@ -116,10 +117,11 @@ MAX_BATCH_ROWS = 10**5
 
 # Largest batch that `_run_phases` steps in Python floats, one row after
 # another; a larger one steps in numpy. On noisy (1 mV) default-dt level-code
-# cycles (medians of 7 interleaved CPU-time ratios), floats are 1.56x faster at
-# 12 rows, 1.16x at 14, 1.03x at 16, 0.93x at 18, 1.01x at 20 and 0.81x at 24.
-# Noise gives every device its own drive, so those rows had no twin devices;
-# twins only make a float row cheaper, so the crossover is no lower.
+# cycles (medians of 7 interleaved CPU-time ratios), numpy takes 1.38x the
+# floats' time at 12 rows, 1.23x at 14, 1.06x at 16, 0.97x at 18, 0.92x at 20
+# and 0.72x at 24. Noise gives every device its own drive, so those rows had no
+# twin devices; twins only make a float row cheaper, so the crossover is no
+# lower. No perfbench workload runs 11-39 rows.
 FLOAT_KERNEL_MAX_ROWS = 17
 
 
@@ -279,17 +281,6 @@ def _write_phase(cell, cfg, patterns, draw):
 def _read_phase(cell, cfg, draw):
     drive = np.column_stack([cfg.v_read + draw()] * net.N_SUBCELLS)
     return net.Star(cell.topology, "read", cfg.steps(cfg.t_read), drive)
-
-
-def _cycle_phases(cell, cfg, patterns, draw):
-    """Reset, write, read; a zero-length reset or write is left out."""
-    phases = []
-    if cfg.t_reset > 0:
-        phases.append(_reset_phase(cell, cfg, draw))
-    if cfg.t_write > 0:
-        phases.append(_write_phase(cell, cfg, patterns, draw))
-    phases.append(_read_phase(cell, cfg, draw))
-    return phases
 
 
 def _run_phases(cell, cfg, phases, w, temperature=None):
@@ -592,9 +583,12 @@ def _initial_states(w0, batch):
 
 
 def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
-               temperature=None):
-    """One cycle over the pattern rows: (v_out, final states, drift, peak power).
+               temperature=None, roles=("reset", "write", "read")):
+    """One schedule over the pattern rows: (v_out, final states, drift, peak power).
 
+    roles names the phases in order, by their `network.Star` role: the
+    full cycle by default, or one role for a single phase. A zero-length
+    reset or write is left out; v_out and drift are None without a read.
     The rows split into len(spawn_keys) equal groups, in order, and each
     group draws its noise from its own substream. temperature optionally
     gives one value per row in K.
@@ -612,10 +606,13 @@ def _run_batch(cell, patterns, cfg, w0=None, noise=None, spawn_keys=((),),
                          "is not finite")
     w = np.zeros((batch, n)) if w0 is None else _initial_states(w0, batch)
     draw = _noise_draw(noise, batch, spawn_keys)
+    star_of = {"reset": lambda: _reset_phase(cell, cfg, draw),
+               "write": lambda: _write_phase(cell, cfg, patterns, draw),
+               "read": lambda: _read_phase(cell, cfg, draw)}
     # a huge amplitude overflows to inf or NaN as the stars are built and
     # solved; the guard in `network.Star.settle` is then the one report
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = _cycle_phases(cell, cfg, patterns, draw)
+        phases = [star_of[role]() for role in roles if getattr(cfg, f"t_{role}") > 0]
         v_out, drift, peak_power = _run_phases(cell, cfg, phases, w, temperature)
     return v_out, w, drift, peak_power
 
@@ -628,14 +625,13 @@ def _measure(cell, cfg, patterns, codes, v_ins, noise=None, w0=None):
     row that has it.
     """
     volts = np.array([p.port_voltages for p in patterns], dtype=float)
+    first = inverse = slice(None)  # each row simulated for itself
     if (w0 is None and len(volts) > 1
             and (noise is None or noise.source_noise_sigma == 0.0)):
         _, first, inverse = np.unique(volts.view(np.int64), axis=0, return_index=True,
                                       return_inverse=True)
-        v_out, w, _, peak = _run_batch(cell, volts[first], cfg)
-        v_out, w, peak = v_out[inverse], w[inverse], peak[inverse]
-    else:
-        v_out, w, _, peak = _run_batch(cell, volts, cfg, w0=w0, noise=noise)
+    v_out, w, _, peak = _run_batch(cell, volts[first], cfg, w0=w0, noise=noise)
+    v_out, w, peak = v_out[inverse], w[inverse], peak[inverse]
     return [Measurement(v_in, code, float(vo), tuple(states), p, float(pk))
             for v_in, code, p, vo, states, pk in zip(v_ins, codes, patterns, v_out, w, peak)]
 
@@ -663,15 +659,14 @@ def run_cycle(cell: Cell, pattern, cfg: CycleConfig = CycleConfig(),
 
 def run_reset_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the reset phase to the given states; returns new states."""
-    w = _initial_states(w0, 1)
-    _run_phases(cell, cfg, [_reset_phase(cell, cfg, _noise_draw(None, 1))], w)
+    _, w, _, _ = _run_batch(cell, np.zeros((1, net.N_SUBCELLS)), cfg, w0, roles=("reset",))
     return w[0]
 
 
 def run_read_phase(cell: Cell, w0, cfg: CycleConfig = CycleConfig()):
     """Apply only the read phase; returns (v_out, new states, largest state change)."""
-    w = _initial_states(w0, 1)
-    v_out, drift, _ = _run_phases(cell, cfg, [_read_phase(cell, cfg, _noise_draw(None, 1))], w)
+    v_out, w, drift, _ = _run_batch(cell, np.zeros((1, net.N_SUBCELLS)), cfg, w0,
+                                    roles=("read",))
     return float(v_out[0]), w[0], float(drift[0])
 
 
